@@ -1,5 +1,9 @@
 #!/usr/bin/env python3
-"""Run every shipped demo program through the CLI and show the results."""
+"""Run every shipped demo program through the CLI and show the results.
+
+Demos with a golden file (named after the trace, or after the program when
+there is no trace) are compared with it; any difference exits 1.
+"""
 from __future__ import annotations
 
 import sys
@@ -21,6 +25,7 @@ DEMOS = [
 
 def main() -> int:
     demo_dir = REPO / "demos"
+    mismatches = 0
     for program, trace in DEMOS:
         label = program if trace is None else f"{program} + {trace}"
         print(f"=== {label}")
@@ -29,10 +34,16 @@ def main() -> int:
             trace_path=str(demo_dir / trace) if trace else None,
         )
         result, code = run(config)
-        sys.stdout.write(format_trace(result))
+        text = format_trace(result)
+        sys.stdout.write(text)
         print(f"exit code: {code}")
+        golden = demo_dir / (Path(trace or program).stem + ".golden")
+        if golden.exists():
+            matches = text == golden.read_text(encoding="utf-8")
+            mismatches += not matches
+            print(f"golden {golden.name}: {'match' if matches else 'MISMATCH'}")
         print()
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

@@ -1,8 +1,10 @@
 """Command-line runner: load a program and a trace, execute instants.
 
 Exit codes: 0 the program terminated, 3 still alive when the run stopped,
-4 the program or trace failed to parse or compile, 5 a runtime failure
-(uncaught abort, micro-step limit, instantaneous loop).
+4 the program or trace failed to parse or compile (including programs
+nested too deeply for the host's recursion limit), 5 a runtime failure
+(uncaught abort, micro-step limit, instantaneous loop, an integer too large
+to print, or an activation nested too deeply, labelled RecursionError).
 """
 from __future__ import annotations
 
@@ -66,18 +68,20 @@ def run(config: RunConfig) -> tuple[InstantTrace, int]:
     reacts once, and records the outputs and the root status. The run stops
     at termination, at the end of the trace, or at the instant budget.
     """
-    ast = parse_program(Path(config.program_path).read_text(encoding="utf-8"))
-    events: list[InstantEvents] | None = None
-    if config.trace_path is not None:
-        events = parse_trace(Path(config.trace_path).read_text(encoding="utf-8"))
-
     env = Environment(
         limits=Limits(
             max_micro_steps=config.max_micro,
             max_loop_restarts=config.max_loop_restarts,
         )
     )
-    root = compile_expr(ast, env)
+    events: list[InstantEvents] | None = None
+    try:
+        ast = parse_program(Path(config.program_path).read_text(encoding="utf-8"))
+        if config.trace_path is not None:
+            events = parse_trace(Path(config.trace_path).read_text(encoding="utf-8"))
+        root = compile_expr(ast, env)
+    except RecursionError:
+        raise CompileError("program is nested too deeply to compile") from None
 
     trace = InstantTrace()
     for index in range(1, config.max_instants + 1):
@@ -94,6 +98,9 @@ def run(config: RunConfig) -> tuple[InstantTrace, int]:
             done = env.react(root)
         except ReactiveError as error:
             trace.error = _error_label(error)
+            break
+        except RecursionError:
+            trace.error = "RecursionError"
             break
         trace.instants.append(
             InstantRecord(index, env.world.drain_output(), env.statuses[root])

@@ -15,7 +15,6 @@ from .kernel import (
     InitNode,
     LoopNode,
     MergeNode,
-    RepeatNode,
     RifNode,
 )
 from .program import EMPTY_PROGRAM, Program, Seq, Stop, initial_resumption
@@ -54,10 +53,15 @@ def halt(env: Environment) -> ReactiveId:
 
 
 def loop(env: Environment, body: ReactiveId) -> ReactiveId:
-    """Restart the body from a construction-time copy whenever it
-    terminates. The argument itself is never activated by the loop."""
-    saved = env.dup(body)
-    return env.alloc(LoopNode(saved, env.dup(saved)))
+    """Restart the body whenever it terminates, from the state it had when
+    the loop was built.
+
+    The loop runs a private copy of the argument, which it never
+    activates. Each restart resets that copy in place from a snapshot
+    taken here, so restarts allocate no nodes.
+    """
+    own = env.dup(body)
+    return env.alloc(LoopNode(own, env.snapshot(own)))
 
 
 def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
@@ -66,8 +70,8 @@ def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
         raise ValueError("repeat count must be non-negative")
     if count == 0:
         return nothing(env)
-    saved = env.dup(body)
-    return env.alloc(RepeatNode(saved, env.dup(saved), count))
+    own = env.dup(body)
+    return env.alloc(LoopNode(own, env.snapshot(own), count))
 
 
 def init(env: Environment, action: HostAction, child: ReactiveId) -> ReactiveId:

@@ -53,8 +53,9 @@ class Limits:
 
     max_micro_steps caps how many times a close (including the implicit one
     around react) re-activates a suspended child within one instant.
-    max_loop_restarts caps how many fresh body copies a loop or repeat may
-    activate back to back without the body ever consuming an instant.
+    max_loop_restarts caps how many times in a row a loop or repeat may
+    restart its body within one activation without the body ever
+    consuming an instant.
     """
 
     max_micro_steps: int = 10_000
@@ -75,6 +76,12 @@ class InstantaneousLoop(ReactiveError):
     def __init__(self, limit: int):
         super().__init__(f"loop body terminated instantly {limit} times in a row")
         self.limit = limit
+
+
+class IntegerTooLarge(ReactiveError):
+    def __init__(self, name: str):
+        super().__init__(f"{name} has too many digits to print")
+        self.name = name
 
 
 class UncaughtAbort(ReactiveError):

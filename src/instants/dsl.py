@@ -394,10 +394,18 @@ def _name(node: _SNode, what: str) -> str:
     return node.text
 
 
+def _to_int(text: str, line: int, col: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        # The host caps str-to-int conversion (sys.get_int_max_str_digits).
+        raise ParseError("integer literal has too many digits", line, col) from None
+
+
 def _int_literal(node: _SNode) -> int:
     if not isinstance(node, _Atom) or not _INT_RE.match(node.text):
         raise ParseError("expected an integer literal", node.line, node.col)
-    return int(node.text)
+    return _to_int(node.text, node.line, node.col)
 
 
 def _string(node: _SNode) -> str:
@@ -409,7 +417,7 @@ def _string(node: _SNode) -> str:
 def _build_int(node: _SNode) -> IntExpr:
     if isinstance(node, _Atom):
         if _INT_RE.match(node.text):
-            return IntConst(int(node.text))
+            return IntConst(_to_int(node.text, node.line, node.col))
         raise ParseError(f"expected integer expression, got {node.text!r}", node.line, node.col)
     lst = _expect_list(node, "an integer expression")
     head = _head(lst)
@@ -747,15 +755,10 @@ def parse_trace(text: str) -> list[InstantEvents]:
                     raise ParseError(f"bad integer value {literal!r} for {name!r}", lineno, 1)
                 if name in values:
                     raise DuplicateAssignment(f"signal {name!r} assigned twice in one instant", lineno, 1)
-                values[name] = int(literal)
+                values[name] = _to_int(literal, lineno, 1)
             else:
                 if not _NAME_RE.match(token):
                     raise ParseError(f"bad signal name {token!r}", lineno, 1)
                 signals.add(token)
         instants.append(InstantEvents(frozenset(signals), values))
     return instants
-
-
-def apply_instant(world, events: InstantEvents | None) -> None:
-    """Install one instant's events into the world (clearing the last)."""
-    world.apply_instant(events)

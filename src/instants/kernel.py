@@ -11,11 +11,14 @@ Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
 handler catches the abort instead and keeps running.
 
-Loops replace their body with a fresh copy of the saved one when it
-terminates. A body that terminated after reading this instant's events
-would see the same events again if its replacement ran now, so the
-replacement waits for the next activation; bodies that read nothing restart
-in place, which is also where instantaneous-loop divergence is caught.
+A loop records its body's whole region when it is built: the status of
+every node reachable from the body, each basic expression's resumption, and
+the latch or count of every await and nested loop. A restart restores that
+snapshot in place, so the region keeps its ids and the node table stays the
+same size over a run. A body that terminated after reading this instant's
+events would see the same events again if it restarted now, so the restart
+waits for the next activation; bodies that read nothing restart in place,
+which is also where instantaneous-loop divergence is caught.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from .core import (
 )
 from .program import (
     Resumption,
+    clone_resumption,
     copy_resumption,
     resumption_activations,
     run_resumption,
@@ -69,17 +73,20 @@ class CloseNode:
     child: ReactiveId
 
 
+# One entry per node of a loop body's region: (id, status, state), where the
+# state is a private resumption for a basic expression, the latch of an
+# await, the count of a loop, and None for the stateless kinds.
+Snapshot = tuple[tuple[ReactiveId, Status, object], ...]
+
+
 @dataclass
 class LoopNode:
-    saved: ReactiveId
-    current: ReactiveId
+    """Runs body to termination ``remaining`` more times (forever when
+    None), restoring it from the snapshot before each restart."""
 
-
-@dataclass
-class RepeatNode:
-    saved: ReactiveId
-    current: ReactiveId
-    remaining: int
+    body: ReactiveId
+    snapshot: Snapshot
+    remaining: int | None = None
 
 
 @dataclass
@@ -95,7 +102,7 @@ class AwaitNode:
     latched: bool = False
 
 
-Node = Union[BasicNode, MergeNode, RifNode, CloseNode, LoopNode, RepeatNode, InitNode, AwaitNode]
+Node = Union[BasicNode, MergeNode, RifNode, CloseNode, LoopNode, InitNode, AwaitNode]
 
 
 def _node_children(node: Node) -> list[ReactiveId]:
@@ -107,11 +114,21 @@ def _node_children(node: Node) -> list[ReactiveId]:
         return [node.then_branch, node.else_branch]
     if isinstance(node, CloseNode):
         return [node.child]
-    if isinstance(node, (LoopNode, RepeatNode)):
-        return [node.saved, node.current]
+    if isinstance(node, LoopNode):
+        return [rid for rid, _, _ in node.snapshot]
     if isinstance(node, (InitNode, AwaitNode)):
         return [node.child]
     raise TypeError(f"not a node: {node!r}")
+
+
+def _node_state(node: Node) -> object:
+    if isinstance(node, BasicNode):
+        return clone_resumption(node.resumption)
+    if isinstance(node, AwaitNode):
+        return node.latched
+    if isinstance(node, LoopNode):
+        return node.remaining
+    return None
 
 
 class Environment:
@@ -179,16 +196,15 @@ class Environment:
         elif isinstance(node, CloseNode):
             copied = CloseNode(self._copy_region(node.child, memo, visiting))
         elif isinstance(node, LoopNode):
-            copied = LoopNode(
-                self._copy_region(node.saved, memo, visiting),
-                self._copy_region(node.current, memo, visiting),
+            for child, _, _ in node.snapshot:
+                self._copy_region(child, memo, visiting)
+            remap = memo.__getitem__
+            snapshot = tuple(
+                (remap(rid), status,
+                 copy_resumption(state, remap) if isinstance(state, Resumption) else state)
+                for rid, status, state in node.snapshot
             )
-        elif isinstance(node, RepeatNode):
-            copied = RepeatNode(
-                self._copy_region(node.saved, memo, visiting),
-                self._copy_region(node.current, memo, visiting),
-                node.remaining,
-            )
+            copied = LoopNode(remap(node.body), snapshot, node.remaining)
         elif isinstance(node, InitNode):
             copied = InitNode(node.action, self._copy_region(node.child, memo, visiting))
         elif isinstance(node, AwaitNode):
@@ -202,6 +218,30 @@ class Environment:
         self.statuses[rid] = self.statuses[r]
         memo[r] = rid
         return rid
+
+    def snapshot(self, r: ReactiveId) -> Snapshot:
+        """Record the state of every node reachable from r, r first."""
+        order = [r]
+        seen = {r}
+        for rid in order:
+            for child in _node_children(self.nodes[rid]):
+                if child not in seen:
+                    seen.add(child)
+                    order.append(child)
+        return tuple((rid, self.statuses[rid], _node_state(self.nodes[rid])) for rid in order)
+
+    def _restore(self, snapshot: Snapshot) -> None:
+        nodes = self.nodes
+        statuses = self.statuses
+        for rid, status, state in snapshot:
+            statuses[rid] = status
+            node = nodes[rid]
+            if isinstance(node, BasicNode):
+                node.resumption = clone_resumption(state)
+            elif isinstance(node, AwaitNode):
+                node.latched = state
+            elif isinstance(node, LoopNode):
+                node.remaining = state
 
     # ------------------------------------------------------------------
     # Stepping
@@ -246,8 +286,6 @@ class Environment:
             return self._close_steps(node.child)
         if isinstance(node, LoopNode):
             return self._step_loop(node)
-        if isinstance(node, RepeatNode):
-            return self._step_repeat(node)
         if isinstance(node, InitNode):
             self.run_action(node.action)
             return self.step(node.child)
@@ -295,38 +333,23 @@ class Environment:
     def _step_loop(self, node: LoopNode) -> Status:
         restarts = 0
         before = self._event_reads
-        status = self.step(node.current)
+        status = self.step(node.body)
         while status is END:
+            if node.remaining is not None:
+                node.remaining -= 1
+                if node.remaining <= 0:
+                    return END
             observed = self._event_reads > before
-            node.current = self.dup(node.saved)
+            self._restore(node.snapshot)
             if observed:
                 # The finished body read this instant's events; its
-                # replacement starts at the next activation.
+                # restart waits for the next activation.
                 return STOP
             restarts += 1
             if restarts > self.limits.max_loop_restarts:
                 raise InstantaneousLoop(self.limits.max_loop_restarts)
             before = self._event_reads
-            status = self.step(node.current)
-        return status
-
-    def _step_repeat(self, node: RepeatNode) -> Status:
-        restarts = 0
-        before = self._event_reads
-        status = self.step(node.current)
-        while status is END:
-            node.remaining -= 1
-            if node.remaining <= 0:
-                return END
-            observed = self._event_reads > before
-            node.current = self.dup(node.saved)
-            if observed:
-                return STOP
-            restarts += 1
-            if restarts > self.limits.max_loop_restarts:
-                raise InstantaneousLoop(self.limits.max_loop_restarts)
-            before = self._event_reads
-            status = self.step(node.current)
+            status = self.step(node.body)
         return status
 
     def _step_await(self, node: AwaitNode) -> Status:

@@ -197,6 +197,11 @@ def resumption_activations(res: Resumption) -> Iterator[ReactiveId]:
             yield from program_activations(frame.handler[1])
 
 
+def clone_resumption(res: Resumption) -> Resumption:
+    """Copy the frame stack, sharing the immutable programs."""
+    return Resumption([Frame(list(frame.remaining), frame.handler) for frame in res.frames])
+
+
 def copy_resumption(res: Resumption, remap: Callable[[ReactiveId], ReactiveId]) -> Resumption:
     frames = []
     for frame in res.frames:

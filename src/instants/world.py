@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
-from .core import Abort
+from .core import Abort, IntegerTooLarge
 
 
 @dataclass(frozen=True)
@@ -218,9 +218,12 @@ def render_template(template: str, world: World) -> str:
 
     def replace(m: re.Match[str]) -> str:
         kind, name = m.group(1), m.group(2)
-        if kind == "cell":
-            return str(world.cells.get(name, 0))
-        return str(world.instant_values.get(name, 0))
+        store = world.cells if kind == "cell" else world.instant_values
+        try:
+            return str(store.get(name, 0))
+        except ValueError:
+            # The host caps int-to-str conversion (sys.get_int_max_str_digits).
+            raise IntegerTooLarge(f"{kind} {name}") from None
 
     return _FIELD_RE.sub(replace, template)
 

@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -166,3 +169,49 @@ def test_config_validation():
         RunConfig(program_path="x", max_instants=0)
     with pytest.raises(ValueError):
         RunConfig(program_path="x", format="yaml")
+
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+
+
+def _branch(i):
+    return f'(rexp (seq (print "b{i}") (stop)))'
+
+
+@pytest.mark.parametrize(
+    "name,source,extra,code,message",
+    [
+        # 400 binary merges nest the activation deeper than the host allows.
+        ("wide_par", "(par " + " ".join(_branch(i) for i in range(400)) + ")", [],
+         EXIT_RUNTIME_ERROR, "runtime error: RecursionError"),
+        ("deep_close", "(close " * 1000 + _branch(0) + ")" * 1000, [],
+         EXIT_INPUT_ERROR, "nested too deeply"),
+        # Squaring doubles the digits each instant until printing fails.
+        ("squared_cell",
+         '(rexp (seq (set x 2) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))'
+         ' (print "{cell:x}") (stop)))))))',
+         ["--max-instants", "100"], EXIT_RUNTIME_ERROR, "runtime error: IntegerTooLarge"),
+    ],
+)
+def test_host_limits_exit_with_a_label_and_no_traceback(
+    tmp_path, name, source, extra, code, message
+):
+    program = write(tmp_path, f"{name}.rx", source)
+    proc = subprocess.run(
+        [sys.executable, "-m", "instants", "--program", program, *extra],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
+def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):
+    digits = "9" * 5000
+    program = write(tmp_path, "big.rx", f"(rexp (set x {digits}))")
+    assert main(["--program", program]) == EXIT_INPUT_ERROR
+    trace_file = write(tmp_path, "big.trace", f"v={digits}\n")
+    program = write(tmp_path, "v.rx", "(nothing)")
+    assert main(["--program", program, "--trace", trace_file]) == EXIT_INPUT_ERROR
+    assert "too many digits" in capsys.readouterr().err

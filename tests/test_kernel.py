@@ -1,6 +1,8 @@
 """Kernel behavior: allocation, stepping, duplication, guard rails."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from instants import (
@@ -16,27 +18,36 @@ from instants import (
     Print,
     Raise,
     Seq,
+    Sig,
     STOP,
     Status,
     Stop,
     SUSP,
     Suspend,
     UncaughtAbort,
+    await_,
     build_action,
     close,
+    compile_expr,
     halt,
     loop,
     merge,
     nothing,
+    parse_program,
+    parse_trace,
     repeat,
     rexp,
     seq,
     star,
+    terminate,
 )
 from instants.kernel import BasicNode, MergeNode
 from instants.program import initial_resumption
+from instants.world import InstantEvents
 
 from helpers import react_once
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def printer(text):
@@ -346,3 +357,74 @@ def test_loop_over_event_reading_body_samples_once_per_instant():
         react_once(env, l, InstantEvents(frozenset(), {"v": k}))
         assert env.world.cells["x"] == k
         assert env.statuses[l] is STOP
+
+
+def _node_count_after(source, events):
+    env = Environment()
+    root = compile_expr(parse_program(source), env)
+    compiled = len(env.nodes)
+    for instant in events:
+        react_once(env, root, instant)
+    return compiled, len(env.nodes)
+
+
+def test_loop_restarts_allocate_no_nodes():
+    compiled, final = _node_count_after('(loop (rexp (seq (print "x") (stop))))', [None] * 5000)
+    assert final == compiled
+
+
+def test_keypad_node_count_stays_flat():
+    source = (DEMOS / "keypad.rx").read_text(encoding="utf-8")
+    # digit=i%10 four times, then enter, repeating.
+    lines = ("enter\n" if i % 5 == 4 else f"digit={i % 10}\n" for i in range(5000))
+    events = parse_trace("".join(lines))
+    compiled, final = _node_count_after(source, events)
+    assert final == compiled
+
+
+def test_loop_of_stepped_body_restarts_from_construction_time_state():
+    env = Environment()
+    body = rexp(env, seq(printer("a"), Stop(), printer("b"), Stop(), printer("c")))
+    assert react_once(env, body) == (["a"], False)
+    l = loop(env, body)
+    assert react_once(env, l) == (["b"], False)
+    for _ in range(3):
+        # The body ends after "c" and restarts where it stood when the
+        # loop was built, not at "a".
+        assert react_once(env, l) == (["c", "b"], False)
+    # The argument itself was never activated by the loop.
+    assert react_once(env, body) == (["b"], False)
+
+
+def test_loop_restart_restores_repeat_count_and_await_latch():
+    env = Environment()
+    counted = repeat(env, 2, rexp(env, seq(printer("r"), Stop())))
+    waiting = await_(env, Sig("go"), rexp(env, seq(printer("g"), Stop(), Stop(), Stop())))
+    l = loop(env, terminate(env, Sig("cut"), merge(env, counted, waiting)))
+    go = InstantEvents(frozenset({"go"}))
+    cut = InstantEvents(frozenset({"cut"}))
+    assert react_once(env, l, go) == (["r", "g"], False)
+    # The repeat is on its second run and the await has latched when the
+    # body is cut off.
+    assert react_once(env, l) == (["r"], False)
+    assert react_once(env, l, cut) == ([], False)
+    # After the restart the repeat runs twice again and the await waits
+    # for a fresh go.
+    assert react_once(env, l) == (["r"], False)
+    assert react_once(env, l) == (["r"], False)
+    assert react_once(env, l) == ([], False)
+    assert react_once(env, l, go) == (["g"], False)
+
+
+def test_dup_of_running_loop_restarts_its_own_body():
+    env = Environment()
+    l = loop(env, rexp(env, seq(printer("x"), Stop(), printer("y"), Stop())))
+    assert react_once(env, l) == (["x"], False)
+    copy = env.dup(l)
+    body_ids = {rid for rid, _, _ in env.nodes[l].snapshot}
+    copy_ids = {rid for rid, _, _ in env.nodes[copy].snapshot}
+    assert body_ids.isdisjoint(copy_ids)
+    assert react_once(env, copy) == (["y"], False)
+    assert react_once(env, copy) == (["x"], False)
+    assert react_once(env, l) == (["y"], False)
+    assert react_once(env, l) == (["x"], False)

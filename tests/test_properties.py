@@ -84,6 +84,15 @@ def check_terminal_absorption(seed: int) -> bool:
     return True
 
 
+def check_react_allocates_no_nodes(seed: int) -> None:
+    ast, trace = gen_case(seed)
+    env = _fresh_env()
+    root = compile_expr(ast, env)
+    compiled = len(env.nodes)
+    _drive(env, root, trace)
+    assert len(env.nodes) == compiled
+
+
 def check_micro_instant_confinement(seed: int) -> None:
     ast, trace = gen_case(seed)
     env = _fresh_env()
@@ -245,6 +254,12 @@ def test_star_idempotent_identity_absorbing(a):
 @settings(max_examples=150, deadline=None)
 def test_terminal_absorption(seed):
     check_terminal_absorption(seed)
+
+
+@given(seeds)
+@settings(max_examples=150, deadline=None)
+def test_react_allocates_no_nodes(seed):
+    check_react_allocates_no_nodes(seed)
 
 
 @given(seeds)

@@ -26,10 +26,17 @@ def rexp(env: Environment, program: Program) -> ReactiveId:
     return env.alloc(BasicNode(initial_resumption(program)))
 
 
-def merge(env: Environment, left: ReactiveId, right: ReactiveId) -> ReactiveId:
-    """Parallel composition: activates left then right each instant;
-    terminates when both have terminated."""
-    return env.alloc(MergeNode(left, right))
+def merge(env: Environment, *children: ReactiveId) -> ReactiveId:
+    """Parallel composition of one or more expressions, in one node.
+
+    Steps the children left to right: only the suspended ones when any is
+    suspended (a re-step within the instant), otherwise all of them. The
+    outcome is star over the children's stored statuses, so nesting merges
+    behaves the same as one merge over all the leaves.
+    """
+    if not children:
+        raise ValueError("merge needs at least one child")
+    return env.alloc(MergeNode(children))
 
 
 def rif(env: Environment, cond: Cond, then_branch: ReactiveId, else_branch: ReactiveId) -> ReactiveId:

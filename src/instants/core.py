@@ -34,17 +34,15 @@ END = Status.END
 ReactiveId = int
 
 
-def star(a: Status, b: Status) -> Status:
-    """Combine two activation outcomes: SUSP dominates, then STOP, then END.
+def star(*outcomes: Status) -> Status:
+    """Combine activation outcomes: SUSP dominates, then STOP, then END.
 
-    Commutative, associative, idempotent; END is the identity and SUSP is
-    absorbing.
+    Commutative, associative, idempotent; END is the identity (and the
+    combination of no outcomes) and SUSP is absorbing.
     """
-    if a is SUSP or b is SUSP:
+    if SUSP in outcomes:
         return SUSP
-    if a is STOP or b is STOP:
-        return STOP
-    return END
+    return STOP if STOP in outcomes else END
 
 
 @dataclass

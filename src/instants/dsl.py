@@ -20,8 +20,10 @@ literals, ``(cell NAME)``, ``(value NAME)``, ``(+ I I)``, ``(- I I)``,
 ``(* I I)``, ``(neg I)``. Actions (for ``init``): ``(print ...)``,
 ``(set ...)``, ``(raise TAG)``, ``(do ACTION ...)``.
 
-``(par ...)`` right-folds into nested merges. Print templates interpolate
-``{cell:name}`` and ``{value:name}`` as decimal integers.
+``(par ...)`` parses to a right fold of binary merges, and compilation
+flattens any chain of nested merges into one n-ary merge node. Print
+templates interpolate ``{cell:name}`` and ``{value:name}`` as decimal
+integers.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
@@ -704,8 +706,18 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
     match ast:
         case RexpExpr(program=program):
             return combinators.rexp(env, _compile_prog(program, env))
-        case MergeExpr(left=left, right=right):
-            return combinators.merge(env, compile_expr(left, env), compile_expr(right, env))
+        case MergeExpr():
+            # A chain of nested merges, however folded, becomes one n-ary
+            # node over its leaves in left-to-right order.
+            leaves = []
+            pending = [ast]
+            while pending:
+                item = pending.pop()
+                if isinstance(item, MergeExpr):
+                    pending += (item.right, item.left)
+                else:
+                    leaves.append(compile_expr(item, env))
+            return combinators.merge(env, *leaves)
         case RifExpr(cond=cond, then_expr=a, else_expr=b):
             return combinators.rif(env, cond, compile_expr(a, env), compile_expr(b, env))
         case CloseExpr(child=child):

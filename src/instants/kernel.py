@@ -5,7 +5,8 @@ describing structure, a status table holding each expression's last outcome,
 the event world, and the divergence limits. Activation is a recursive walk:
 step dispatches on the node kind, writes the resulting status back, and
 returns it. A terminated expression is inert; stepping it returns END and
-changes nothing.
+changes nothing. A merge holds all its branches in one node, so the walk is
+as deep as the program's nesting, not its width.
 
 Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
@@ -22,8 +23,8 @@ which is also where instantaneous-loop divergence is caught.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, replace
+from typing import Callable, Union
 
 from .core import (
     Abort,
@@ -57,8 +58,7 @@ class BasicNode:
 
 @dataclass
 class MergeNode:
-    left: ReactiveId
-    right: ReactiveId
+    children: tuple[ReactiveId, ...]
 
 
 @dataclass
@@ -109,15 +109,33 @@ def _node_children(node: Node) -> list[ReactiveId]:
     if isinstance(node, BasicNode):
         return list(resumption_activations(node.resumption))
     if isinstance(node, MergeNode):
-        return [node.left, node.right]
+        return list(node.children)
     if isinstance(node, RifNode):
         return [node.then_branch, node.else_branch]
-    if isinstance(node, CloseNode):
-        return [node.child]
     if isinstance(node, LoopNode):
         return [rid for rid, _, _ in node.snapshot]
-    if isinstance(node, (InitNode, AwaitNode)):
+    if isinstance(node, (CloseNode, InitNode, AwaitNode)):
         return [node.child]
+    raise TypeError(f"not a node: {node!r}")
+
+
+def _remap_children(node: Node, remap: Callable[[ReactiveId], ReactiveId]) -> Node:
+    """A copy of node with every child id passed through remap."""
+    if isinstance(node, BasicNode):
+        return BasicNode(copy_resumption(node.resumption, remap))
+    if isinstance(node, MergeNode):
+        return MergeNode(tuple(map(remap, node.children)))
+    if isinstance(node, RifNode):
+        return replace(node, then_branch=remap(node.then_branch), else_branch=remap(node.else_branch))
+    if isinstance(node, LoopNode):
+        snapshot = tuple(
+            (remap(rid), status,
+             copy_resumption(state, remap) if isinstance(state, Resumption) else state)
+            for rid, status, state in node.snapshot
+        )
+        return LoopNode(remap(node.body), snapshot, node.remaining)
+    if isinstance(node, (CloseNode, InitNode, AwaitNode)):
+        return replace(node, child=remap(node.child))
     raise TypeError(f"not a node: {node!r}")
 
 
@@ -178,43 +196,10 @@ class Environment:
             raise RuntimeError(f"cycle detected in reactive node graph at id {r}")
         visiting.add(r)
         node = self.nodes[r]
-        if isinstance(node, BasicNode):
-            for child in resumption_activations(node.resumption):
-                self._copy_region(child, memo, visiting)
-            copied: Node = BasicNode(copy_resumption(node.resumption, lambda c: memo[c]))
-        elif isinstance(node, MergeNode):
-            copied = MergeNode(
-                self._copy_region(node.left, memo, visiting),
-                self._copy_region(node.right, memo, visiting),
-            )
-        elif isinstance(node, RifNode):
-            copied = RifNode(
-                node.cond,
-                self._copy_region(node.then_branch, memo, visiting),
-                self._copy_region(node.else_branch, memo, visiting),
-            )
-        elif isinstance(node, CloseNode):
-            copied = CloseNode(self._copy_region(node.child, memo, visiting))
-        elif isinstance(node, LoopNode):
-            for child, _, _ in node.snapshot:
-                self._copy_region(child, memo, visiting)
-            remap = memo.__getitem__
-            snapshot = tuple(
-                (remap(rid), status,
-                 copy_resumption(state, remap) if isinstance(state, Resumption) else state)
-                for rid, status, state in node.snapshot
-            )
-            copied = LoopNode(remap(node.body), snapshot, node.remaining)
-        elif isinstance(node, InitNode):
-            copied = InitNode(node.action, self._copy_region(node.child, memo, visiting))
-        elif isinstance(node, AwaitNode):
-            copied = AwaitNode(
-                node.cond, self._copy_region(node.child, memo, visiting), node.latched
-            )
-        else:
-            raise TypeError(f"not a node: {node!r}")
+        for child in _node_children(node):
+            self._copy_region(child, memo, visiting)
         visiting.discard(r)
-        rid = self.alloc(copied)
+        rid = self.alloc(_remap_children(node, memo.__getitem__))
         self.statuses[rid] = self.statuses[r]
         memo[r] = rid
         return rid
@@ -294,19 +279,17 @@ class Environment:
         raise TypeError(f"not a node: {node!r}")
 
     def _step_merge(self, node: MergeNode) -> Status:
-        left_status = self.statuses[node.left]
-        right_status = self.statuses[node.right]
-        if left_status is SUSP and right_status is not SUSP:
-            # Mid-instant re-step: only the suspended branch runs; the other
-            # branch contributes its stored outcome.
-            a = self.step(node.left)
-            return star(a, self.statuses[node.right])
-        if right_status is SUSP and left_status is not SUSP:
-            a = self.step(node.right)
-            return star(self.statuses[node.left], a)
-        a = self.step(node.left)
-        b = self.step(node.right)
-        return star(a, b)
+        # Mid-instant re-step: only the suspended children run, and the
+        # others contribute their stored outcomes. star is associative, so
+        # this is the binary merge rule applied along a fold of the children.
+        statuses = self.statuses
+        children = node.children
+        suspended = [child for child in children if statuses[child] is SUSP]
+        if not suspended:
+            return star(*[self.step(child) for child in children])
+        for child in suspended:
+            self.step(child)
+        return star(*[statuses[child] for child in children])
 
     def _step_rif(self, node: RifNode) -> Status:
         # A suspended branch resumes without re-evaluating the condition;

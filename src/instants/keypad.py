@@ -97,9 +97,7 @@ def mk_controller(env: Environment, spec: KeypadSpec) -> ReactiveId:
             rif(env, Sig("neg"), rexp(env, seq(_negate_num())), halt(env))
         )
     branches.append(getnum)
-    merged = branches[-1]
-    for branch in reversed(branches[:-1]):
-        merged = merge(env, branch, merged)
+    merged = merge(env, *branches)
 
     body = rexp(env, Handle(Activate(merged), CLEAR_TAG, Seq(())))
     return loop(env, body)

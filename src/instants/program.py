@@ -4,8 +4,10 @@ A basic reactive expression is a finite instruction tree executed one
 activation at a time. Stop and Suspend are the control points that end an
 activation; Activate hands the instant over to another reactive expression;
 Raise and Handle carry preemption. The resumption records where the next
-activation picks up: a stack of frames, each holding the instructions still
-to run and, for Handle scopes, the armed handler.
+activation picks up: a stack of frames, each an immutable instruction tuple
+with the index of the next instruction to run and, for Handle scopes, the
+armed handler. A Seq pushes a frame over its own tuple, so advancing and
+cloning a resumption copies no instruction lists.
 """
 from __future__ import annotations
 
@@ -66,15 +68,17 @@ def seq(*items: Program) -> Seq:
 EMPTY_PROGRAM = Seq(())
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
-    """One level of the resumption stack.
+    """One level of the resumption stack: the instructions ``items[pc:]``
+    are still to run.
 
     handler is set only for frames opened by a Handle instruction; an abort
     searching outward stops at the first frame whose handler tag matches.
     """
 
-    remaining: list[Program]
+    items: tuple[Program, ...]
+    pc: int = 0
     handler: tuple[str, Program] | None = None
 
 
@@ -88,7 +92,7 @@ class Resumption:
 
 
 def initial_resumption(program: Program) -> Resumption:
-    return Resumption([Frame([program])])
+    return Resumption([Frame((program,))])
 
 
 def _unwind(frames: list[Frame], tag: str) -> bool:
@@ -96,7 +100,7 @@ def _unwind(frames: list[Frame], tag: str) -> bool:
     while frames:
         frame = frames.pop()
         if frame.handler is not None and frame.handler[0] == tag:
-            frames.append(Frame([frame.handler[1]]))
+            frames.append(Frame((frame.handler[1],)))
             return True
     return False
 
@@ -114,25 +118,33 @@ def run_resumption(env: "Environment", res: Resumption) -> Status:
     frames = res.frames
     while frames:
         frame = frames[-1]
-        if not frame.remaining:
+        pc = frame.pc
+        items = frame.items
+        if pc >= len(items):
             frames.pop()
             continue
-        inst = frame.remaining[0]
+        inst = items[pc]
         if isinstance(inst, Seq):
-            frame.remaining.pop(0)
-            frames.append(Frame(list(inst.items)))
+            if pc + 1 == len(items):
+                # Last item: its instructions replace the frame's, under
+                # the same handler.
+                frame.items = inst.items
+                frame.pc = 0
+            else:
+                frame.pc = pc + 1
+                frames.append(Frame(inst.items))
         elif isinstance(inst, Atom):
-            frame.remaining.pop(0)
+            frame.pc = pc + 1
             try:
                 env.run_action(inst.action)
             except Abort as abort:
                 if not _unwind(frames, abort.tag):
                     raise
         elif isinstance(inst, Stop):
-            frame.remaining.pop(0)
+            frame.pc = pc + 1
             return STOP
         elif isinstance(inst, Suspend):
-            frame.remaining.pop(0)
+            frame.pc = pc + 1
             return SUSP
         elif isinstance(inst, Activate):
             try:
@@ -143,18 +155,18 @@ def run_resumption(env: "Environment", res: Resumption) -> Status:
                 continue
             if status is END:
                 # Child finished: keep going within the same activation.
-                frame.remaining.pop(0)
+                frame.pc = pc + 1
             else:
                 # Stay pinned on this Activate so the next activation
                 # re-steps the child.
                 return status
         elif isinstance(inst, Raise):
-            frame.remaining.pop(0)
+            frame.pc = pc + 1
             if not _unwind(frames, inst.tag):
                 raise Abort(inst.tag)
         elif isinstance(inst, Handle):
-            frame.remaining.pop(0)
-            frames.append(Frame([inst.body], (inst.tag, inst.handler)))
+            frame.pc = pc + 1
+            frames.append(Frame((inst.body,), 0, (inst.tag, inst.handler)))
         else:
             raise TypeError(f"not an instruction: {inst!r}")
     return END
@@ -191,7 +203,7 @@ def rewrite_program(program: Program, remap: Callable[[ReactiveId], ReactiveId])
 
 def resumption_activations(res: Resumption) -> Iterator[ReactiveId]:
     for frame in res.frames:
-        for program in frame.remaining:
+        for program in frame.items[frame.pc:]:
             yield from program_activations(program)
         if frame.handler is not None:
             yield from program_activations(frame.handler[1])
@@ -199,15 +211,15 @@ def resumption_activations(res: Resumption) -> Iterator[ReactiveId]:
 
 def clone_resumption(res: Resumption) -> Resumption:
     """Copy the frame stack, sharing the immutable programs."""
-    return Resumption([Frame(list(frame.remaining), frame.handler) for frame in res.frames])
+    return Resumption([Frame(frame.items, frame.pc, frame.handler) for frame in res.frames])
 
 
 def copy_resumption(res: Resumption, remap: Callable[[ReactiveId], ReactiveId]) -> Resumption:
     frames = []
     for frame in res.frames:
-        remaining = [rewrite_program(p, remap) for p in frame.remaining]
+        items = tuple(rewrite_program(p, remap) for p in frame.items[frame.pc:])
         handler = None
         if frame.handler is not None:
             handler = (frame.handler[0], rewrite_program(frame.handler[1], remap))
-        frames.append(Frame(remaining, handler))
+        frames.append(Frame(items, 0, handler))
     return Resumption(frames)

@@ -9,6 +9,7 @@ Unset cells and payloads read as 0, so evaluation is total.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
 
@@ -134,7 +135,19 @@ class Negate:
 IntExpr = Union[IntConst, CellRef, ValueRef, BinOp, Negate]
 
 
+def _printable(value: int, op: str) -> int:
+    """Return value, or raise IntegerTooLarge if it has more digits than
+    the host can print (sys.get_int_max_str_digits; 0 means no limit)."""
+    limit = sys.get_int_max_str_digits()
+    # 10**limit has more than 3 * limit bits, so any shorter value fits.
+    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+        raise IntegerTooLarge(f"result of {op}")
+    return value
+
+
 def eval_int(expr: IntExpr, world: World) -> int:
+    """Evaluate an integer expression; an arithmetic result too long to
+    print raises IntegerTooLarge, so cells cannot grow without bound."""
     match expr:
         case IntConst(value=v):
             return v
@@ -146,11 +159,11 @@ def eval_int(expr: IntExpr, world: World) -> int:
             a = eval_int(left, world)
             b = eval_int(right, world)
             if op == "+":
-                return a + b
+                return _printable(a + b, op)
             if op == "-":
-                return a - b
+                return _printable(a - b, op)
             if op == "*":
-                return a * b
+                return _printable(a * b, op)
             raise ValueError(f"unknown integer operator {op!r}")
         case Negate(item=item):
             return -eval_int(item, world)

@@ -143,8 +143,10 @@ def gen_expr(rng: random.Random, depth: int, allow_raise: bool = True):
         if leaf < 0.85:
             return HaltExpr()
         return NothingExpr()
-    if roll < 0.45:
+    if roll < 0.40:
         return MergeExpr(gen_expr(rng, depth - 1, allow_raise), gen_expr(rng, depth - 1, allow_raise))
+    if roll < 0.45:
+        return gen_wide_merge(rng, depth - 1, allow_raise)
     if roll < 0.55:
         return RifExpr(
             gen_cond(rng, 2), gen_expr(rng, depth - 1, allow_raise), gen_expr(rng, depth - 1, allow_raise)
@@ -162,6 +164,37 @@ def gen_expr(rng: random.Random, depth: int, allow_raise: bool = True):
     if roll < 0.95:
         return WhenExpr(gen_cond(rng, 2), gen_expr(rng, depth - 1, allow_raise))
     return TerminateExpr(gen_cond(rng, 2), gen_expr(rng, depth - 1, allow_raise))
+
+
+def gen_suspender(rng: random.Random):
+    """A short basic program that suspends at least once."""
+    items = [PrintStmt(rng.choice(TEXTS)), SuspendStmt()]
+    items += [rng.choice((PrintStmt(rng.choice(TEXTS)), SuspendStmt(), StopStmt()))
+              for _ in range(rng.randint(0, 3))]
+    return RexpExpr(SeqStmt(tuple(items)))
+
+
+def _fold(rng: random.Random, branches: list, shape: str):
+    if len(branches) == 1:
+        return branches[0]
+    if shape == "right":
+        split = 1
+    elif shape == "left":
+        split = len(branches) - 1
+    else:
+        split = rng.randint(1, len(branches) - 1)
+    return MergeExpr(_fold(rng, branches[:split], shape), _fold(rng, branches[split:], shape))
+
+
+def gen_wide_merge(rng: random.Random, depth: int, allow_raise: bool = True):
+    """3-16 branches in one chain of merges: a right fold as ``(par ...)``
+    writes it, a left fold, or a random tree. Roughly half of the branches
+    suspend, so re-steps within an instant reach a subset of them."""
+    branches = [
+        gen_suspender(rng) if rng.random() < 0.5 else gen_expr(rng, min(depth, 1), allow_raise)
+        for _ in range(rng.randint(3, 16))
+    ]
+    return _fold(rng, branches, rng.choice(("right", "left", "random")))
 
 
 def gen_trace(rng: random.Random):

@@ -135,12 +135,19 @@ def _ev_int(e, w):
     if isinstance(e, BinOp):
         a, b = _ev_int(e.left, w), _ev_int(e.right, w)
         if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        raise ValueError(e.op)
+            result = a + b
+        elif e.op == "-":
+            result = a - b
+        elif e.op == "*":
+            result = a * b
+        else:
+            raise ValueError(e.op)
+        # A result with more decimal digits than the host prints is an error.
+        try:
+            str(result)
+        except ValueError:
+            raise OracleError("IntegerTooLarge") from None
+        return result
     if isinstance(e, Negate):
         return -_ev_int(e.item, w)
     raise TypeError(e)

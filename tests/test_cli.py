@@ -178,12 +178,23 @@ def _branch(i):
     return f'(rexp (seq (print "b{i}") (stop)))'
 
 
+def _wide(count):
+    return "(par " + " ".join(_branch(i) for i in range(count)) + ")"
+
+
+def _outputs(count):
+    return ": " + "|".join(f"b{i}" for i in range(count)) + "\n"
+
+
 @pytest.mark.parametrize(
     "name,source,extra,code,message",
     [
-        # 400 binary merges nest the activation deeper than the host allows.
-        ("wide_par", "(par " + " ".join(_branch(i) for i in range(400)) + ")", [],
-         EXIT_RUNTIME_ERROR, "runtime error: RecursionError"),
+        # One n-ary merge: width does not become activation depth.
+        ("wide_par", _wide(400), [], EXIT_TERMINATED, _outputs(400)),
+        pytest.param("wide_par_5000", _wide(5000), [], EXIT_TERMINATED, _outputs(5000),
+                     id="wide_par_5000"),
+        pytest.param("loop_wide_par_5000", f"(loop {_wide(5000)})", ["--max-instants", "3"],
+                     EXIT_ALIVE, "3" + _outputs(5000), id="loop_wide_par_5000"),
         ("deep_close", "(close " * 1000 + _branch(0) + ")" * 1000, [],
          EXIT_INPUT_ERROR, "nested too deeply"),
         # Squaring doubles the digits each instant until printing fails.
@@ -191,6 +202,13 @@ def _branch(i):
          '(rexp (seq (set x 2) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))'
          ' (print "{cell:x}") (stop)))))))',
          ["--max-instants", "100"], EXIT_RUNTIME_ERROR, "runtime error: IntegerTooLarge"),
+        # Unprinted, the square still stops at the host's print limit.
+        pytest.param(
+            "squared_cell_unprinted",
+            '(rexp (seq (set x 2) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))'
+            ' (stop)))))))',
+            ["--max-instants", "100"], EXIT_RUNTIME_ERROR, "runtime error: IntegerTooLarge",
+            id="squared_cell_unprinted"),
     ],
 )
 def test_host_limits_exit_with_a_label_and_no_traceback(
@@ -204,7 +222,7 @@ def test_host_limits_exit_with_a_label_and_no_traceback(
     )
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
-    assert message in proc.stderr
+    assert message in proc.stdout + proc.stderr
 
 
 def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):

@@ -95,7 +95,7 @@ def test_alloc_rejects_dangling_children():
     env = Environment()
     a = nothing(env)
     with pytest.raises(ValueError):
-        env.alloc(MergeNode(a, a + 999))
+        env.alloc(MergeNode((a, a + 999)))
 
 
 def test_step_on_terminated_id_is_inert():
@@ -127,6 +127,58 @@ def test_merge_end_only_when_both_end():
         outputs, done = react_once(env, m)
         assert not done
         assert env.statuses[m] is STOP
+
+
+def test_nary_merge_resteps_only_suspended_children():
+    env = Environment()
+    m = merge(
+        env,
+        rexp(env, seq(printer("a1"), Suspend(), printer("a2"), Stop())),
+        rexp(env, seq(printer("b1"), Stop(), printer("b2"))),
+        rexp(env, seq(printer("c1"), Suspend(), printer("c2"), Suspend(), printer("c3"), Stop())),
+        rexp(env, seq(printer("d1"), Stop())),
+    )
+    # Re-steps within the instant reach a and c, then c alone; b and d,
+    # stopped, are not stepped again until the next instant.
+    assert react_once(env, m) == (["a1", "b1", "c1", "d1", "a2", "c2", "c3"], False)
+    assert react_once(env, m) == (["b2"], True)
+
+
+def test_nary_merge_abort_marks_merge_end_and_spares_siblings():
+    env = Environment()
+    first = rexp(env, seq(Stop(), Stop()))
+    finished = nothing(env)
+    cutter = rexp(env, seq(Stop(), Raise("Cut")))
+    last = rexp(env, seq(Stop(), Stop()))
+    m = merge(env, first, finished, cutter, last)
+    outer = rexp(env, Handle(Activate(m), "Cut", Seq(())))
+    assert react_once(env, outer) == ([], False)
+    assert react_once(env, outer) == ([], True)
+    assert env.statuses[m] is END
+    assert env.statuses[cutter] is END
+    assert (env.statuses[first], env.statuses[finished]) == (STOP, END)
+    # The child after the aborting one was not stepped in that activation.
+    assert env.statuses[last] is STOP
+
+
+def test_merge_needs_a_child():
+    with pytest.raises(ValueError):
+        merge(Environment())
+
+
+def test_compiled_par_is_one_merge_node():
+    env = Environment()
+    branches = [f'(rexp (seq (print "b{i}") (stop)))' for i in range(64)]
+    root = compile_expr(parse_program("(par " + " ".join(branches) + ")"), env)
+    assert len(env.nodes) == 65
+    assert len(env.nodes[root].children) == 64
+    # Nested merges flatten too, whichever way they are folded.
+    env = Environment()
+    leaves = ['(rexp (print "%s"))' % name for name in "abcd"]
+    source = "(merge (merge (merge {} {}) {}) {})".format(*leaves)
+    root = compile_expr(parse_program(source), env)
+    assert len(env.nodes) == 5
+    assert react_once(env, root) == (["a", "b", "c", "d"], True)
 
 
 def test_close_resolves_suspensions_in_one_instant():
@@ -266,10 +318,10 @@ def test_dup_copies_child_statuses():
     react_once(env, m)
     assert (env.statuses[left], env.statuses[right]) == (STOP, END)
     copy = env.dup(m)
-    node = env.nodes[copy]
-    assert env.statuses[node.left] is STOP
-    assert env.statuses[node.right] is END
-    assert node.left != left and node.right != right
+    copy_left, copy_right = env.nodes[copy].children
+    assert env.statuses[copy_left] is STOP
+    assert env.statuses[copy_right] is END
+    assert copy_left != left and copy_right != right
 
 
 def test_dup_preserves_sharing_inside_the_region():
@@ -277,9 +329,23 @@ def test_dup_preserves_sharing_inside_the_region():
     shared = rexp(env, seq(Stop(), Stop(), Stop()))
     m = merge(env, shared, shared)
     copy = env.dup(m)
-    node = env.nodes[copy]
-    assert node.left == node.right
-    assert node.left != shared
+    copy_left, copy_right = env.nodes[copy].children
+    assert copy_left == copy_right
+    assert copy_left != shared
+
+
+def test_dup_of_nary_merge_copies_statuses_and_keeps_sharing():
+    env = Environment()
+    shared = rexp(env, seq(Stop(), Stop(), Stop()))
+    done = nothing(env)
+    m = merge(env, shared, done, shared)
+    react_once(env, m)
+    copy = env.dup(m)
+    first, second, third = env.nodes[copy].children
+    assert first == third
+    assert first != shared and second != done
+    assert (env.statuses[first], env.statuses[second]) == (STOP, END)
+    assert env.statuses[copy] is STOP
 
 
 def test_dup_mid_suspension():

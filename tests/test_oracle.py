@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genprog import gen_case
+from instants import parse_program
 from reference import engine_run, oracle_run
 
 LIMITS = dict(max_micro=200, max_restarts=60)
@@ -21,3 +22,14 @@ def test_engine_matches_oracle_over_fixed_seeds():
 def test_engine_matches_oracle_on_arbitrary_seeds(seed):
     ast, trace = gen_case(seed)
     assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS)
+
+
+def test_engine_and_oracle_stop_a_growing_cell_at_the_same_instant():
+    source = (
+        "(rexp (seq (set x 3) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))"
+        ' (print "p") (stop)))))))'
+    )
+    trace = [None] * 30
+    result = engine_run(parse_program(source), trace, **LIMITS)
+    assert result == oracle_run(parse_program(source), trace, **LIMITS)
+    assert result[2] == "IntegerTooLarge"

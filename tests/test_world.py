@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import sys
 
 import pytest
 
@@ -12,7 +13,9 @@ from instants import (
     BoolConst,
     CellRef,
     Compare,
+    Environment,
     IntConst,
+    IntegerTooLarge,
     Negate,
     Not,
     Or,
@@ -23,8 +26,10 @@ from instants import (
     ValueRef,
     World,
     build_action,
+    compile_expr,
     eval_cond,
     eval_int,
+    parse_program,
 )
 from instants.world import (
     ActionSeq,
@@ -135,3 +140,44 @@ def test_event_read_detection():
     assert not action_reads_events(Print("{cell:x}"))
     assert action_reads_events(ActionSeq((SetCell("x", ValueRef("v")),)))
     assert build_action(Print("{value:v}")).reads_events
+
+
+# A host started with the int-to-str limit off (0) has no bound to test.
+needs_print_limit = pytest.mark.skipif(
+    sys.get_int_max_str_digits() == 0, reason="the host prints integers of any length"
+)
+
+
+@needs_print_limit
+def test_arithmetic_results_stop_at_the_print_limit():
+    limit = sys.get_int_max_str_digits()
+    largest = 10**limit - 1
+    world = World()
+    assert eval_int(BinOp("+", IntConst(largest - 1), IntConst(1)), world) == largest
+    assert eval_int(BinOp("-", IntConst(-largest + 1), IntConst(1)), world) == -largest
+    for expr in (
+        BinOp("+", IntConst(largest), IntConst(1)),
+        BinOp("-", IntConst(-largest), IntConst(1)),
+        BinOp("*", IntConst(10**limit // 2), IntConst(2)),
+    ):
+        with pytest.raises(IntegerTooLarge):
+            eval_int(expr, world)
+    with pytest.raises(IntegerTooLarge):
+        eval_cond(Compare("<", BinOp("*", IntConst(largest), IntConst(largest)), IntConst(0)), world)
+
+
+@needs_print_limit
+def test_unprinted_squaring_cell_raises_before_it_outgrows_the_print_limit():
+    env = Environment()
+    source = (
+        "(rexp (seq (set x 2) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))"
+        " (stop)))))))"
+    )
+    root = compile_expr(parse_program(source), env)
+    with pytest.raises(IntegerTooLarge):
+        for _ in range(30):
+            env.world.apply_instant(None)
+            env.react(root)
+    # The last square stored is the last one that could still be printed.
+    x = env.world.cells["x"]
+    assert x < 10 ** sys.get_int_max_str_digits() <= x * x

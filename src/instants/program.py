@@ -85,6 +85,10 @@ class Frame:
 @dataclass
 class Resumption:
     frames: list[Frame] = field(default_factory=list)
+    # Every instruction the frames started with. A frame lets go of its
+    # tuple only when it pops, so without this the activation that ends a
+    # long program would free all of it; held here, it goes with the node.
+    programs: tuple[Program, ...] = ()
 
     @property
     def done(self) -> bool:
@@ -92,7 +96,7 @@ class Resumption:
 
 
 def initial_resumption(program: Program) -> Resumption:
-    return Resumption([Frame((program,))])
+    return Resumption([Frame((program,))], (program,))
 
 
 def _unwind(frames: list[Frame], tag: str) -> bool:
@@ -125,14 +129,8 @@ def run_resumption(env: "Environment", res: Resumption) -> Status:
             continue
         inst = items[pc]
         if isinstance(inst, Seq):
-            if pc + 1 == len(items):
-                # Last item: its instructions replace the frame's, under
-                # the same handler.
-                frame.items = inst.items
-                frame.pc = 0
-            else:
-                frame.pc = pc + 1
-                frames.append(Frame(inst.items))
+            frame.pc = pc + 1
+            frames.append(Frame(inst.items))
         elif isinstance(inst, Atom):
             frame.pc = pc + 1
             try:
@@ -211,15 +209,19 @@ def resumption_activations(res: Resumption) -> Iterator[ReactiveId]:
 
 def clone_resumption(res: Resumption) -> Resumption:
     """Copy the frame stack, sharing the immutable programs."""
-    return Resumption([Frame(frame.items, frame.pc, frame.handler) for frame in res.frames])
+    frames = [Frame(frame.items, frame.pc, frame.handler) for frame in res.frames]
+    return Resumption(frames, res.programs)
 
 
 def copy_resumption(res: Resumption, remap: Callable[[ReactiveId], ReactiveId]) -> Resumption:
     frames = []
+    programs: list[Program] = []
     for frame in res.frames:
         items = tuple(rewrite_program(p, remap) for p in frame.items[frame.pc:])
+        programs.extend(items)
         handler = None
         if frame.handler is not None:
             handler = (frame.handler[0], rewrite_program(frame.handler[1], remap))
+            programs.append(handler[1])
         frames.append(Frame(items, 0, handler))
-    return Resumption(frames)
+    return Resumption(frames, tuple(programs))

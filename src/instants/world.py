@@ -135,10 +135,14 @@ class Negate:
 IntExpr = Union[IntConst, CellRef, ValueRef, BinOp, Negate]
 
 
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
 def _printable(value: int, op: str) -> int:
     """Return value, or raise IntegerTooLarge if it has more digits than
-    the host can print (sys.get_int_max_str_digits; 0 means no limit)."""
-    limit = sys.get_int_max_str_digits()
+    the host can print (sys.get_int_max_str_digits; 0, or a Python before
+    3.10.7 without that limit, means no limit)."""
+    limit = _max_str_digits()
     # 10**limit has more than 3 * limit bits, so any shorter value fits.
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise IntegerTooLarge(f"result of {op}")

@@ -1,8 +1,25 @@
 """Small drivers shared by the test modules."""
 from __future__ import annotations
 
+import sys
+
+import pytest
+
 from instants import Environment
 from instants.world import InstantEvents
+
+
+def print_limit() -> int:
+    """The host's int-to-str digit limit; 0 means none, as on a Python
+    before 3.10.7, which has no such limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+# Programs that grow an integer until it cannot be printed never stop on a
+# host without the limit, so tests that rely on it skip there.
+needs_print_limit = pytest.mark.skipif(
+    print_limit() == 0, reason="the host prints integers of any length"
+)
 
 
 def react_once(env: Environment, root, events: InstantEvents | None = None):

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genprog import gen_case
+from helpers import needs_print_limit
 from instants import parse_program
 from reference import engine_run, oracle_run
 
@@ -24,6 +25,7 @@ def test_engine_matches_oracle_on_arbitrary_seeds(seed):
     assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS)
 
 
+@needs_print_limit
 def test_engine_and_oracle_stop_a_growing_cell_at_the_same_instant():
     source = (
         "(rexp (seq (set x 3) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))"

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import sys
 
 import pytest
 
@@ -39,6 +38,8 @@ from instants.world import (
     int_reads_events,
     render_template,
 )
+
+from helpers import needs_print_limit, print_limit
 
 
 def test_accumulator_arithmetic():
@@ -142,15 +143,10 @@ def test_event_read_detection():
     assert build_action(Print("{value:v}")).reads_events
 
 
-# A host started with the int-to-str limit off (0) has no bound to test.
-needs_print_limit = pytest.mark.skipif(
-    sys.get_int_max_str_digits() == 0, reason="the host prints integers of any length"
-)
-
 
 @needs_print_limit
 def test_arithmetic_results_stop_at_the_print_limit():
-    limit = sys.get_int_max_str_digits()
+    limit = print_limit()
     largest = 10**limit - 1
     world = World()
     assert eval_int(BinOp("+", IntConst(largest - 1), IntConst(1)), world) == largest
@@ -180,4 +176,4 @@ def test_unprinted_squaring_cell_raises_before_it_outgrows_the_print_limit():
             env.react(root)
     # The last square stored is the last one that could still be printed.
     x = env.world.cells["x"]
-    assert x < 10 ** sys.get_int_max_str_digits() <= x * x
+    assert x < 10 ** print_limit() <= x * x

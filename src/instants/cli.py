@@ -9,23 +9,15 @@ to print, or an activation nested too deeply, labelled RecursionError).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import (
-    InstantaneousLoop,
-    InstantRecord,
-    InstantTrace,
-    Limits,
-    MicroStepLimitExceeded,
-    ReactiveError,
-    UncaughtAbort,
-)
+from .core import InstantTrace, Limits
 from .dsl import CompileError, ParseError, compile_expr, parse_program, parse_trace
 from .kernel import Environment
-from .world import EMPTY_INSTANT, InstantEvents
 
 EXIT_TERMINATED = 0
 EXIT_ALIVE = 3
@@ -38,8 +30,8 @@ class RunConfig:
     program_path: str
     trace_path: str | None = None
     max_instants: int = 1000
-    max_micro: int = 10_000
-    max_loop_restarts: int = 1_000_000
+    max_micro: int = Limits.max_micro_steps
+    max_loop_restarts: int = Limits.max_loop_restarts
     format: str = "text"
     run_to_termination: bool = False
 
@@ -48,16 +40,6 @@ class RunConfig:
             raise ValueError("limits must be positive")
         if self.format not in ("text", "json"):
             raise ValueError(f"unknown format {self.format!r}")
-
-
-def _error_label(error: ReactiveError) -> str:
-    if isinstance(error, UncaughtAbort):
-        return f"UncaughtAbort:{error.tag}"
-    if isinstance(error, MicroStepLimitExceeded):
-        return "MicroStepLimitExceeded"
-    if isinstance(error, InstantaneousLoop):
-        return "InstantaneousLoop"
-    return type(error).__name__
 
 
 def run(config: RunConfig) -> tuple[InstantTrace, int]:
@@ -74,7 +56,7 @@ def run(config: RunConfig) -> tuple[InstantTrace, int]:
             max_loop_restarts=config.max_loop_restarts,
         )
     )
-    events: list[InstantEvents] | None = None
+    events = None
     try:
         ast = parse_program(Path(config.program_path).read_text(encoding="utf-8"))
         if config.trace_path is not None:
@@ -82,33 +64,10 @@ def run(config: RunConfig) -> tuple[InstantTrace, int]:
         root = compile_expr(ast, env)
     except RecursionError:
         raise CompileError("program is nested too deeply to compile") from None
+    if events is not None and config.run_to_termination:
+        events = itertools.chain(events, itertools.repeat(None))
 
-    trace = InstantTrace()
-    for index in range(1, config.max_instants + 1):
-        if events is not None and index > len(events):
-            if not config.run_to_termination:
-                break
-            instant = EMPTY_INSTANT
-        elif events is not None:
-            instant = events[index - 1]
-        else:
-            instant = EMPTY_INSTANT
-        env.world.apply_instant(instant)
-        try:
-            done = env.react(root)
-        except ReactiveError as error:
-            trace.error = _error_label(error)
-            break
-        except RecursionError:
-            trace.error = "RecursionError"
-            break
-        trace.instants.append(
-            InstantRecord(index, env.world.drain_output(), env.statuses[root])
-        )
-        if done:
-            trace.terminated = True
-            break
-
+    trace = env.react_t(root, config.max_instants, events)
     if trace.terminated:
         code = EXIT_TERMINATED
     elif trace.error is not None:
@@ -151,16 +110,21 @@ def format_trace(trace: InstantTrace, format: str = "text") -> str:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # Options left out stay out of the namespace, so RunConfig's defaults
+    # are the only ones.
     parser = argparse.ArgumentParser(
         prog="instants",
         description="Run a reactive program against a scripted event trace.",
+        argument_default=argparse.SUPPRESS,
     )
-    parser.add_argument("--program", required=True, metavar="FILE", help="program source file")
-    parser.add_argument("--trace", metavar="FILE", help="event trace file, one instant per line")
-    parser.add_argument("--max-instants", type=int, default=1000, metavar="N")
-    parser.add_argument("--max-micro", type=int, default=10_000, metavar="N")
-    parser.add_argument("--max-loop-restarts", type=int, default=1_000_000, metavar="N")
-    parser.add_argument("--format", choices=("text", "json"), default="text")
+    parser.add_argument("--program", dest="program_path", required=True, metavar="FILE",
+                        help="program source file")
+    parser.add_argument("--trace", dest="trace_path", metavar="FILE",
+                        help="event trace file, one instant per line")
+    parser.add_argument("--max-instants", type=int, metavar="N")
+    parser.add_argument("--max-micro", type=int, metavar="N")
+    parser.add_argument("--max-loop-restarts", type=int, metavar="N")
+    parser.add_argument("--format", choices=("text", "json"))
     parser.add_argument(
         "--run-to-termination",
         action="store_true",
@@ -172,15 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            program_path=args.program,
-            trace_path=args.trace,
-            max_instants=args.max_instants,
-            max_micro=args.max_micro,
-            max_loop_restarts=args.max_loop_restarts,
-            format=args.format,
-            run_to_termination=args.run_to_termination,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as error:
         print(f"instants: {error}", file=sys.stderr)
         return EXIT_INPUT_ERROR

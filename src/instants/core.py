@@ -63,6 +63,11 @@ class Limits:
 class ReactiveError(Exception):
     """Base class for runtime failures raised while stepping."""
 
+    @property
+    def label(self) -> str:
+        """The name a run's trace gives this failure."""
+        return type(self).__name__
+
 
 class MicroStepLimitExceeded(ReactiveError):
     def __init__(self, limit: int):
@@ -86,6 +91,10 @@ class UncaughtAbort(ReactiveError):
     def __init__(self, tag: str):
         super().__init__(f"abort {tag!r} escaped the root reactive expression")
         self.tag = tag
+
+    @property
+    def label(self) -> str:
+        return f"UncaughtAbort:{self.tag}"
 
 
 class Abort(Exception):

@@ -2,11 +2,15 @@
 
 An Environment owns every reactive expression it allocated: a node table
 describing structure, a status table holding each expression's last outcome,
-the event world, and the divergence limits. Activation is a recursive walk:
-step dispatches on the node kind, writes the resulting status back, and
-returns it. A terminated expression is inert; stepping it returns END and
-changes nothing. A merge holds all its branches in one node, so the walk is
-as deep as the program's nesting, not its width.
+the event world, and the divergence limits. Each node kind is one class
+that defines its children, its copy with the children renamed (remap), its
+step, and the save/load pair for its state. Activation is a recursive walk:
+Environment.step checks for END, lets the node step itself, writes the
+resulting status back, and returns it. A terminated expression is inert;
+stepping it returns END and changes nothing. A merge holds all its branches
+in one node, so the walk is as deep as the program's nesting, not its
+width. Copying (dup) and snapshots find a node's region by an iterative
+walk, so they work at any depth.
 
 Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
@@ -23,7 +27,9 @@ which is also where instantaneous-loop divergence is caught.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import itertools
+from collections.abc import Iterable
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from .core import (
@@ -34,6 +40,7 @@ from .core import (
     InstantTrace,
     Limits,
     MicroStepLimitExceeded,
+    ReactiveError,
     ReactiveId,
     Status,
     STOP,
@@ -48,34 +55,105 @@ from .program import (
     resumption_activations,
     run_resumption,
 )
-from .world import Cond, HostAction, World, cond_reads_events, eval_cond
+from .world import Cond, HostAction, InstantEvents, World, cond_reads_events, eval_cond
+
+Remap = Callable[[ReactiveId], ReactiveId]
+
+
+class _Stateless:
+    """The save/load pair of a node kind whose only state is its status."""
+
+    def save(self) -> None:
+        return None
+
+    def load(self, state: None) -> None:
+        pass
 
 
 @dataclass
 class BasicNode:
     resumption: Resumption
 
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        return tuple(resumption_activations(self.resumption))
+
+    def remap(self, f: Remap) -> BasicNode:
+        return BasicNode(copy_resumption(self.resumption, f))
+
+    def step(self, env: Environment) -> Status:
+        return run_resumption(env, self.resumption)
+
+    def save(self) -> Resumption:
+        return clone_resumption(self.resumption)
+
+    def load(self, state: Resumption) -> None:
+        self.resumption = clone_resumption(state)
+
 
 @dataclass
-class MergeNode:
+class MergeNode(_Stateless):
     children: tuple[ReactiveId, ...]
 
+    def remap(self, f: Remap) -> MergeNode:
+        return MergeNode(tuple(map(f, self.children)))
+
+    def step(self, env: Environment) -> Status:
+        # Mid-instant re-step: only the suspended children run, and the
+        # others contribute their stored outcomes. star is associative, so
+        # this is the binary merge rule applied along a fold of the children.
+        statuses = env.statuses
+        children = self.children
+        suspended = [child for child in children if statuses[child] is SUSP]
+        if not suspended:
+            return star(*[env.step(child) for child in children])
+        for child in suspended:
+            env.step(child)
+        return star(*[statuses[child] for child in children])
+
 
 @dataclass
-class RifNode:
+class RifNode(_Stateless):
     cond: Cond
     then_branch: ReactiveId
     else_branch: ReactiveId
 
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        return (self.then_branch, self.else_branch)
+
+    def remap(self, f: Remap) -> RifNode:
+        return RifNode(self.cond, f(self.then_branch), f(self.else_branch))
+
+    def step(self, env: Environment) -> Status:
+        # A suspended branch resumes without re-evaluating the condition;
+        # otherwise the condition is evaluated anew every instant.
+        if env.statuses[self.then_branch] is SUSP:
+            return env.step(self.then_branch)
+        if env.statuses[self.else_branch] is SUSP:
+            return env.step(self.else_branch)
+        if env._eval_cond(self.cond):
+            return env.step(self.then_branch)
+        return env.step(self.else_branch)
+
 
 @dataclass
-class CloseNode:
+class CloseNode(_Stateless):
     child: ReactiveId
+
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        return (self.child,)
+
+    def remap(self, f: Remap) -> CloseNode:
+        return CloseNode(f(self.child))
+
+    def step(self, env: Environment) -> Status:
+        return env._close_steps(self.child)
 
 
 # One entry per node of a loop body's region: (id, status, state), where the
-# state is a private resumption for a basic expression, the latch of an
-# await, the count of a loop, and None for the stateless kinds.
+# state is what the node's save returned.
 Snapshot = tuple[tuple[ReactiveId, Status, object], ...]
 
 
@@ -88,11 +166,65 @@ class LoopNode:
     snapshot: Snapshot
     remaining: int | None = None
 
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        return tuple(rid for rid, _, _ in self.snapshot)
+
+    def remap(self, f: Remap) -> LoopNode:
+        snapshot = tuple(
+            (f(rid), status,
+             copy_resumption(state, f) if isinstance(state, Resumption) else state)
+            for rid, status, state in self.snapshot
+        )
+        return LoopNode(f(self.body), snapshot, self.remaining)
+
+    def step(self, env: Environment) -> Status:
+        restarts = 0
+        before = env._event_reads
+        status = env.step(self.body)
+        while status is END:
+            if self.remaining is not None:
+                self.remaining -= 1
+                if self.remaining <= 0:
+                    return END
+            observed = env._event_reads > before
+            statuses, nodes = env.statuses, env.nodes
+            for rid, saved, state in self.snapshot:
+                statuses[rid] = saved
+                nodes[rid].load(state)
+            if observed:
+                # The finished body read this instant's events; its
+                # restart waits for the next activation.
+                return STOP
+            restarts += 1
+            if restarts > env.limits.max_loop_restarts:
+                raise InstantaneousLoop(env.limits.max_loop_restarts)
+            before = env._event_reads
+            status = env.step(self.body)
+        return status
+
+    def save(self) -> int | None:
+        return self.remaining
+
+    def load(self, state: int | None) -> None:
+        self.remaining = state
+
 
 @dataclass
-class InitNode:
+class InitNode(_Stateless):
     action: HostAction
     child: ReactiveId
+
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        return (self.child,)
+
+    def remap(self, f: Remap) -> InitNode:
+        return InitNode(self.action, f(self.child))
+
+    def step(self, env: Environment) -> Status:
+        env.run_action(self.action)
+        return env.step(self.child)
 
 
 @dataclass
@@ -101,52 +233,28 @@ class AwaitNode:
     child: ReactiveId
     latched: bool = False
 
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        return (self.child,)
+
+    def remap(self, f: Remap) -> AwaitNode:
+        return AwaitNode(self.cond, f(self.child), self.latched)
+
+    def step(self, env: Environment) -> Status:
+        if not self.latched:
+            if not env._eval_cond(self.cond):
+                return STOP
+            self.latched = True
+        return env.step(self.child)
+
+    def save(self) -> bool:
+        return self.latched
+
+    def load(self, state: bool) -> None:
+        self.latched = state
+
 
 Node = Union[BasicNode, MergeNode, RifNode, CloseNode, LoopNode, InitNode, AwaitNode]
-
-
-def _node_children(node: Node) -> list[ReactiveId]:
-    if isinstance(node, BasicNode):
-        return list(resumption_activations(node.resumption))
-    if isinstance(node, MergeNode):
-        return list(node.children)
-    if isinstance(node, RifNode):
-        return [node.then_branch, node.else_branch]
-    if isinstance(node, LoopNode):
-        return [rid for rid, _, _ in node.snapshot]
-    if isinstance(node, (CloseNode, InitNode, AwaitNode)):
-        return [node.child]
-    raise TypeError(f"not a node: {node!r}")
-
-
-def _remap_children(node: Node, remap: Callable[[ReactiveId], ReactiveId]) -> Node:
-    """A copy of node with every child id passed through remap."""
-    if isinstance(node, BasicNode):
-        return BasicNode(copy_resumption(node.resumption, remap))
-    if isinstance(node, MergeNode):
-        return MergeNode(tuple(map(remap, node.children)))
-    if isinstance(node, RifNode):
-        return replace(node, then_branch=remap(node.then_branch), else_branch=remap(node.else_branch))
-    if isinstance(node, LoopNode):
-        snapshot = tuple(
-            (remap(rid), status,
-             copy_resumption(state, remap) if isinstance(state, Resumption) else state)
-            for rid, status, state in node.snapshot
-        )
-        return LoopNode(remap(node.body), snapshot, node.remaining)
-    if isinstance(node, (CloseNode, InitNode, AwaitNode)):
-        return replace(node, child=remap(node.child))
-    raise TypeError(f"not a node: {node!r}")
-
-
-def _node_state(node: Node) -> object:
-    if isinstance(node, BasicNode):
-        return clone_resumption(node.resumption)
-    if isinstance(node, AwaitNode):
-        return node.latched
-    if isinstance(node, LoopNode):
-        return node.remaining
-    return None
 
 
 class Environment:
@@ -170,7 +278,7 @@ class Environment:
 
     def alloc(self, node: Node) -> ReactiveId:
         """Register a node under a fresh id; fresh expressions start STOP."""
-        for child in _node_children(node):
+        for child in node.children:
             if child not in self.nodes:
                 raise ValueError(f"child id {child} is not allocated")
         rid = self._next_id
@@ -179,54 +287,35 @@ class Environment:
         self.statuses[rid] = STOP
         return rid
 
+    def _region(self, r: ReactiveId) -> list[ReactiveId]:
+        """Every id reachable from r, r first."""
+        order = [r]
+        seen = {r}
+        for rid in order:
+            for child in self.nodes[rid].children:
+                if child not in seen:
+                    seen.add(child)
+                    order.append(child)
+        return order
+
     def dup(self, r: ReactiveId) -> ReactiveId:
         """Deep-copy the region reachable from r, statuses and resumptions
         included. Sharing inside the region is preserved; the original is
         untouched."""
         if r not in self.nodes:
             raise ValueError(f"unknown reactive id {r}")
-        return self._copy_region(r, {}, set())
-
-    def _copy_region(
-        self, r: ReactiveId, memo: dict[ReactiveId, ReactiveId], visiting: set[ReactiveId]
-    ) -> ReactiveId:
-        if r in memo:
-            return memo[r]
-        if r in visiting:
-            raise RuntimeError(f"cycle detected in reactive node graph at id {r}")
-        visiting.add(r)
-        node = self.nodes[r]
-        for child in _node_children(node):
-            self._copy_region(child, memo, visiting)
-        visiting.discard(r)
-        rid = self.alloc(_remap_children(node, memo.__getitem__))
-        self.statuses[rid] = self.statuses[r]
-        memo[r] = rid
-        return rid
+        memo: dict[ReactiveId, ReactiveId] = {}
+        # alloc accepts only allocated children, so a child's id is lower
+        # than its parent's and ascending order copies children first.
+        for old in sorted(self._region(r)):
+            new = self.alloc(self.nodes[old].remap(memo.__getitem__))
+            self.statuses[new] = self.statuses[old]
+            memo[old] = new
+        return memo[r]
 
     def snapshot(self, r: ReactiveId) -> Snapshot:
         """Record the state of every node reachable from r, r first."""
-        order = [r]
-        seen = {r}
-        for rid in order:
-            for child in _node_children(self.nodes[rid]):
-                if child not in seen:
-                    seen.add(child)
-                    order.append(child)
-        return tuple((rid, self.statuses[rid], _node_state(self.nodes[rid])) for rid in order)
-
-    def _restore(self, snapshot: Snapshot) -> None:
-        nodes = self.nodes
-        statuses = self.statuses
-        for rid, status, state in snapshot:
-            statuses[rid] = status
-            node = nodes[rid]
-            if isinstance(node, BasicNode):
-                node.resumption = clone_resumption(state)
-            elif isinstance(node, AwaitNode):
-                node.latched = state
-            elif isinstance(node, LoopNode):
-                node.remaining = state
+        return tuple((rid, self.statuses[rid], self.nodes[rid].save()) for rid in self._region(r))
 
     # ------------------------------------------------------------------
     # Stepping
@@ -253,54 +342,12 @@ class Environment:
         if self.statuses[r] is END:
             return END
         try:
-            status = self._dispatch(r, self.nodes[r])
+            status = self.nodes[r].step(self)
         except Abort:
             self.statuses[r] = END
             raise
         self.statuses[r] = status
         return status
-
-    def _dispatch(self, r: ReactiveId, node: Node) -> Status:
-        if isinstance(node, BasicNode):
-            return run_resumption(self, node.resumption)
-        if isinstance(node, MergeNode):
-            return self._step_merge(node)
-        if isinstance(node, RifNode):
-            return self._step_rif(node)
-        if isinstance(node, CloseNode):
-            return self._close_steps(node.child)
-        if isinstance(node, LoopNode):
-            return self._step_loop(node)
-        if isinstance(node, InitNode):
-            self.run_action(node.action)
-            return self.step(node.child)
-        if isinstance(node, AwaitNode):
-            return self._step_await(node)
-        raise TypeError(f"not a node: {node!r}")
-
-    def _step_merge(self, node: MergeNode) -> Status:
-        # Mid-instant re-step: only the suspended children run, and the
-        # others contribute their stored outcomes. star is associative, so
-        # this is the binary merge rule applied along a fold of the children.
-        statuses = self.statuses
-        children = node.children
-        suspended = [child for child in children if statuses[child] is SUSP]
-        if not suspended:
-            return star(*[self.step(child) for child in children])
-        for child in suspended:
-            self.step(child)
-        return star(*[statuses[child] for child in children])
-
-    def _step_rif(self, node: RifNode) -> Status:
-        # A suspended branch resumes without re-evaluating the condition;
-        # otherwise the condition is evaluated anew every instant.
-        if self.statuses[node.then_branch] is SUSP:
-            return self.step(node.then_branch)
-        if self.statuses[node.else_branch] is SUSP:
-            return self.step(node.else_branch)
-        if self._eval_cond(node.cond):
-            return self.step(node.then_branch)
-        return self.step(node.else_branch)
 
     def _close_steps(self, r: ReactiveId) -> Status:
         """Re-activate r until it leaves suspension, within one instant."""
@@ -312,35 +359,6 @@ class Environment:
             status = self.step(r)
             steps += 1
         return status
-
-    def _step_loop(self, node: LoopNode) -> Status:
-        restarts = 0
-        before = self._event_reads
-        status = self.step(node.body)
-        while status is END:
-            if node.remaining is not None:
-                node.remaining -= 1
-                if node.remaining <= 0:
-                    return END
-            observed = self._event_reads > before
-            self._restore(node.snapshot)
-            if observed:
-                # The finished body read this instant's events; its
-                # restart waits for the next activation.
-                return STOP
-            restarts += 1
-            if restarts > self.limits.max_loop_restarts:
-                raise InstantaneousLoop(self.limits.max_loop_restarts)
-            before = self._event_reads
-            status = self.step(node.body)
-        return status
-
-    def _step_await(self, node: AwaitNode) -> Status:
-        if not node.latched:
-            if not self._eval_cond(node.cond):
-                return STOP
-            node.latched = True
-        return self.step(node.child)
 
     # ------------------------------------------------------------------
     # Instant-level entry points
@@ -360,15 +378,31 @@ class Environment:
         finally:
             self._reacting = False
 
-    def react_t(self, r: ReactiveId, max_instants: int) -> InstantTrace:
-        """React once per instant, with no events, until termination or the
-        instant budget runs out."""
+    def react_t(self, r: ReactiveId, max_instants: int,
+                events: Iterable[InstantEvents | None] | None = None) -> InstantTrace:
+        """React once per entry of events, or with no events when events is
+        None, recording each instant's outputs and the status of r.
+
+        The run stops at termination, at the end of events, or after
+        max_instants instants. A ReactiveError or a RecursionError ends it
+        too, and its label becomes the trace's error; the failed instant is
+        not recorded.
+        """
         if max_instants < 1:
             raise ValueError("max_instants must be at least 1")
+        if events is None:
+            events = itertools.repeat(None)
         trace = InstantTrace()
-        for index in range(1, max_instants + 1):
-            self.world.apply_instant(None)
-            done = self.react(r)
+        for index, instant in zip(range(1, max_instants + 1), events):
+            self.world.apply_instant(instant)
+            try:
+                done = self.react(r)
+            except ReactiveError as error:
+                trace.error = error.label
+                break
+            except RecursionError:
+                trace.error = "RecursionError"
+                break
             trace.instants.append(
                 InstantRecord(index, self.world.drain_output(), self.statuses[r])
             )

@@ -24,9 +24,6 @@ class InstantEvents:
     values: Mapping[str, int] = field(default_factory=dict)
 
 
-EMPTY_INSTANT = InstantEvents()
-
-
 @dataclass
 class World:
     signals: dict[str, bool] = field(default_factory=dict)

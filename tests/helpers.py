@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from instants import Environment
+from instants import END, Environment
 from instants.world import InstantEvents
 
 
@@ -32,11 +32,7 @@ def react_once(env: Environment, root, events: InstantEvents | None = None):
 def run_instants(env: Environment, root, events_list, pad_empty: int = 0):
     """Run one instant per entry (plus optional empty instants); collect
     (outputs, status name, terminated) rows."""
-    rows = []
-    for events in list(events_list) + [None] * pad_empty:
-        env.world.apply_instant(events)
-        done = env.react(root)
-        rows.append((env.world.drain_output(), env.statuses[root].name, done))
-        if done:
-            break
-    return rows
+    events = list(events_list) + [None] * pad_empty
+    trace = env.react_t(root, max(1, len(events)), events)
+    assert trace.error is None, trace.error
+    return [(record.outputs, record.status.name, record.status is END) for record in trace.instants]

@@ -496,36 +496,8 @@ def oracle_run(ast: ExprAst, trace: list[InstantEvents], *, max_micro=10_000, ma
 
 def engine_run(ast: ExprAst, trace: list[InstantEvents], *, max_micro=10_000, max_restarts=1_000_000):
     """Run the engine under test over the same inputs, same result shape."""
-    from instants.core import (
-        InstantaneousLoop,
-        MicroStepLimitExceeded,
-        ReactiveError,
-        UncaughtAbort,
-    )
-
     env = Environment(limits=Limits(max_micro_steps=max_micro, max_loop_restarts=max_restarts))
     root = compile_expr(ast, env)
-    instants = []
-    terminated = False
-    error = None
-    for events in trace:
-        env.world.apply_instant(events)
-        try:
-            done = env.react(root)
-        except UncaughtAbort as err:
-            error = f"UncaughtAbort:{err.tag}"
-            break
-        except MicroStepLimitExceeded:
-            error = "MicroStepLimitExceeded"
-            break
-        except InstantaneousLoop:
-            error = "InstantaneousLoop"
-            break
-        except ReactiveError as err:  # pragma: no cover - no other kinds exist
-            error = type(err).__name__
-            break
-        instants.append((tuple(env.world.drain_output()), env.statuses[root].name))
-        if done:
-            terminated = True
-            break
-    return instants, terminated, error
+    result = env.react_t(root, max(1, len(trace)), trace)
+    instants = [(tuple(record.outputs), record.status.name) for record in result.instants]
+    return instants, result.terminated, result.error

@@ -100,6 +100,14 @@ def test_run_to_termination_continues_past_trace(tmp_path):
     assert [r.outputs for r in trace.instants] == [[], ["late"]]
 
 
+def test_run_to_termination_flag_continues_past_trace(tmp_path, capsys):
+    program = write(tmp_path, "p.rx", "(rexp (seq (stop) (print \"late\")))")
+    trace_file = write(tmp_path, "t.trace", "a\n")
+    argv = ["--program", program, "--trace", trace_file, "--run-to-termination"]
+    assert main(argv) == EXIT_TERMINATED
+    assert capsys.readouterr().out == "1:\n2: late\nterminated\n"
+
+
 def test_keypad_trace_run(tmp_path):
     trace, code = run(
         RunConfig(
@@ -231,6 +239,7 @@ def test_host_limits_exit_with_a_label_and_no_traceback(
     assert message in stream
 
 
+@needs_print_limit
 def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):
     digits = "9" * 5000
     program = write(tmp_path, "big.rx", f"(rexp (set x {digits}))")

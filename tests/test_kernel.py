@@ -291,6 +291,44 @@ def test_react_t_on_nothing():
     assert trace.terminated and trace.instants_run == 1
 
 
+def test_react_t_stops_at_the_end_of_the_events():
+    env = Environment()
+    r = await_(env, Sig("go"), rexp(env, seq(printer("g"), Stop(), Stop(), Stop())))
+    trace = env.react_t(r, 10, [None, InstantEvents(frozenset({"go"})), None])
+    assert [rec.outputs for rec in trace.instants] == [[], ["g"], []]
+    assert not trace.terminated and trace.error is None
+
+
+def test_react_t_records_an_uncaught_abort_and_stops():
+    env = Environment()
+    r = rexp(env, seq(printer("a"), Stop(), Raise("T"), printer("never")))
+    trace = env.react_t(r, 10)
+    assert trace.error == "UncaughtAbort:T"
+    assert [rec.outputs for rec in trace.instants] == [["a"]]
+    assert not trace.terminated
+
+
+def test_dup_and_loop_of_a_deep_close_chain():
+    depth = 5000
+    env = Environment()
+    r = rexp(env, seq(Stop()))
+    for _ in range(depth):
+        r = close(env, r)
+    copy = env.dup(r)
+    assert len(env.nodes) == 2 * (depth + 1)
+    # Walk both chains down to their basic expressions: the copy has the
+    # same shape and shares no node with the original.
+    original_ids, copy_ids = [r], [copy]
+    for ids in (original_ids, copy_ids):
+        for _ in range(depth):
+            ids.append(env.nodes[ids[-1]].child)
+        assert isinstance(env.nodes[ids[-1]], BasicNode)
+    assert set(original_ids).isdisjoint(copy_ids)
+    l = loop(env, r)
+    assert len(env.nodes[l].snapshot) == depth + 1
+    assert len(env.nodes) == 3 * (depth + 1) + 1
+
+
 def test_dup_after_partial_run_copies_resumption():
     env = Environment()
     exp = rexp(env, seq(printer("FIRST"), Stop(), printer("SECOND")))

@@ -2,8 +2,11 @@
 """Differential fuzzing: the engine versus the reference interpreter.
 
 Generates random programs and event traces, runs both implementations, and
-reports any divergence. The reference interpreter lives with the tests, so
-this script adds both src/ and tests/ to the path.
+reports any divergence. The engine runs each program after a round trip
+through its source text (render, then parse), so every case also exercises
+the lexer, reader, builder and renderer; the oracle runs the generated AST.
+The reference interpreter lives with the tests, so this script adds both
+src/ and tests/ to the path.
 """
 from __future__ import annotations
 
@@ -17,6 +20,7 @@ sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
 from genprog import gen_case  # noqa: E402
+from instants.dsl import parse_program, render  # noqa: E402
 from reference import engine_run, oracle_run  # noqa: E402
 
 
@@ -33,7 +37,7 @@ def main() -> int:
     outcomes = {"terminated": 0, "alive": 0, "error": 0}
     for seed in range(args.seed_start, args.seed_start + args.count):
         ast, trace = gen_case(seed)
-        got = engine_run(ast, trace, max_micro=args.max_micro, max_restarts=args.max_restarts)
+        got = engine_run(parse_program(render(ast)), trace, max_micro=args.max_micro, max_restarts=args.max_restarts)
         want = oracle_run(ast, trace, max_micro=args.max_micro, max_restarts=args.max_restarts)
         if got != want:
             mismatches += 1

@@ -1,29 +1,20 @@
 """Textual surface language for reactive expressions and event traces.
 
 Programs are parenthesized prefix forms, one expression per file; ``;``
-starts a comment running to end of line.
+starts a comment running to end of line. String literals are
+double-quoted, with the escapes ``\\n``, ``\\t``, ``\\r``, ``\\"`` and
+``\\\\``.
 
-Expression forms::
-
-    (rexp PROG)  (merge E E)  (par E E ...)  (rif COND E E)  (close E)
-    (loop E)  (repeat N E)  (init ACTION E)  (await COND E)  (when COND E)
-    (terminate COND E)  (halt)  (nothing)
-
-Program forms::
-
-    (seq PROG ...)  (print "text")  (set NAME INT)  (stop)  (suspend)
-    (activate E)  (raise TAG)  (handle TAG PROG PROG)
-
-Conditions: ``true``, ``false``, ``(sig NAME)``, ``(not C)``, ``(and C C)``,
-``(or C C)``, ``(= I I)``, ``(< I I)``, ``(<= I I)``. Integer expressions:
-literals, ``(cell NAME)``, ``(value NAME)``, ``(+ I I)``, ``(- I I)``,
-``(* I I)``, ``(neg I)``. Actions (for ``init``): ``(print ...)``,
-``(set ...)``, ``(raise TAG)``, ``(do ACTION ...)``.
-
-``(par ...)`` parses to a right fold of binary merges, and compilation
-flattens any chain of nested merges into one n-ary merge node. Print
-templates interpolate ``{cell:name}`` and ``{value:name}`` as decimal
-integers.
+The grammar is the table ``_FORMS``. For each kind of form (reactive
+expression, program form, action, condition, integer expression) it has
+one row per head: the AST class the form builds and the kind of each
+argument. ``_build`` parses every form from those rows and ``render``
+prints every AST node back from them. Integer literals and ``true`` and
+``false`` are the only atoms that are forms. ``(par E ...)`` is the one
+form outside the table: it parses to a right fold of binary merges, and
+compilation flattens any chain of nested merges into one n-ary merge node.
+Print templates interpolate ``{cell:name}`` and ``{value:name}`` as
+decimal integers. The README lists every form.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
@@ -33,7 +24,7 @@ comment is skipped.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 from . import combinators
@@ -239,21 +230,21 @@ ProgStmt = Union[SeqStmt, PrintStmt, SetStmt, StopStmt, SuspendStmt, ActivateStm
 # Lexing and reading
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Atom:
     text: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _Str:
     value: str
     line: int
     col: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _List:
     items: tuple["_SNode", ...]
     line: int
@@ -265,135 +256,138 @@ _SNode = Union[_Atom, _Str, _List]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+# Every character but space, tab and CR starts one of these, so the search
+# skips exactly that whitespace; newlines are matched to count lines as the
+# scan goes. A string runs to its closing quote, a newline or the end of
+# input; a backslash takes the next character with it, whatever it is, and
+# the escapes are checked after the match.
+_TOKEN_RE = re.compile(
+    r'(?P<newline>\n)|(?P<open>\()|(?P<close>\))|;[^\n]*'
+    r'|(?P<str>"(?P<body>(?:[^"\\\n]|\\[\s\S]?)*)(?P<closed>")?)'
+    r'|(?P<atom>[^ \t\r\n();"]+)'
+)
+_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """Split text into (kind, value, line, col) tokens, comments dropped;
+    kind is "open", "close", "str" or "atom"."""
     tokens = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            tokens.append((ch, ch, line, col))
-            col += 1
-            i += 1
-        elif ch == '"':
-            start_line, start_col = line, col
-            i += 1
-            col += 1
-            parts = []
-            while True:
-                if i >= n:
-                    raise ParseError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise ParseError("unterminated escape", line, col)
-                    esc = text[i + 1]
-                    if esc not in _ESCAPES:
-                        raise ParseError(f"unknown escape \\{esc}", line, col)
-                    parts.append(_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                else:
-                    parts.append(c)
-                    i += 1
-                    col += 1
-            tokens.append(("str", "".join(parts), start_line, start_col))
-        else:
-            start_line, start_col = line, col
-            j = i
-            while j < n and text[j] not in ' \t\r\n();"':
-                j += 1
-            tokens.append(("atom", text[i:j], start_line, start_col))
-            col += j - i
-            i = j
+            line_start = m.end()
+            continue
+        if kind is None:
+            continue  # a comment
+        col = m.start() - line_start + 1
+        value = m.group()
+        if kind == "str":
+            value = m.group("body")
+            for e in _ESCAPE_RE.finditer(value):
+                if e.group(1) not in _ESCAPES:
+                    message = f"unknown escape \\{e.group(1)}" if e.group(1) else "unterminated escape"
+                    raise ParseError(message, line, col + 1 + e.start())
+            if m.group("closed") is None:
+                raise ParseError("unterminated string", line, col)
+            value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
+        tokens.append((kind, value, line, col))
     return tokens
 
 
-def _read(tokens: list[tuple[str, str, int, int]], pos: int) -> tuple[_SNode, int]:
-    if pos >= len(tokens):
-        raise ParseError("unexpected end of input (unbalanced parentheses?)")
-    kind, value, line, col = tokens[pos]
-    if kind == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(tokens):
-                raise ParseError("unclosed parenthesis", line, col)
-            if tokens[pos][0] == ")":
-                return _List(tuple(items), line, col), pos + 1
-            node, pos = _read(tokens, pos)
-            items.append(node)
-    if kind == ")":
-        raise ParseError("unexpected ')'", line, col)
-    if kind == "str":
-        return _Str(value, line, col), pos + 1
-    return _Atom(value, line, col), pos + 1
-
-
 def _read_single(text: str) -> _SNode:
+    """Read exactly one s-expression, keeping open lists on a stack."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty input")
-    node, pos = _read(tokens, 0)
-    if pos != len(tokens):
-        extra = tokens[pos]
-        raise ParseError("trailing content after expression", extra[2], extra[3])
-    return node
+    open_lists: list[tuple[list, int, int]] = []
+    for index, (kind, value, line, col) in enumerate(tokens):
+        if kind == "open":
+            open_lists.append(([], line, col))
+            continue
+        if kind == "close":
+            if not open_lists:
+                raise ParseError("unexpected ')'", line, col)
+            items, line, col = open_lists.pop()
+            node = _List(tuple(items), line, col)
+        elif kind == "str":
+            node = _Str(value, line, col)
+        else:
+            node = _Atom(value, line, col)
+        if open_lists:
+            open_lists[-1][0].append(node)
+        elif index + 1 < len(tokens):
+            extra = tokens[index + 1]
+            raise ParseError("trailing content after expression", extra[2], extra[3])
+        else:
+            return node
+    _, line, col = open_lists[-1]
+    raise ParseError("unclosed parenthesis", line, col)
 
 
 # --------------------------------------------------------------------------
-# Form builders
+# The grammar: one row per form
 
 
-def _expect_list(node: _SNode, what: str) -> _List:
-    if not isinstance(node, _List):
-        raise ParseError(f"expected {what}", node.line, node.col)
-    if not node.items:
-        raise ParseError(f"empty form where {what} expected", node.line, node.col)
-    return node
-
-
-def _head(node: _List) -> str:
-    head = node.items[0]
-    if not isinstance(head, _Atom):
-        raise ParseError("form head must be a symbol", node.line, node.col)
-    return head.text
-
-
-def _args(node: _List, name: str, count: int | None, at_least: int | None = None) -> tuple[_SNode, ...]:
-    args = node.items[1:]
-    if count is not None and len(args) != count:
-        raise ArityError(f"({name} ...) takes {count} argument(s), got {len(args)}", node.line, node.col)
-    if at_least is not None and len(args) < at_least:
-        raise ArityError(f"({name} ...) takes at least {at_least} argument(s), got {len(args)}", node.line, node.col)
-    return args
-
-
-def _name(node: _SNode, what: str) -> str:
-    if not isinstance(node, _Atom) or not _NAME_RE.match(node.text):
-        line = node.line
-        col = node.col
-        raise ParseError(f"expected {what} name", line, col)
-    return node.text
+# For each kind of form: the noun its errors use, and its rows. A row maps a
+# form's head to its AST class and the kind of each argument, in field
+# order. An argument kind is another form kind; "str", a string literal;
+# "count", an integer literal; "name:<what>", a name; "op", the head itself
+# (it takes no argument); or a form kind with "*", which takes all the
+# arguments as a tuple. Integer literals and true/false are the only atom
+# forms, and (par E ...) is the one form outside the table: it takes at
+# least one expression and folds right into merges.
+_FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
+    "expression": ("a reactive expression", {
+        "rexp": (RexpExpr, "program"),
+        "merge": (MergeExpr, "expression", "expression"),
+        "rif": (RifExpr, "condition", "expression", "expression"),
+        "close": (CloseExpr, "expression"),
+        "loop": (LoopExpr, "expression"),
+        "repeat": (RepeatExpr, "count", "expression"),
+        "init": (InitExpr, "action", "expression"),
+        "await": (AwaitExpr, "condition", "expression"),
+        "when": (WhenExpr, "condition", "expression"),
+        "terminate": (TerminateExpr, "condition", "expression"),
+        "halt": (HaltExpr,),
+        "nothing": (NothingExpr,),
+    }),
+    "program": ("a program form", {
+        "seq": (SeqStmt, "program*"),
+        "print": (PrintStmt, "str"),
+        "set": (SetStmt, "name:cell", "integer"),
+        "stop": (StopStmt,),
+        "suspend": (SuspendStmt,),
+        "activate": (ActivateStmt, "expression"),
+        "raise": (RaiseStmt, "name:tag"),
+        "handle": (HandleStmt, "name:tag", "program", "program"),
+    }),
+    "action": ("an action", {
+        "print": (Print, "str"),
+        "set": (SetCell, "name:cell", "integer"),
+        "raise": (RaiseTag, "name:tag"),
+        "do": (ActionSeq, "action*"),
+    }),
+    "condition": ("a condition", {
+        "sig": (Sig, "name:signal"),
+        "not": (Not, "condition"),
+        "and": (And, "condition", "condition"),
+        "or": (Or, "condition", "condition"),
+        "=": (Compare, "op", "integer", "integer"),
+        "<": (Compare, "op", "integer", "integer"),
+        "<=": (Compare, "op", "integer", "integer"),
+    }),
+    "integer": ("an integer expression", {
+        "cell": (CellRef, "name:cell"),
+        "value": (ValueRef, "name:value"),
+        "+": (BinOp, "op", "integer", "integer"),
+        "-": (BinOp, "op", "integer", "integer"),
+        "*": (BinOp, "op", "integer", "integer"),
+        "neg": (Negate, "integer"),
+    }),
+}
 
 
 def _to_int(text: str, line: int, col: int) -> int:
@@ -404,171 +398,77 @@ def _to_int(text: str, line: int, col: int) -> int:
         raise ParseError("integer literal has too many digits", line, col) from None
 
 
-def _int_literal(node: _SNode) -> int:
-    if not isinstance(node, _Atom) or not _INT_RE.match(node.text):
-        raise ParseError("expected an integer literal", node.line, node.col)
-    return _to_int(node.text, node.line, node.col)
-
-
-def _string(node: _SNode) -> str:
-    if not isinstance(node, _Str):
-        raise ParseError("expected a string literal", node.line, node.col)
-    return node.value
-
-
-def _build_int(node: _SNode) -> IntExpr:
-    if isinstance(node, _Atom):
-        if _INT_RE.match(node.text):
-            return IntConst(_to_int(node.text, node.line, node.col))
-        raise ParseError(f"expected integer expression, got {node.text!r}", node.line, node.col)
-    lst = _expect_list(node, "an integer expression")
-    head = _head(lst)
-    if head == "cell":
-        (arg,) = _args(lst, head, 1)
-        return CellRef(_name(arg, "cell"))
-    if head == "value":
-        (arg,) = _args(lst, head, 1)
-        return ValueRef(_name(arg, "value"))
-    if head in ("+", "-", "*"):
-        a, b = _args(lst, head, 2)
-        return BinOp(head, _build_int(a), _build_int(b))
-    if head == "neg":
-        (arg,) = _args(lst, head, 1)
-        return Negate(_build_int(arg))
-    raise UnknownForm(f"unknown integer form {head!r}", lst.line, lst.col)
-
-
-def _build_cond(node: _SNode) -> Cond:
-    if isinstance(node, _Atom):
-        if node.text == "true":
-            return BoolConst(True)
-        if node.text == "false":
-            return BoolConst(False)
-        raise ParseError(f"expected condition, got {node.text!r}", node.line, node.col)
-    lst = _expect_list(node, "a condition")
-    head = _head(lst)
-    if head == "sig":
-        (arg,) = _args(lst, head, 1)
-        return Sig(_name(arg, "signal"))
-    if head == "not":
-        (arg,) = _args(lst, head, 1)
-        return Not(_build_cond(arg))
-    if head == "and":
-        a, b = _args(lst, head, 2)
-        return And(_build_cond(a), _build_cond(b))
-    if head == "or":
-        a, b = _args(lst, head, 2)
-        return Or(_build_cond(a), _build_cond(b))
-    if head in ("=", "<", "<="):
-        a, b = _args(lst, head, 2)
-        return Compare(head, _build_int(a), _build_int(b))
-    raise UnknownForm(f"unknown condition form {head!r}", lst.line, lst.col)
-
-
-def _build_action(node: _SNode) -> ActionSpec:
-    lst = _expect_list(node, "an action")
-    head = _head(lst)
-    if head == "print":
-        (arg,) = _args(lst, head, 1)
-        return Print(_string(arg))
-    if head == "set":
-        name, value = _args(lst, head, 2)
-        return SetCell(_name(name, "cell"), _build_int(value))
-    if head == "raise":
-        (arg,) = _args(lst, head, 1)
-        return RaiseTag(_name(arg, "tag"))
-    if head == "do":
-        items = _args(lst, head, None, at_least=0)
-        return ActionSeq(tuple(_build_action(item) for item in items))
-    raise UnknownForm(f"unknown action form {head!r}", lst.line, lst.col)
-
-
-def _build_prog(node: _SNode) -> ProgStmt:
-    lst = _expect_list(node, "a program form")
-    head = _head(lst)
-    if head == "seq":
-        items = _args(lst, head, None, at_least=0)
-        return SeqStmt(tuple(_build_prog(item) for item in items))
-    if head == "print":
-        (arg,) = _args(lst, head, 1)
-        return PrintStmt(_string(arg))
-    if head == "set":
-        name, value = _args(lst, head, 2)
-        return SetStmt(_name(name, "cell"), _build_int(value))
-    if head == "stop":
-        _args(lst, head, 0)
-        return StopStmt()
-    if head == "suspend":
-        _args(lst, head, 0)
-        return SuspendStmt()
-    if head == "activate":
-        (arg,) = _args(lst, head, 1)
-        return ActivateStmt(_build_expr(arg))
-    if head == "raise":
-        (arg,) = _args(lst, head, 1)
-        return RaiseStmt(_name(arg, "tag"))
-    if head == "handle":
-        tag, body, handler = _args(lst, head, 3)
-        return HandleStmt(_name(tag, "tag"), _build_prog(body), _build_prog(handler))
-    raise UnknownForm(f"unknown program form {head!r}", lst.line, lst.col)
-
-
-def _build_expr(node: _SNode) -> ExprAst:
-    lst = _expect_list(node, "a reactive expression")
-    head = _head(lst)
-    if head == "rexp":
-        (arg,) = _args(lst, head, 1)
-        return RexpExpr(_build_prog(arg))
-    if head == "merge":
-        a, b = _args(lst, head, 2)
-        return MergeExpr(_build_expr(a), _build_expr(b))
-    if head == "par":
-        items = _args(lst, head, None, at_least=1)
-        exprs = [_build_expr(item) for item in items]
-        folded = exprs[-1]
-        for expr in reversed(exprs[:-1]):
-            folded = MergeExpr(expr, folded)
+def _build(node: _SNode, kind: str):
+    """Build the AST of one form of the given kind from its s-expression."""
+    noun, rows = _FORMS[kind]
+    if node.__class__ is _Atom and kind in ("condition", "integer"):
+        text = node.text
+        if kind == "integer" and _INT_RE.match(text):
+            return IntConst(_to_int(text, node.line, node.col))
+        if kind == "condition" and text in ("true", "false"):
+            return BoolConst(text == "true")
+        # The noun without its article: "condition", "integer expression".
+        raise ParseError(f"expected {noun.partition(' ')[2]}, got {text!r}", node.line, node.col)
+    if node.__class__ is not _List:
+        raise ParseError(f"expected {noun}", node.line, node.col)
+    if not node.items:
+        raise ParseError(f"empty form where {noun} expected", node.line, node.col)
+    head = node.items[0]
+    if head.__class__ is not _Atom:
+        raise ParseError("form head must be a symbol", node.line, node.col)
+    head = head.text
+    args = node.items[1:]
+    if head == "par" and kind == "expression":
+        if not args:
+            raise ArityError("(par ...) takes at least 1 argument(s), got 0", node.line, node.col)
+        exprs = [_build(arg, kind) for arg in args]
+        folded = exprs.pop()
+        while exprs:
+            folded = MergeExpr(exprs.pop(), folded)
         return folded
-    if head == "rif":
-        cond, a, b = _args(lst, head, 3)
-        return RifExpr(_build_cond(cond), _build_expr(a), _build_expr(b))
-    if head == "close":
-        (arg,) = _args(lst, head, 1)
-        return CloseExpr(_build_expr(arg))
-    if head == "loop":
-        (arg,) = _args(lst, head, 1)
-        return LoopExpr(_build_expr(arg))
-    if head == "repeat":
-        count, body = _args(lst, head, 2)
-        return RepeatExpr(_int_literal(count), _build_expr(body))
-    if head == "init":
-        action, body = _args(lst, head, 2)
-        return InitExpr(_build_action(action), _build_expr(body))
-    if head == "await":
-        cond, body = _args(lst, head, 2)
-        return AwaitExpr(_build_cond(cond), _build_expr(body))
-    if head == "when":
-        cond, body = _args(lst, head, 2)
-        return WhenExpr(_build_cond(cond), _build_expr(body))
-    if head == "terminate":
-        cond, body = _args(lst, head, 2)
-        return TerminateExpr(_build_cond(cond), _build_expr(body))
-    if head == "halt":
-        _args(lst, head, 0)
-        return HaltExpr()
-    if head == "nothing":
-        _args(lst, head, 0)
-        return NothingExpr()
-    raise UnknownForm(f"unknown expression form {head!r}", lst.line, lst.col)
+    row = rows.get(head)
+    if row is None:
+        raise UnknownForm(f"unknown {kind} form {head!r}", node.line, node.col)
+    kinds = row[1:]
+    if kinds and kinds[-1][-1] == "*":
+        return row[0](tuple([_build(arg, kinds[-1][:-1]) for arg in args]))
+    values = []
+    if kinds and kinds[0] == "op":
+        values.append(head)
+        kinds = kinds[1:]
+    if len(args) != len(kinds):
+        raise ArityError(f"({head} ...) takes {len(kinds)} argument(s), got {len(args)}", node.line, node.col)
+    for arg, arg_kind in zip(args, kinds):
+        if arg_kind in _FORMS:
+            values.append(_build(arg, arg_kind))
+        elif arg_kind == "str":
+            if arg.__class__ is not _Str:
+                raise ParseError("expected a string literal", arg.line, arg.col)
+            values.append(arg.value)
+        elif arg_kind == "count":
+            if arg.__class__ is not _Atom or not _INT_RE.match(arg.text):
+                raise ParseError("expected an integer literal", arg.line, arg.col)
+            values.append(_to_int(arg.text, arg.line, arg.col))
+        else:
+            if arg.__class__ is not _Atom or not _NAME_RE.match(arg.text):
+                raise ParseError(f"expected {arg_kind.removeprefix('name:')} name", arg.line, arg.col)
+            values.append(arg.text)
+    return row[0](*values)
 
 
 def parse_program(text: str) -> ExprAst:
     """Parse one reactive expression from source text."""
-    return _build_expr(_read_single(text))
+    return _build(_read_single(text), "expression")
 
 
 # --------------------------------------------------------------------------
 # Rendering (inverse of parse_program, used for golden files and tests)
+
+
+# Each AST class with the head and argument kinds of its row. The classes
+# with an "op" argument have one row per operator and take their head from
+# that field.
+_ROWS_BY_CLASS = {row[0]: (head, row[1:]) for _, rows in _FORMS.values() for head, row in rows.items()}
 
 
 def _escape(text: str) -> str:
@@ -577,101 +477,30 @@ def _escape(text: str) -> str:
     return f'"{out}"'
 
 
-def render_int(expr: IntExpr) -> str:
-    match expr:
-        case IntConst(value=v):
-            return str(v)
-        case CellRef(name=name):
-            return f"(cell {name})"
-        case ValueRef(name=name):
-            return f"(value {name})"
-        case BinOp(op=op, left=left, right=right):
-            return f"({op} {render_int(left)} {render_int(right)})"
-        case Negate(item=item):
-            return f"(neg {render_int(item)})"
-    raise TypeError(f"not an integer expression: {expr!r}")
-
-
-def render_cond(cond: Cond) -> str:
-    match cond:
-        case Sig(name=name):
-            return f"(sig {name})"
-        case BoolConst(value=v):
-            return "true" if v else "false"
-        case Not(item=item):
-            return f"(not {render_cond(item)})"
-        case And(left=left, right=right):
-            return f"(and {render_cond(left)} {render_cond(right)})"
-        case Or(left=left, right=right):
-            return f"(or {render_cond(left)} {render_cond(right)})"
-        case Compare(op=op, left=left, right=right):
-            return f"({op} {render_int(left)} {render_int(right)})"
-    raise TypeError(f"not a condition: {cond!r}")
-
-
-def render_action(spec: ActionSpec) -> str:
-    match spec:
-        case Print(template=template):
-            return f"(print {_escape(template)})"
-        case SetCell(name=name, value=value):
-            return f"(set {name} {render_int(value)})"
-        case RaiseTag(tag=tag):
-            return f"(raise {tag})"
-        case ActionSeq(items=items):
-            inner = " ".join(render_action(item) for item in items)
-            return f"(do {inner})" if inner else "(do)"
-    raise TypeError(f"not an action: {spec!r}")
-
-
-def render_prog(stmt: ProgStmt) -> str:
-    match stmt:
-        case SeqStmt(items=items):
-            inner = " ".join(render_prog(item) for item in items)
-            return f"(seq {inner})" if inner else "(seq)"
-        case PrintStmt(template=template):
-            return f"(print {_escape(template)})"
-        case SetStmt(name=name, value=value):
-            return f"(set {name} {render_int(value)})"
-        case StopStmt():
-            return "(stop)"
-        case SuspendStmt():
-            return "(suspend)"
-        case ActivateStmt(expr=expr):
-            return f"(activate {render(expr)})"
-        case RaiseStmt(tag=tag):
-            return f"(raise {tag})"
-        case HandleStmt(tag=tag, body=body, handler=handler):
-            return f"(handle {tag} {render_prog(body)} {render_prog(handler)})"
-    raise TypeError(f"not a program form: {stmt!r}")
-
-
-def render(ast: ExprAst) -> str:
-    match ast:
-        case RexpExpr(program=program):
-            return f"(rexp {render_prog(program)})"
-        case MergeExpr(left=left, right=right):
-            return f"(merge {render(left)} {render(right)})"
-        case RifExpr(cond=cond, then_expr=a, else_expr=b):
-            return f"(rif {render_cond(cond)} {render(a)} {render(b)})"
-        case CloseExpr(child=child):
-            return f"(close {render(child)})"
-        case LoopExpr(body=body):
-            return f"(loop {render(body)})"
-        case RepeatExpr(count=count, body=body):
-            return f"(repeat {count} {render(body)})"
-        case InitExpr(action=action, body=body):
-            return f"(init {render_action(action)} {render(body)})"
-        case AwaitExpr(cond=cond, body=body):
-            return f"(await {render_cond(cond)} {render(body)})"
-        case WhenExpr(cond=cond, body=body):
-            return f"(when {render_cond(cond)} {render(body)})"
-        case TerminateExpr(cond=cond, body=body):
-            return f"(terminate {render_cond(cond)} {render(body)})"
-        case HaltExpr():
-            return "(halt)"
-        case NothingExpr():
-            return "(nothing)"
-    raise TypeError(f"not an expression: {ast!r}")
+def render(ast: object) -> str:
+    """Render any AST node (expression, program form, action, condition or
+    integer expression) as source text that parses back to it."""
+    if ast.__class__ is IntConst:
+        return str(ast.value)
+    if ast.__class__ is BoolConst:
+        return "true" if ast.value else "false"
+    if ast.__class__ not in _ROWS_BY_CLASS:
+        raise TypeError(f"not a DSL form: {ast!r}")
+    head, kinds = _ROWS_BY_CLASS[ast.__class__]
+    parts = [head]
+    for field, kind in zip(fields(ast), kinds):
+        value = getattr(ast, field.name)
+        if kind == "op":
+            parts[0] = value
+        elif kind == "str":
+            parts.append(_escape(value))
+        elif kind[-1] == "*":
+            parts += map(render, value)
+        elif kind in _FORMS:
+            parts.append(render(value))
+        else:
+            parts.append(str(value))
+    return f"({' '.join(parts)})"
 
 
 # --------------------------------------------------------------------------

@@ -175,28 +175,47 @@ def run_resumption(env: "Environment", res: Resumption) -> Status:
 
 
 def program_activations(program: Program) -> Iterator[ReactiveId]:
-    """Yield every reactive id referenced by Activate instructions."""
-    match program:
-        case Activate(child=child):
-            yield child
-        case Seq(items=items):
-            for item in items:
-                yield from program_activations(item)
-        case Handle(body=body, handler=handler):
-            yield from program_activations(body)
-            yield from program_activations(handler)
+    """Yield every reactive id referenced by Activate instructions, in
+    program order."""
+    pending = [program]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Activate):
+            yield item.child
+        elif isinstance(item, Seq):
+            pending.extend(reversed(item.items))
+        elif isinstance(item, Handle):
+            pending += (item.handler, item.body)
 
 
 def rewrite_program(program: Program, remap: Callable[[ReactiveId], ReactiveId]) -> Program:
-    """Rebuild a program with every Activate target passed through remap."""
-    match program:
-        case Activate(child=child):
-            return Activate(remap(child))
-        case Seq(items=items):
-            return Seq(tuple(rewrite_program(item, remap) for item in items))
-        case Handle(body=body, tag=tag, handler=handler):
-            return Handle(rewrite_program(body, remap), tag, rewrite_program(handler, remap))
-    return program
+    """Rebuild a program with every Activate target passed through remap.
+
+    Walks an explicit stack, so nesting depth is not bounded by recursion:
+    a Seq or Handle is visited once to push its parts and once more, after
+    they are rebuilt, to take them off ``built``.
+    """
+    built: list[Program] = []
+    pending: list[tuple[Program, bool]] = [(program, False)]
+    while pending:
+        item, parts_built = pending.pop()
+        if isinstance(item, Activate):
+            built.append(Activate(remap(item.child)))
+        elif not isinstance(item, (Seq, Handle)):
+            built.append(item)
+        elif not parts_built:
+            pending.append((item, True))
+            parts = item.items if isinstance(item, Seq) else (item.body, item.handler)
+            pending.extend((part, False) for part in reversed(parts))
+        elif isinstance(item, Seq):
+            split = len(built) - len(item.items)
+            items = tuple(built[split:])
+            del built[split:]
+            built.append(Seq(items))
+        else:
+            handler = built.pop()
+            built[-1] = Handle(built[-1], item.tag, handler)
+    return built[0]
 
 
 def resumption_activations(res: Resumption) -> Iterator[ReactiveId]:

@@ -164,3 +164,41 @@ def test_trace_bad_tokens_rejected():
         parse_trace("digit=x")
     with pytest.raises(ParseError):
         parse_trace("9digit")
+
+
+@pytest.mark.parametrize(
+    "src, error, message, line, col",
+    [
+        ('(nothing) "abc', ParseError, "unterminated string", 1, 11),
+        ("(nothing) )", ParseError, "trailing content after expression", 1, 11),
+        ("\t(halt) (x", ParseError, "trailing content after expression", 1, 9),
+        ('(rexp (seq (print "a\\q")))', ParseError, "unknown escape \\q", 1, 21),
+        ('(rexp (seq (print "a\\', ParseError, "unterminated escape", 1, 21),
+        ('(rexp (seq (print "a\\\n")))', ParseError, "unknown escape \\\n", 1, 21),
+        ("(merge (nothing)\n\t(wat))", UnknownForm, "unknown expression form 'wat'", 2, 2),
+        ("(rexp (seq (stop) (zap)))", UnknownForm, "unknown program form 'zap'", 1, 19),
+        ("(init (zap) (nothing))", UnknownForm, "unknown action form 'zap'", 1, 7),
+        ("(rif (foo) (nothing) (halt))", UnknownForm, "unknown condition form 'foo'", 1, 6),
+        ("(rif (= (bar) 1) (nothing) (halt))", UnknownForm, "unknown integer form 'bar'", 1, 9),
+        ("(rif (= 1) (nothing) (halt))", ArityError, "(= ...) takes 2 argument(s), got 1", 1, 6),
+        ("(nothing x)", ArityError, "(nothing ...) takes 0 argument(s), got 1", 1, 1),
+        ("(par)", ArityError, "(par ...) takes at least 1 argument(s), got 0", 1, 1),
+        ("(init x (nothing))", ParseError, "expected an action", 1, 7),
+        ('(rexp "s")', ParseError, "expected a program form", 1, 7),
+        ("(rif maybe (nothing) (halt))", ParseError, "expected condition, got 'maybe'", 1, 6),
+        ("(rif (= x 1) (nothing) (halt))", ParseError, "expected integer expression, got 'x'", 1, 9),
+        ("(rexp (set x (cell 1)))", ParseError, "expected cell name", 1, 20),
+        ("(repeat x (halt))", ParseError, "expected an integer literal", 1, 9),
+        ("(rexp (print x))", ParseError, "expected a string literal", 1, 14),
+        ("(rexp ())", ParseError, "empty form where a program form expected", 1, 7),
+        ("((nothing))", ParseError, "form head must be a symbol", 1, 1),
+        ("(loop\n  (rexp (seq)) ", ParseError, "unclosed parenthesis", 1, 1),
+        ("\n )", ParseError, "unexpected ')'", 2, 2),
+    ],
+)
+def test_parse_error_class_message_and_position(src, error, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_program(src)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} at line {line}, column {col}"
+    assert (exc.value.line, exc.value.col) == (line, col)

@@ -329,6 +329,19 @@ def test_dup_and_loop_of_a_deep_close_chain():
     assert len(env.nodes) == 3 * (depth + 1) + 1
 
 
+def test_rexp_dup_and_loop_of_a_deeply_nested_program():
+    env = Environment()
+    child = rexp(env, seq(printer("x"), Stop()))
+    program = Activate(child)
+    for level in range(5000):
+        program = Seq((program,)) if level % 2 else Handle(program, "T", Seq(()))
+    r = rexp(env, program)
+    copy = env.dup(r)
+    l = loop(env, r)
+    assert [react_once(env, l) for _ in range(3)] == [(["x"], False)] * 3
+    assert [react_once(env, copy) for _ in range(2)] == [(["x"], False), ([], True)]
+
+
 def test_dup_after_partial_run_copies_resumption():
     env = Environment()
     exp = rexp(env, seq(printer("FIRST"), Stop(), printer("SECOND")))

@@ -17,19 +17,21 @@ is unwound is marked END on the way out; a basic expression with a matching
 handler catches the abort instead and keeps running.
 
 A loop records its body's whole region when it is built: the status of
-every node reachable from the body, each basic expression's resumption, and
-the latch or count of every await and nested loop. A restart restores that
-snapshot in place, so the region keeps its ids and the node table stays the
-same size over a run. A body that terminated after reading this instant's
-events would see the same events again if it restarted now, so the restart
-waits for the next activation; bodies that read nothing restart in place,
-which is also where instantaneous-loop divergence is caught.
+every node reachable from the body, each basic expression's pc, armed
+handlers and Activate targets, and the latch or count of every await and
+nested loop. A restart restores that snapshot in place, so the region
+keeps its ids and the node table stays the same size over a run. A body
+that terminated after reading this instant's events would see the same
+events again if it restarted now, so the restart waits for the next
+activation; bodies that read nothing restart in place, which is also where
+instantaneous-loop divergence is caught.
 """
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Union
 
 from .core import (
@@ -48,13 +50,7 @@ from .core import (
     UncaughtAbort,
     star,
 )
-from .program import (
-    Resumption,
-    clone_resumption,
-    copy_resumption,
-    resumption_activations,
-    run_resumption,
-)
+from .program import Resumption, run_resumption
 from .world import Cond, HostAction, InstantEvents, World, cond_reads_events, eval_cond
 
 Remap = Callable[[ReactiveId], ReactiveId]
@@ -76,19 +72,25 @@ class BasicNode:
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
-        return tuple(resumption_activations(self.resumption))
+        res = self.resumption
+        ahead = len(res.target_pcs) - bisect_left(res.target_pcs, res.pc)
+        return res.targets[len(res.targets) - ahead:]
 
     def remap(self, f: Remap) -> BasicNode:
-        return BasicNode(copy_resumption(self.resumption, f))
+        res = self.resumption
+        return BasicNode(Resumption(res.ops, res.target_pcs, tuple(map(f, self.children)),
+                                    res.pc, res.handlers))
 
     def step(self, env: Environment) -> Status:
         return run_resumption(env, self.resumption)
 
-    def save(self) -> Resumption:
-        return clone_resumption(self.resumption)
+    def save(self) -> tuple:
+        res = self.resumption
+        return res.pc, res.handlers, self.children
 
-    def load(self, state: Resumption) -> None:
-        self.resumption = clone_resumption(state)
+    def load(self, state: tuple) -> None:
+        res = self.resumption
+        res.pc, res.handlers, res.targets = state
 
 
 @dataclass
@@ -117,6 +119,10 @@ class RifNode(_Stateless):
     cond: Cond
     then_branch: ReactiveId
     else_branch: ReactiveId
+    reads_events: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.reads_events = cond_reads_events(self.cond)
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
@@ -132,7 +138,7 @@ class RifNode(_Stateless):
             return env.step(self.then_branch)
         if env.statuses[self.else_branch] is SUSP:
             return env.step(self.else_branch)
-        if env._eval_cond(self.cond):
+        if env._eval_cond(self.cond, self.reads_events):
             return env.step(self.then_branch)
         return env.step(self.else_branch)
 
@@ -171,12 +177,15 @@ class LoopNode:
         return tuple(rid for rid, _, _ in self.snapshot)
 
     def remap(self, f: Remap) -> LoopNode:
-        snapshot = tuple(
-            (f(rid), status,
-             copy_resumption(state, f) if isinstance(state, Resumption) else state)
-            for rid, status, state in self.snapshot
-        )
-        return LoopNode(f(self.body), snapshot, self.remaining)
+        snapshot = []
+        for rid, status, state in self.snapshot:
+            if isinstance(state, tuple):
+                # A basic expression's state. Its targets are those ahead of
+                # the snapshot's pc, which can be more than the node lists.
+                pc, handlers, targets = state
+                state = (pc, handlers, tuple(map(f, targets)))
+            snapshot.append((f(rid), status, state))
+        return LoopNode(f(self.body), tuple(snapshot), self.remaining)
 
     def step(self, env: Environment) -> Status:
         restarts = 0
@@ -232,6 +241,10 @@ class AwaitNode:
     cond: Cond
     child: ReactiveId
     latched: bool = False
+    reads_events: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.reads_events = cond_reads_events(self.cond)
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
@@ -242,7 +255,7 @@ class AwaitNode:
 
     def step(self, env: Environment) -> Status:
         if not self.latched:
-            if not env._eval_cond(self.cond):
+            if not env._eval_cond(self.cond, self.reads_events):
                 return STOP
             self.latched = True
         return env.step(self.child)
@@ -299,7 +312,7 @@ class Environment:
         return order
 
     def dup(self, r: ReactiveId) -> ReactiveId:
-        """Deep-copy the region reachable from r, statuses and resumptions
+        """Deep-copy the region reachable from r, statuses and node states
         included. Sharing inside the region is preserved; the original is
         untouched."""
         if r not in self.nodes:
@@ -325,8 +338,8 @@ class Environment:
             self._event_reads += 1
         action.run(self.world)
 
-    def _eval_cond(self, cond: Cond) -> bool:
-        if cond_reads_events(cond):
+    def _eval_cond(self, cond: Cond, reads_events: bool) -> bool:
+        if reads_events:
             self._event_reads += 1
         return eval_cond(cond, self.world)
 

@@ -1,18 +1,41 @@
-"""Instruction trees for basic reactive expressions and their resumptions.
+"""Basic reactive expressions: instruction trees compiled to flat code.
 
 A basic reactive expression is a finite instruction tree executed one
 activation at a time. Stop and Suspend are the control points that end an
 activation; Activate hands the instant over to another reactive expression;
-Raise and Handle carry preemption. The resumption records where the next
-activation picks up: a stack of frames, each an immutable instruction tuple
-with the index of the next instruction to run and, for Handle scopes, the
-armed handler. A Seq pushes a frame over its own tuple, so advancing and
-cloning a resumption copies no instruction lists.
+Raise and Handle carry preemption.
+
+rexp compiles the tree once, without recursion, into flat code: a tuple of
+``(op, arg)`` instructions run with an integer pc. Seq leaves no trace in
+it. The opcodes are:
+
+- ``ATOM action``: run a host action.
+- ``PAUSE status``: end the activation with STOP or SUSP, pc past it.
+- ``ACTIVATE k``: step target k. When the target ends, run on; otherwise
+  end the activation with its status and leave pc on this instruction, so
+  the next activation steps the target again.
+- ``RAISE tag``: abort with the tag.
+- ``PUSH (tag, pc)``: arm a handler whose code starts at pc.
+- ``POP pc``: disarm the innermost handler and jump to pc.
+
+``Handle(body, tag, handler)`` becomes PUSH, the body, a POP that jumps
+over the handler's code, then that code. A caught abort jumps forward to
+the handler's code with the handlers outside it still armed, so pc only
+moves forward, and the code from pc on is everything the expression can
+still run: the rest of its instructions and the code of every armed
+handler. The expression's children are therefore the targets of the
+Activate instructions from pc on, a slice of the target list, which is
+sorted by pc.
+
+A resumption is the shared code plus the expression's own state: pc, the
+armed handlers as an immutable tuple, and the targets. Activate
+instructions count targets from the end of the tuple, so a copy keeps only
+the targets still ahead of pc.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterator, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
 
 from .core import Abort, END, ReactiveId, Status, STOP, SUSP
 from .world import HostAction
@@ -67,46 +90,75 @@ def seq(*items: Program) -> Seq:
 
 EMPTY_PROGRAM = Seq(())
 
+ATOM, PAUSE, ACTIVATE, RAISE, PUSH, POP = range(6)
+
+# The armed handlers, innermost last: each is its tag and the pc of its code.
+Handlers = tuple[tuple[str, int], ...]
+
 
 @dataclass(slots=True)
-class Frame:
-    """One level of the resumption stack: the instructions ``items[pc:]``
-    are still to run.
-
-    handler is set only for frames opened by a Handle instruction; an abort
-    searching outward stops at the first frame whose handler tag matches.
-    """
-
-    items: tuple[Program, ...]
-    pc: int = 0
-    handler: tuple[str, Program] | None = None
-
-
-@dataclass
 class Resumption:
-    frames: list[Frame] = field(default_factory=list)
-    # Every instruction the frames started with. A frame lets go of its
-    # tuple only when it pops, so without this the activation that ends a
-    # long program would free all of it; held here, it goes with the node.
-    programs: tuple[Program, ...] = ()
+    ops: tuple[tuple[int, object], ...]
+    target_pcs: tuple[int, ...]
+    targets: tuple[ReactiveId, ...]
+    pc: int = 0
+    handlers: Handlers = ()
 
     @property
     def done(self) -> bool:
-        return not self.frames
+        return self.pc >= len(self.ops)
 
 
 def initial_resumption(program: Program) -> Resumption:
-    return Resumption([Frame((program,))], (program,))
+    """Compile program to flat code, positioned at its first instruction."""
+    ops: list = []
+    targets: list[ReactiveId] = []
+    target_pcs: list[int] = []
+    # Besides instructions, the stack holds ("body", at) and ("handler", at)
+    # marks: the end of the body or handler code of the Handle at pc ``at``.
+    pending: list = [program]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, Seq):
+            pending.extend(reversed(item.items))
+        elif isinstance(item, Atom):
+            ops.append((ATOM, item.action))
+        elif isinstance(item, Stop):
+            ops.append((PAUSE, STOP))
+        elif isinstance(item, Suspend):
+            ops.append((PAUSE, SUSP))
+        elif isinstance(item, Activate):
+            target_pcs.append(len(ops))
+            targets.append(item.child)
+            ops.append(None)  # numbered from the end once all are known
+        elif isinstance(item, Raise):
+            ops.append((RAISE, item.tag))
+        elif isinstance(item, Handle):
+            pending += (("handler", len(ops)), item.handler, ("body", len(ops)), item.body)
+            ops.append((PUSH, item.tag))
+        elif not isinstance(item, tuple):
+            raise TypeError(f"not an instruction: {item!r}")
+        elif item[0] == "body":
+            # The handler's code starts after the POP placed here.
+            at = item[1]
+            ops[at] = (PUSH, (ops[at][1], len(ops) + 1))
+            ops.append(None)
+        else:
+            _, (_, handler_pc) = ops[item[1]]
+            ops[handler_pc - 1] = (POP, len(ops))
+    for k, at in enumerate(target_pcs):
+        ops[at] = (ACTIVATE, k - len(targets))
+    return Resumption(tuple(ops), tuple(target_pcs), tuple(targets))
 
 
-def _unwind(frames: list[Frame], tag: str) -> bool:
-    """Pop frames until a matching handler; arm it and report success."""
-    while frames:
-        frame = frames.pop()
-        if frame.handler is not None and frame.handler[0] == tag:
-            frames.append(Frame((frame.handler[1],)))
-            return True
-    return False
+def _unwind(handlers: Handlers, tag: str) -> tuple[int, Handlers] | None:
+    """The pc of the innermost handler for tag and the handlers outside it,
+    or None when no armed handler matches."""
+    for depth in range(len(handlers) - 1, -1, -1):
+        handler_tag, handler_pc = handlers[depth]
+        if handler_tag == tag:
+            return handler_pc, handlers[:depth]
+    return None
 
 
 def run_resumption(env: "Environment", res: Resumption) -> Status:
@@ -114,133 +166,44 @@ def run_resumption(env: "Environment", res: Resumption) -> Status:
 
     Runs instructions until the program is exhausted (END), a Stop or
     Suspend is executed, or an activated child pauses. An abort raised by
-    an action, a Raise, or an activated child unwinds to the innermost
-    enclosing Handle with the same tag and continues there within this
-    activation; with no matching handler the resumption is cleared and the
-    abort propagates to the caller.
+    an action, a Raise, or an activated child jumps to the innermost armed
+    handler with the same tag and continues there within this activation;
+    with no matching handler the resumption is finished and the abort
+    propagates to the caller.
     """
-    frames = res.frames
-    while frames:
-        frame = frames[-1]
-        pc = frame.pc
-        items = frame.items
-        if pc >= len(items):
-            frames.pop()
-            continue
-        inst = items[pc]
-        if isinstance(inst, Seq):
-            frame.pc = pc + 1
-            frames.append(Frame(inst.items))
-        elif isinstance(inst, Atom):
-            frame.pc = pc + 1
-            try:
-                env.run_action(inst.action)
-            except Abort as abort:
-                if not _unwind(frames, abort.tag):
-                    raise
-        elif isinstance(inst, Stop):
-            frame.pc = pc + 1
-            return STOP
-        elif isinstance(inst, Suspend):
-            frame.pc = pc + 1
-            return SUSP
-        elif isinstance(inst, Activate):
-            try:
-                status = env.step(inst.child)
-            except Abort as abort:
-                if not _unwind(frames, abort.tag):
-                    raise
-                continue
-            if status is END:
-                # Child finished: keep going within the same activation.
-                frame.pc = pc + 1
-            else:
-                # Stay pinned on this Activate so the next activation
-                # re-steps the child.
-                return status
-        elif isinstance(inst, Raise):
-            frame.pc = pc + 1
-            if not _unwind(frames, inst.tag):
-                raise Abort(inst.tag)
-        elif isinstance(inst, Handle):
-            frame.pc = pc + 1
-            frames.append(Frame((inst.body,), 0, (inst.tag, inst.handler)))
-        else:
-            raise TypeError(f"not an instruction: {inst!r}")
-    return END
-
-
-# --------------------------------------------------------------------------
-# Structure helpers used by duplication
-
-
-def program_activations(program: Program) -> Iterator[ReactiveId]:
-    """Yield every reactive id referenced by Activate instructions, in
-    program order."""
-    pending = [program]
-    while pending:
-        item = pending.pop()
-        if isinstance(item, Activate):
-            yield item.child
-        elif isinstance(item, Seq):
-            pending.extend(reversed(item.items))
-        elif isinstance(item, Handle):
-            pending += (item.handler, item.body)
-
-
-def rewrite_program(program: Program, remap: Callable[[ReactiveId], ReactiveId]) -> Program:
-    """Rebuild a program with every Activate target passed through remap.
-
-    Walks an explicit stack, so nesting depth is not bounded by recursion:
-    a Seq or Handle is visited once to push its parts and once more, after
-    they are rebuilt, to take them off ``built``.
-    """
-    built: list[Program] = []
-    pending: list[tuple[Program, bool]] = [(program, False)]
-    while pending:
-        item, parts_built = pending.pop()
-        if isinstance(item, Activate):
-            built.append(Activate(remap(item.child)))
-        elif not isinstance(item, (Seq, Handle)):
-            built.append(item)
-        elif not parts_built:
-            pending.append((item, True))
-            parts = item.items if isinstance(item, Seq) else (item.body, item.handler)
-            pending.extend((part, False) for part in reversed(parts))
-        elif isinstance(item, Seq):
-            split = len(built) - len(item.items)
-            items = tuple(built[split:])
-            del built[split:]
-            built.append(Seq(items))
-        else:
-            handler = built.pop()
-            built[-1] = Handle(built[-1], item.tag, handler)
-    return built[0]
-
-
-def resumption_activations(res: Resumption) -> Iterator[ReactiveId]:
-    for frame in res.frames:
-        for program in frame.items[frame.pc:]:
-            yield from program_activations(program)
-        if frame.handler is not None:
-            yield from program_activations(frame.handler[1])
-
-
-def clone_resumption(res: Resumption) -> Resumption:
-    """Copy the frame stack, sharing the immutable programs."""
-    frames = [Frame(frame.items, frame.pc, frame.handler) for frame in res.frames]
-    return Resumption(frames, res.programs)
-
-
-def copy_resumption(res: Resumption, remap: Callable[[ReactiveId], ReactiveId]) -> Resumption:
-    frames = []
-    programs: list[Program] = []
-    for frame in res.frames:
-        items = tuple(rewrite_program(p, remap) for p in frame.items[frame.pc:])
-        programs.extend(items)
-        handler = None
-        if frame.handler is not None:
-            handler = (frame.handler[0], rewrite_program(frame.handler[1], remap))
-            programs.append(handler[1])
-        frames.append(Frame(items, 0, handler))
-    return Resumption(frames, tuple(programs))
+    ops, targets = res.ops, res.targets
+    pc, handlers = res.pc, res.handlers
+    end = len(ops)
+    while True:
+        try:
+            while pc < end:
+                op, arg = ops[pc]
+                if op == ATOM:
+                    pc += 1
+                    env.run_action(arg)
+                elif op == PAUSE:
+                    pc += 1
+                    return arg
+                elif op == ACTIVATE:
+                    status = env.step(targets[arg])
+                    if status is not END:
+                        return status
+                    pc += 1
+                elif op == PUSH:
+                    pc += 1
+                    handlers += (arg,)
+                elif op == POP:
+                    pc = arg
+                    handlers = handlers[:-1]
+                else:
+                    pc += 1
+                    raise Abort(arg)
+            return END
+        except Abort as abort:
+            caught = _unwind(handlers, abort.tag)
+            if caught is None:
+                pc, handlers = end, ()
+                raise
+            pc, handlers = caught
+        finally:
+            res.pc, res.handlers = pc, handlers

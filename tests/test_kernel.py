@@ -545,3 +545,40 @@ def test_dup_of_running_loop_restarts_its_own_body():
     assert react_once(env, copy) == (["x"], False)
     assert react_once(env, l) == (["y"], False)
     assert react_once(env, l) == (["x"], False)
+
+
+def test_dup_of_loop_renames_targets_in_its_snapshot():
+    env = Environment()
+    child = rexp(env, seq(printer("c")))
+    l = loop(env, rexp(env, seq(Activate(child), Stop(), printer("b"))))
+    react_once(env, l)
+    # The body is past its Activate, but the loop's snapshot is not: the
+    # copy must restart into its own copy of the child.
+    copy = env.dup(l)
+    assert react_once(env, copy) == (["b", "c"], False)
+    assert react_once(env, l) == (["b", "c"], False)
+
+
+def test_basic_children_are_the_targets_still_ahead():
+    env = Environment()
+    a, b, c, d, e = (nothing(env) for _ in range(5))
+    body = seq(Activate(b), Stop(), Activate(c))
+    r = rexp(env, seq(Activate(a), Handle(body, "T", seq(Activate(d))), Stop(), Activate(e)))
+    react_once(env, r)
+    # Paused inside the Handle body: the rest of the body, the armed
+    # handler and what follows the Handle.
+    assert sorted(env.nodes[r].children) == [c, d, e]
+    react_once(env, r)
+    # The body has exited, so its handler is no longer reachable.
+    assert sorted(env.nodes[r].children) == [e]
+
+    env = Environment()
+    a, b, c, d, f = (nothing(env) for _ in range(5))
+    inner = Handle(seq(Stop(), Raise("U"), Activate(a)), "T", seq(Activate(f)))
+    r = rexp(env, seq(Handle(inner, "U", seq(Activate(b), Stop(), Activate(c))), Activate(d)))
+    react_once(env, r)
+    assert sorted(env.nodes[r].children) == [a, b, c, d, f]
+    react_once(env, r)
+    # The outer handler caught U: the inner handler and the rest of the
+    # body are gone, the rest of the outer handler remains.
+    assert sorted(env.nodes[r].children) == [c, d]

@@ -30,7 +30,7 @@ def printer(text):
 
 
 def run_once(env, program_or_res):
-    res = program_or_res if hasattr(program_or_res, "frames") else initial_resumption(program_or_res)
+    res = program_or_res if hasattr(program_or_res, "pc") else initial_resumption(program_or_res)
     return run_resumption(env, res), res
 
 

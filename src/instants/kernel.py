@@ -51,7 +51,7 @@ from .core import (
     star,
 )
 from .program import Resumption, run_resumption
-from .world import Cond, HostAction, InstantEvents, World, cond_reads_events, eval_cond
+from .world import Cond, HostAction, InstantEvents, World, compile_cond
 
 Remap = Callable[[ReactiveId], ReactiveId]
 
@@ -114,22 +114,29 @@ class MergeNode(_Stateless):
         return star(*[statuses[child] for child in children])
 
 
+Predicate = Callable[[World], bool]
+
+
 @dataclass
 class RifNode(_Stateless):
     cond: Cond
     then_branch: ReactiveId
     else_branch: ReactiveId
-    reads_events: bool = field(init=False)
+    # The condition compiled once, when built; copies share it.
+    test: Predicate | None = field(default=None, repr=False, compare=False)
+    reads_events: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.reads_events = cond_reads_events(self.cond)
+        if self.test is None:
+            self.test, self.reads_events = compile_cond(self.cond)
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
         return (self.then_branch, self.else_branch)
 
     def remap(self, f: Remap) -> RifNode:
-        return RifNode(self.cond, f(self.then_branch), f(self.else_branch))
+        return RifNode(self.cond, f(self.then_branch), f(self.else_branch),
+                       self.test, self.reads_events)
 
     def step(self, env: Environment) -> Status:
         # A suspended branch resumes without re-evaluating the condition;
@@ -138,7 +145,7 @@ class RifNode(_Stateless):
             return env.step(self.then_branch)
         if env.statuses[self.else_branch] is SUSP:
             return env.step(self.else_branch)
-        if env._eval_cond(self.cond, self.reads_events):
+        if env._eval_cond(self.test, self.reads_events):
             return env.step(self.then_branch)
         return env.step(self.else_branch)
 
@@ -241,21 +248,23 @@ class AwaitNode:
     cond: Cond
     child: ReactiveId
     latched: bool = False
-    reads_events: bool = field(init=False)
+    test: Predicate | None = field(default=None, repr=False, compare=False)
+    reads_events: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.reads_events = cond_reads_events(self.cond)
+        if self.test is None:
+            self.test, self.reads_events = compile_cond(self.cond)
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
         return (self.child,)
 
     def remap(self, f: Remap) -> AwaitNode:
-        return AwaitNode(self.cond, f(self.child), self.latched)
+        return AwaitNode(self.cond, f(self.child), self.latched, self.test, self.reads_events)
 
     def step(self, env: Environment) -> Status:
         if not self.latched:
-            if not env._eval_cond(self.cond, self.reads_events):
+            if not env._eval_cond(self.test, self.reads_events):
                 return STOP
             self.latched = True
         return env.step(self.child)
@@ -338,10 +347,10 @@ class Environment:
             self._event_reads += 1
         action.run(self.world)
 
-    def _eval_cond(self, cond: Cond, reads_events: bool) -> bool:
+    def _eval_cond(self, test: Predicate, reads_events: bool) -> bool:
         if reads_events:
             self._event_reads += 1
-        return eval_cond(cond, self.world)
+        return test(self.world)
 
     def step(self, r: ReactiveId) -> Status:
         """Activate the expression r once and return the outcome.

@@ -2,16 +2,25 @@
 
 A World carries three kinds of state: boolean signals and integer payloads
 that exist for a single instant, integer cells that persist across instants,
-and the ordered output buffer of the current instant. Conditions and integer
-expressions are pure trees; actions are the only way to mutate the world.
-Unset cells and payloads read as 0, so evaluation is total.
+and the ordered output buffer of the current instant. Unset cells and
+payloads read as 0, so evaluation is total.
+
+Conditions, integer expressions and actions are frozen trees, and each is
+compiled once, by one walk, into Python closures that take the world:
+compile_cond when the kernel builds the rif or await node that tests it,
+compile_int inside those and inside actions, and an action when
+build_action makes its HostAction. A print template is split into text and
+fields at that point too. Conditions and integer expressions only read the
+world; actions are the only way to mutate it.
 """
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Union
+from weakref import WeakValueDictionary
 
 from .core import Abort, IntegerTooLarge
 
@@ -146,104 +155,74 @@ def _printable(value: int, op: str) -> int:
     return value
 
 
-def eval_int(expr: IntExpr, world: World) -> int:
-    """Evaluate an integer expression; an arithmetic result too long to
-    print raises IntegerTooLarge, so cells cannot grow without bound."""
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
+
+
+def compile_int(expr: IntExpr) -> tuple[Callable[[World], int], bool]:
+    """Compile an integer expression into ``(run, reads_events)``: run(world)
+    evaluates it, and reads_events tells whether it reads this instant's
+    payloads. An arithmetic result too long to print raises
+    IntegerTooLarge, so cells cannot grow without bound."""
     match expr:
         case IntConst(value=v):
-            return v
+            return (lambda world: v), False
         case CellRef(name=name):
-            return world.cells.get(name, 0)
+            return (lambda world: world.cells.get(name, 0)), False
         case ValueRef(name=name):
-            return world.instant_values.get(name, 0)
+            return (lambda world: world.instant_values.get(name, 0)), True
         case BinOp(op=op, left=left, right=right):
-            a = eval_int(left, world)
-            b = eval_int(right, world)
-            if op == "+":
-                return _printable(a + b, op)
-            if op == "-":
-                return _printable(a - b, op)
-            if op == "*":
-                return _printable(a * b, op)
-            raise ValueError(f"unknown integer operator {op!r}")
+            fn = _ARITHMETIC.get(op)
+            if fn is None:
+                raise ValueError(f"unknown integer operator {op!r}")
+            (a, a_reads), (b, b_reads) = compile_int(left), compile_int(right)
+            return (lambda world: _printable(fn(a(world), b(world)), op)), a_reads or b_reads
         case Negate(item=item):
-            return -eval_int(item, world)
+            a, reads = compile_int(item)
+            return (lambda world: -a(world)), reads
     raise TypeError(f"not an integer expression: {expr!r}")
 
 
-def eval_cond(cond: Cond, world: World) -> bool:
+def compile_cond(cond: Cond) -> tuple[Callable[[World], bool], bool]:
+    """Compile a condition into ``(run, reads_events)``, as compile_int
+    does; reads_events is also true when it reads a signal."""
     match cond:
         case Sig(name=name):
-            return world.signals.get(name, False)
+            return (lambda world: world.signals.get(name, False)), True
         case BoolConst(value=v):
-            return v
+            return (lambda world: v), False
         case Not(item=item):
-            return not eval_cond(item, world)
+            a, reads = compile_cond(item)
+            return (lambda world: not a(world)), reads
         case And(left=left, right=right):
-            return eval_cond(left, world) and eval_cond(right, world)
+            (a, a_reads), (b, b_reads) = compile_cond(left), compile_cond(right)
+            return (lambda world: a(world) and b(world)), a_reads or b_reads
         case Or(left=left, right=right):
-            return eval_cond(left, world) or eval_cond(right, world)
+            (a, a_reads), (b, b_reads) = compile_cond(left), compile_cond(right)
+            return (lambda world: a(world) or b(world)), a_reads or b_reads
         case Compare(op=op, left=left, right=right):
-            a = eval_int(left, world)
-            b = eval_int(right, world)
-            if op == "=":
-                return a == b
-            if op == "<":
-                return a < b
-            if op == "<=":
-                return a <= b
-            raise ValueError(f"unknown comparison {op!r}")
+            fn = _COMPARISONS.get(op)
+            if fn is None:
+                raise ValueError(f"unknown comparison {op!r}")
+            (a, a_reads), (b, b_reads) = compile_int(left), compile_int(right)
+            return (lambda world: fn(a(world), b(world))), a_reads or b_reads
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def int_reads_events(expr: IntExpr) -> bool:
-    """True if evaluating ``expr`` touches this instant's event state."""
-    match expr:
-        case ValueRef():
-            return True
-        case BinOp(left=left, right=right):
-            return int_reads_events(left) or int_reads_events(right)
-        case Negate(item=item):
-            return int_reads_events(item)
-    return False
+def eval_int(expr: IntExpr, world: World) -> int:
+    """Compile expr and evaluate it once."""
+    return compile_int(expr)[0](world)
 
 
-def cond_reads_events(cond: Cond) -> bool:
-    match cond:
-        case Sig():
-            return True
-        case Not(item=item):
-            return cond_reads_events(item)
-        case And(left=left, right=right) | Or(left=left, right=right):
-            return cond_reads_events(left) or cond_reads_events(right)
-        case Compare(left=left, right=right):
-            return int_reads_events(left) or int_reads_events(right)
-    return False
+def eval_cond(cond: Cond, world: World) -> bool:
+    """Compile cond and evaluate it once."""
+    return compile_cond(cond)[0](world)
 
 
 # --------------------------------------------------------------------------
 # Actions
 
 _FIELD_RE = re.compile(r"\{(cell|value):([A-Za-z_][A-Za-z0-9_]*)\}")
-
-
-def render_template(template: str, world: World) -> str:
-    """Interpolate {cell:name} and {value:name} as decimal integers."""
-
-    def replace(m: re.Match[str]) -> str:
-        kind, name = m.group(1), m.group(2)
-        store = world.cells if kind == "cell" else world.instant_values
-        try:
-            return str(store.get(name, 0))
-        except ValueError:
-            # The host caps int-to-str conversion (sys.get_int_max_str_digits).
-            raise IntegerTooLarge(f"{kind} {name}") from None
-
-    return _FIELD_RE.sub(replace, template)
-
-
-def template_reads_events(template: str) -> bool:
-    return any(m.group(1) == "value" for m in _FIELD_RE.finditer(template))
 
 
 @dataclass(frozen=True)
@@ -283,35 +262,76 @@ class HostAction:
     reads_events: bool = False
 
 
-def action_reads_events(spec: ActionSpec) -> bool:
-    match spec:
-        case Print(template=template):
-            return template_reads_events(template)
-        case SetCell(value=value):
-            return int_reads_events(value)
-        case ActionSeq(items=items):
-            return any(action_reads_events(item) for item in items)
-    return False
+def _compile_field(kind: str, name: str) -> Callable[[World], str]:
+    value, _ = compile_int(CellRef(name) if kind == "cell" else ValueRef(name))
+
+    def run(world: World) -> str:
+        try:
+            return str(value(world))
+        except ValueError:
+            # The host caps int-to-str conversion (sys.get_int_max_str_digits).
+            raise IntegerTooLarge(f"{kind} {name}") from None
+
+    return run
 
 
-def _run_spec(spec: ActionSpec, world: World) -> None:
+def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
+    # Split once: [text, kind, name, text, ..., text]. The texts become a
+    # %-format with one %s per {cell:name} or {value:name} field.
+    parts = _FIELD_RE.split(template)
+    if len(parts) == 1:
+        return (lambda world: world.output.append(template)), False
+    fmt = "%s".join(text.replace("%", "%%") for text in parts[::3])
+    fields = tuple(map(_compile_field, parts[1::3], parts[2::3]))
+
+    def run(world: World) -> None:
+        world.output.append(fmt % tuple([get(world) for get in fields]))
+
+    return run, "value" in parts[1::3]
+
+
+def _compile_action(spec: ActionSpec) -> tuple[Callable[[World], None], bool]:
     match spec:
         case Print(template=template):
-            world.emit(render_template(template, world))
+            return _compile_print(template)
         case SetCell(name=name, value=value):
-            world.cells[name] = eval_int(value, world)
+            run_value, reads = compile_int(value)
+
+            def set_cell(world: World) -> None:
+                world.cells[name] = run_value(world)
+
+            return set_cell, reads
         case RaiseTag(tag=tag):
-            raise Abort(tag)
+
+            def raise_tag(world: World) -> None:
+                raise Abort(tag)
+
+            return raise_tag, False
         case ActionSeq(items=items):
-            for item in items:
-                _run_spec(item, world)
-        case _:
-            raise TypeError(f"not an action: {spec!r}")
+            compiled = [_compile_action(item) for item in items]
+            runs = tuple(run for run, _ in compiled)
+
+            def run_all(world: World) -> None:
+                for run in runs:
+                    run(world)
+
+            return run_all, any(reads for _, reads in compiled)
+    raise TypeError(f"not an action: {spec!r}")
+
+
+# Specs are frozen and compiled actions keep no state, so identical specs
+# share one HostAction for as long as some program holds it.
+_compiled_actions: WeakValueDictionary[ActionSpec, HostAction] = WeakValueDictionary()
 
 
 def build_action(spec: ActionSpec) -> HostAction:
     """Compile a declarative action tree into an executable HostAction."""
-    return HostAction(
-        run=lambda world: _run_spec(spec, world),
-        reads_events=action_reads_events(spec),
-    )
+    try:
+        action = _compiled_actions.get(spec)
+    except RecursionError:
+        # Hashing a spec recurses about twice as deep as compiling it, so
+        # a spec too deep to hash is compiled unshared.
+        return HostAction(*_compile_action(spec))
+    if action is None:
+        action = _compiled_actions[spec] = HostAction(*_compile_action(spec))
+    return action

@@ -79,17 +79,27 @@ def gen_cond(rng: random.Random, depth: int):
     return Compare(rng.choice(("=", "<", "<=")), gen_int(rng, 1), gen_int(rng, 1))
 
 
+FIELDS = tuple("{cell:%s}" % name for name in CELLS) + tuple("{value:%s}" % name for name in VALUES)
+# Text that resembles a field, or a format directive, and prints literally
+# (the doubled braces print the field inside them between braces).
+NEAR_MISSES = ("{cell:}", "{x:a}", "{{cell:a}}", "{cell:a", "100%", "%s")
+
+
 def gen_template(rng: random.Random) -> str:
+    """Text, fields, repeated fields and near-misses, glued together or
+    spaced; some templates have no field at all."""
     parts = []
-    for _ in range(rng.randint(1, 2)):
+    for _ in range(rng.randint(1, 3)):
         roll = rng.random()
-        if roll < 0.50:
+        if roll < 0.35:
             parts.append(rng.choice(TEXTS))
-        elif roll < 0.75:
-            parts.append("{cell:%s}" % rng.choice(CELLS))
+        elif roll < 0.70:
+            parts.append(rng.choice(FIELDS))
+        elif roll < 0.85 and parts:
+            parts.append(rng.choice(parts))
         else:
-            parts.append("{value:%s}" % rng.choice(VALUES))
-    return " ".join(parts)
+            parts.append(rng.choice(NEAR_MISSES))
+    return rng.choice(("", " ")).join(parts)
 
 
 def gen_action(rng: random.Random, depth: int, allow_raise: bool = True):

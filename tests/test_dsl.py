@@ -1,6 +1,9 @@
 """Surface language: parsing, rendering, compiling, trace files."""
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from instants import Environment, parse_program, parse_trace, render
@@ -18,6 +21,7 @@ from instants.dsl import (
     UnknownForm,
     compile_expr,
 )
+from instants.program import ATOM
 from instants.world import InstantEvents
 
 from helpers import react_once
@@ -112,6 +116,21 @@ def test_compile_nothing_reacts_true():
     env = Environment()
     root = compile_expr(parse_program("(nothing)"), env)
     assert react_once(env, root) == ([], True)
+
+
+def test_identical_actions_share_one_compiled_action():
+    env = Environment()
+    src = '(rexp (seq (print "shared x") (stop) (print "shared x") (print "other x")))'
+    root = compile_expr(parse_program(src), env)
+    first, second, other = [arg for op, arg in env.nodes[root].resumption.ops if op == ATOM]
+    assert first is second and first is not other
+    assert react_once(env, root) == (["shared x"], False)
+    assert react_once(env, root) == (["shared x", "other x"], True)
+    # The shared action lives only as long as a program holds it.
+    action = weakref.ref(first)
+    del env, root, first, second, other
+    gc.collect()
+    assert action() is None
 
 
 def test_negative_repeat_count_rejected_at_compile():

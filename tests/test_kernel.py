@@ -352,6 +352,17 @@ def test_dup_after_partial_run_copies_resumption():
     assert react_once(env, copy) == (["SECOND"], True)
 
 
+def test_dup_shares_compiled_conditions():
+    env = Environment()
+    r = terminate(env, Sig("cut"), await_(env, Sig("go"), nothing(env)))
+    rif = env.nodes[r]
+    copy = env.nodes[env.dup(r)]
+    # The copies test the same compiled predicates; nothing is compiled again.
+    assert copy.test is rif.test and copy.reads_events
+    assert env.nodes[copy.else_branch].test is env.nodes[rif.else_branch].test
+    assert react_once(env, env.dup(r), InstantEvents(frozenset({"go"}))) == ([], True)
+
+
 def test_dup_of_terminated_is_terminated():
     env = Environment()
     r = nothing(env)

@@ -30,14 +30,7 @@ from instants import (
     eval_int,
     parse_program,
 )
-from instants.world import (
-    ActionSeq,
-    InstantEvents,
-    action_reads_events,
-    cond_reads_events,
-    int_reads_events,
-    render_template,
-)
+from instants.world import ActionSeq, InstantEvents, compile_cond, compile_int
 
 from helpers import needs_print_limit, print_limit
 
@@ -110,12 +103,22 @@ def test_output_drained_once():
     assert world.drain_output() == []
 
 
+def render(template: str, world: World) -> str:
+    build_action(Print(template)).run(world)
+    return world.output.pop()
+
+
 def test_template_interpolation():
     world = World()
     world.cells["num"] = -4
     world.instant_values["d"] = 9
-    assert render_template("n={cell:num} d={value:d} u={cell:u}", world) == "n=-4 d=9 u=0"
-    assert render_template("plain {not:a:field}", world) == "plain {not:a:field}"
+    assert render("n={cell:num} d={value:d} u={cell:u}", world) == "n=-4 d=9 u=0"
+    assert render("plain {not:a:field}", world) == "plain {not:a:field}"
+    assert render("{cell:num}{value:d}", world) == "-49"
+    assert render("x{cell:num}y{cell:num}", world) == "x-4y-4"
+    assert render("{cell:} {x:num} {{cell:num}} {cell:num", world) == "{cell:} {x:num} {-4} {cell:num"
+    assert render("100% %s {cell:num}%d", world) == "100% %s -4%d"
+    assert render("", world) == ""
 
 
 def test_actions_mutate_and_raise():
@@ -131,17 +134,42 @@ def test_actions_mutate_and_raise():
 
 
 def test_event_read_detection():
-    assert cond_reads_events(Sig("a"))
-    assert cond_reads_events(Not(And(BoolConst(True), Sig("b"))))
-    assert not cond_reads_events(Compare("=", CellRef("x"), IntConst(1)))
-    assert cond_reads_events(Compare("=", ValueRef("v"), IntConst(1)))
-    assert int_reads_events(BinOp("+", IntConst(1), ValueRef("v")))
-    assert not int_reads_events(Negate(CellRef("x")))
-    assert action_reads_events(Print("{value:v}"))
-    assert not action_reads_events(Print("{cell:x}"))
-    assert action_reads_events(ActionSeq((SetCell("x", ValueRef("v")),)))
+    assert compile_cond(Sig("a"))[1]
+    assert compile_cond(Not(And(BoolConst(True), Sig("b"))))[1]
+    assert not compile_cond(Compare("=", CellRef("x"), IntConst(1)))[1]
+    assert compile_cond(Compare("=", ValueRef("v"), IntConst(1)))[1]
+    assert compile_cond(Compare("<", IntConst(1), Negate(ValueRef("v"))))[1]
+    assert not compile_cond(Or(Not(BoolConst(False)), Compare("<=", CellRef("x"), IntConst(0))))[1]
+    assert compile_int(BinOp("+", IntConst(1), ValueRef("v")))[1]
+    assert not compile_int(Negate(CellRef("x")))[1]
+    assert compile_int(Negate(BinOp("*", CellRef("x"), ValueRef("v"))))[1]
     assert build_action(Print("{value:v}")).reads_events
+    assert not build_action(Print("{cell:x}")).reads_events
+    assert not build_action(Print("{{value:}} value")).reads_events
+    assert build_action(ActionSeq((SetCell("x", ValueRef("v")),))).reads_events
+    assert not build_action(ActionSeq((Print("a"), ActionSeq((SetCell("x", CellRef("v")),))))).reads_events
+    assert build_action(ActionSeq((Print("a"), ActionSeq((RaiseTag("T"), Print("{value:v}")))))).reads_events
 
+
+def test_an_action_too_deep_to_hash_still_compiles():
+    # Hashing this spec for sharing can overflow the stack; compiling and
+    # running it do not.
+    value = IntConst(5)
+    for _ in range(600):
+        value = Negate(value)
+    world = World()
+    build_action(SetCell("x", value)).run(world)
+    assert world.cells["x"] == 5
+
+
+def test_unknown_operators_raise_when_compiled():
+    # Nothing runs: the bad operator is rejected before any world exists.
+    with pytest.raises(ValueError, match="unknown integer operator '/'"):
+        build_action(ActionSeq((Print("a"), SetCell("x", BinOp("/", IntConst(1), IntConst(2))))))
+    with pytest.raises(ValueError, match="unknown comparison '>'"):
+        compile_cond(And(Sig("a"), Compare(">", IntConst(1), IntConst(2))))
+    with pytest.raises(TypeError, match="not an action"):
+        build_action(ActionSeq((Sig("a"),)))
 
 
 @needs_print_limit
@@ -177,3 +205,21 @@ def test_unprinted_squaring_cell_raises_before_it_outgrows_the_print_limit():
     # The last square stored is the last one that could still be printed.
     x = env.world.cells["x"]
     assert x < 10 ** print_limit() <= x * x
+
+
+@needs_print_limit
+def test_compiled_actions_raise_integer_too_large():
+    limit = print_limit()
+    world = World()
+    world.cells["big"] = 10**limit
+    world.instant_values["v"] = -(10**limit)
+    for template, name in (("n={cell:big}!", "cell big"), ("{cell:x}{value:v}", "value v")):
+        with pytest.raises(IntegerTooLarge, match=f"^{name} has too many digits to print$") as exc:
+            build_action(Print(template)).run(world)
+        assert exc.value.name == name
+    assert world.output == []
+    world.cells["x"] = 10 ** (limit // 2 + 1)
+    square = build_action(SetCell("x", BinOp("*", CellRef("x"), CellRef("x"))))
+    with pytest.raises(IntegerTooLarge, match=r"^result of \* has too many digits to print$"):
+        square.run(world)
+    assert world.cells["x"] == 10 ** (limit // 2 + 1)

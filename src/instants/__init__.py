@@ -5,6 +5,10 @@ time against an event world. Basic expressions are instruction trees with
 explicit stop/suspend control points; combinators compose them in parallel,
 conditionally, and in loops; preemption unwinds as tagged aborts caught by
 handlers. A small s-expression DSL and a CLI runner sit on top.
+
+The names imported here are the public API. Conditions, integer
+expressions, action specs and World live in instants.world, node classes in
+instants.kernel, and the keypad controller in instants.keypad.
 """
 
 from .combinators import (
@@ -25,13 +29,11 @@ from .core import (
     Abort,
     END,
     InstantaneousLoop,
-    InstantRecord,
     InstantTrace,
     IntegerTooLarge,
     Limits,
     MicroStepLimitExceeded,
     ReactiveError,
-    ReactiveId,
     Status,
     STOP,
     SUSP,
@@ -40,107 +42,5 @@ from .core import (
 )
 from .dsl import compile_expr, parse_program, parse_trace, render
 from .kernel import Environment
-from .keypad import KeypadSpec, mk_controller
-from .program import (
-    Activate,
-    Atom,
-    Handle,
-    Program,
-    Raise,
-    Seq,
-    Stop,
-    Suspend,
-    seq,
-)
-from .world import (
-    And,
-    BinOp,
-    BoolConst,
-    CellRef,
-    Compare,
-    Cond,
-    HostAction,
-    InstantEvents,
-    IntConst,
-    IntExpr,
-    Negate,
-    Not,
-    Or,
-    Print,
-    RaiseTag,
-    SetCell,
-    Sig,
-    ValueRef,
-    World,
-    build_action,
-    eval_cond,
-    eval_int,
-)
-
-__all__ = [
-    "Abort",
-    "Activate",
-    "And",
-    "Atom",
-    "BinOp",
-    "BoolConst",
-    "CellRef",
-    "Compare",
-    "Cond",
-    "END",
-    "Environment",
-    "Handle",
-    "HostAction",
-    "InstantEvents",
-    "InstantRecord",
-    "InstantTrace",
-    "InstantaneousLoop",
-    "IntConst",
-    "IntegerTooLarge",
-    "IntExpr",
-    "KeypadSpec",
-    "Limits",
-    "MicroStepLimitExceeded",
-    "Negate",
-    "Not",
-    "Or",
-    "Print",
-    "Program",
-    "Raise",
-    "RaiseTag",
-    "ReactiveError",
-    "ReactiveId",
-    "Seq",
-    "SetCell",
-    "Sig",
-    "Status",
-    "STOP",
-    "Stop",
-    "SUSP",
-    "Suspend",
-    "UncaughtAbort",
-    "ValueRef",
-    "World",
-    "await_",
-    "build_action",
-    "close",
-    "compile_expr",
-    "eval_cond",
-    "eval_int",
-    "halt",
-    "init",
-    "loop",
-    "merge",
-    "mk_controller",
-    "nothing",
-    "parse_program",
-    "parse_trace",
-    "render",
-    "repeat",
-    "rexp",
-    "rif",
-    "seq",
-    "star",
-    "terminate",
-    "when",
-]
+from .program import Activate, Atom, Handle, Raise, Seq, Stop, Suspend, seq
+from .world import HostAction, InstantEvents, Print, build_action

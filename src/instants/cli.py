@@ -1,8 +1,9 @@
 """Command-line runner: load a program and a trace, execute instants.
 
 Exit codes: 0 the program terminated, 3 still alive when the run stopped,
-4 the program or trace failed to parse or compile (including programs
-nested too deeply for the host's recursion limit), 5 a runtime failure
+4 the program or trace could not be read as UTF-8 text, or failed to parse
+or compile (including programs nested too deeply for the host's recursion
+limit), 5 a runtime failure
 (uncaught abort, micro-step limit, instantaneous loop, an integer too large
 to print, or an activation nested too deeply, labelled RecursionError).
 """
@@ -42,6 +43,13 @@ class RunConfig:
             raise ValueError(f"unknown format {self.format!r}")
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as error:
+        raise ParseError(f"{path}: {error}") from None
+
+
 def run(config: RunConfig) -> tuple[InstantTrace, int]:
     """Parse, compile, and react instant by instant.
 
@@ -58,9 +66,9 @@ def run(config: RunConfig) -> tuple[InstantTrace, int]:
     )
     events = None
     try:
-        ast = parse_program(Path(config.program_path).read_text(encoding="utf-8"))
+        ast = parse_program(_read(config.program_path))
         if config.trace_path is not None:
-            events = parse_trace(Path(config.trace_path).read_text(encoding="utf-8"))
+            events = parse_trace(_read(config.trace_path))
         root = compile_expr(ast, env)
     except RecursionError:
         raise CompileError("program is nested too deeply to compile") from None

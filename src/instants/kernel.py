@@ -359,10 +359,11 @@ class Environment:
         propagated and nothing changes. An abort unwinding through r marks
         it END before re-raising.
         """
-        if r not in self.nodes:
-            raise ValueError(f"unknown reactive id {r}")
-        if self.statuses[r] is END:
-            return END
+        try:
+            if self.statuses[r] is END:
+                return END
+        except KeyError:
+            raise ValueError(f"unknown reactive id {r}") from None
         try:
             status = self.nodes[r].step(self)
         except Abort:

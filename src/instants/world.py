@@ -56,9 +56,6 @@ class World:
                 self.signals[name] = True
                 self.instant_values[name] = value
 
-    def emit(self, text: str) -> None:
-        self.output.append(text)
-
     def drain_output(self) -> list[str]:
         """Hand over everything emitted this instant, in emission order."""
         drained = list(self.output)
@@ -209,13 +206,11 @@ def compile_cond(cond: Cond) -> tuple[Callable[[World], bool], bool]:
     raise TypeError(f"not a condition: {cond!r}")
 
 
-def eval_int(expr: IntExpr, world: World) -> int:
-    """Compile expr and evaluate it once."""
-    return compile_int(expr)[0](world)
-
-
 def eval_cond(cond: Cond, world: World) -> bool:
-    """Compile cond and evaluate it once."""
+    """Compile cond and evaluate it once.
+
+    Nothing in the package calls it; bench/tracer.py wraps it by name.
+    """
     return compile_cond(cond)[0](world)
 
 

@@ -10,7 +10,6 @@ from instants import (
     END,
     Environment,
     Handle,
-    KeypadSpec,
     Print,
     Raise,
     Seq,
@@ -23,12 +22,12 @@ from instants import (
     close,
     loop,
     merge,
-    mk_controller,
     rexp,
     seq,
     star,
 )
 from instants.cli import EXIT_RUNTIME_ERROR, main
+from instants.keypad import KeypadSpec, mk_controller
 from instants.world import InstantEvents
 
 from genprog import gen_case

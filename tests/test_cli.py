@@ -248,3 +248,17 @@ def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):
     program = write(tmp_path, "v.rx", "(nothing)")
     assert main(["--program", program, "--trace", trace_file]) == EXIT_INPUT_ERROR
     assert "too many digits" in capsys.readouterr().err
+
+
+def test_undecodable_files_are_input_errors(tmp_path, capsys):
+    bad_program = tmp_path / "bad.rx"
+    bad_program.write_bytes(b"\xff(nothing)")
+    assert main(["--program", str(bad_program)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"instants: {bad_program}: " in err and "Traceback" not in err
+    bad_trace = tmp_path / "bad.trace"
+    bad_trace.write_bytes(b"\xffsig\n")
+    program = write(tmp_path, "ok.rx", "(nothing)")
+    assert main(["--program", program, "--trace", str(bad_trace)]) == EXIT_INPUT_ERROR
+    err = capsys.readouterr().err
+    assert f"instants: {bad_trace}: " in err and "Traceback" not in err

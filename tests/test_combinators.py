@@ -5,12 +5,10 @@ import pytest
 
 from instants import (
     Atom,
-    BoolConst,
     Environment,
     HostAction,
     Print,
     STOP,
-    Sig,
     Stop,
     Suspend,
     await_,
@@ -28,7 +26,7 @@ from instants import (
     terminate,
     when,
 )
-from instants.world import InstantEvents
+from instants.world import BoolConst, InstantEvents, Sig
 
 from helpers import react_once, run_instants
 

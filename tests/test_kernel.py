@@ -18,7 +18,6 @@ from instants import (
     Print,
     Raise,
     Seq,
-    Sig,
     STOP,
     Status,
     Stop,
@@ -43,7 +42,7 @@ from instants import (
 )
 from instants.kernel import BasicNode, MergeNode
 from instants.program import initial_resumption
-from instants.world import InstantEvents
+from instants.world import InstantEvents, Sig
 
 from helpers import react_once
 
@@ -460,8 +459,8 @@ def test_node_and_status_stores_stay_aligned():
 
 
 def test_loop_defers_restart_after_body_observed_events():
-    from instants import Sig, terminate
-    from instants.world import InstantEvents
+    from instants import terminate
+    from instants.world import InstantEvents, Sig
 
     env = Environment()
     l = loop(env, terminate(env, Sig("x"), halt(env)))
@@ -475,8 +474,8 @@ def test_loop_defers_restart_after_body_observed_events():
 
 
 def test_loop_over_event_reading_body_samples_once_per_instant():
-    from instants import SetCell, ValueRef, build_action
-    from instants.world import InstantEvents
+    from instants import build_action
+    from instants.world import InstantEvents, SetCell, ValueRef
 
     env = Environment()
     body = rexp(env, seq(Atom(build_action(SetCell("x", ValueRef("v"))))))

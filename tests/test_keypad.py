@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from instants import Environment, KeypadSpec, STOP, mk_controller, parse_program, parse_trace
+from instants import Environment, STOP, parse_program, parse_trace
 from instants.dsl import compile_expr
+from instants.keypad import KeypadSpec, mk_controller
 from instants.world import InstantEvents
 
 from helpers import run_instants

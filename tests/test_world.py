@@ -7,30 +7,34 @@ import pytest
 
 from instants import (
     Abort,
+    Environment,
+    IntegerTooLarge,
+    Print,
+    build_action,
+    compile_expr,
+    parse_program,
+)
+from instants.world import (
+    ActionSeq,
     And,
     BinOp,
     BoolConst,
     CellRef,
     Compare,
-    Environment,
+    InstantEvents,
     IntConst,
-    IntegerTooLarge,
     Negate,
     Not,
     Or,
-    Print,
     RaiseTag,
     SetCell,
     Sig,
     ValueRef,
     World,
-    build_action,
-    compile_expr,
+    compile_cond,
+    compile_int,
     eval_cond,
-    eval_int,
-    parse_program,
 )
-from instants.world import ActionSeq, InstantEvents, compile_cond, compile_int
 
 from helpers import needs_print_limit, print_limit
 
@@ -40,13 +44,13 @@ def test_accumulator_arithmetic():
     world.cells["num"] = 12
     world.instant_values["digit"] = 3
     expr = BinOp("+", BinOp("*", CellRef("num"), IntConst(10)), ValueRef("digit"))
-    assert eval_int(expr, world) == 123
+    assert compile_int(expr)[0](world) == 123
 
 
 def test_unset_names_read_zero():
     world = World()
-    assert eval_int(CellRef("unset"), world) == 0
-    assert eval_int(ValueRef("unset"), world) == 0
+    assert compile_int(CellRef("unset"))[0](world) == 0
+    assert compile_int(ValueRef("unset"))[0](world) == 0
 
 
 def test_not_of_absent_signal_is_true():
@@ -72,7 +76,7 @@ def test_evaluation_is_pure():
     world.output.append("kept")
     snapshot = copy.deepcopy(world)
     eval_cond(And(Sig("a"), Compare("=", CellRef("x"), ValueRef("v"))), world)
-    eval_int(Negate(BinOp("-", CellRef("x"), ValueRef("v"))), world)
+    compile_int(Negate(BinOp("-", CellRef("x"), ValueRef("v"))))[0](world)
     assert world == snapshot
 
 
@@ -97,8 +101,8 @@ def test_signal_ephemerality():
 
 def test_output_drained_once():
     world = World()
-    world.emit("a")
-    world.emit("b")
+    world.output.append("a")
+    world.output.append("b")
     assert world.drain_output() == ["a", "b"]
     assert world.drain_output() == []
 
@@ -177,15 +181,15 @@ def test_arithmetic_results_stop_at_the_print_limit():
     limit = print_limit()
     largest = 10**limit - 1
     world = World()
-    assert eval_int(BinOp("+", IntConst(largest - 1), IntConst(1)), world) == largest
-    assert eval_int(BinOp("-", IntConst(-largest + 1), IntConst(1)), world) == -largest
+    assert compile_int(BinOp("+", IntConst(largest - 1), IntConst(1)))[0](world) == largest
+    assert compile_int(BinOp("-", IntConst(-largest + 1), IntConst(1)))[0](world) == -largest
     for expr in (
         BinOp("+", IntConst(largest), IntConst(1)),
         BinOp("-", IntConst(-largest), IntConst(1)),
         BinOp("*", IntConst(10**limit // 2), IntConst(2)),
     ):
         with pytest.raises(IntegerTooLarge):
-            eval_int(expr, world)
+            compile_int(expr)[0](world)
     with pytest.raises(IntegerTooLarge):
         eval_cond(Compare("<", BinOp("*", IntConst(largest), IntConst(largest)), IntConst(0)), world)
 

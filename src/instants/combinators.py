@@ -9,7 +9,6 @@ from __future__ import annotations
 from .core import ReactiveId
 from .kernel import (
     AwaitNode,
-    BasicNode,
     CloseNode,
     Environment,
     InitNode,
@@ -18,12 +17,12 @@ from .kernel import (
     RifNode,
 )
 from .program import EMPTY_PROGRAM, Program, Seq, Stop, initial_resumption
-from .world import Cond, HostAction
+from .world import Cond, HostAction, compile_cond
 
 
 def rexp(env: Environment, program: Program) -> ReactiveId:
     """A basic reactive expression running the given instruction tree."""
-    return env.alloc(BasicNode(initial_resumption(program)))
+    return env.alloc(initial_resumption(program))
 
 
 def merge(env: Environment, *children: ReactiveId) -> ReactiveId:
@@ -40,8 +39,9 @@ def merge(env: Environment, *children: ReactiveId) -> ReactiveId:
 
 
 def rif(env: Environment, cond: Cond, then_branch: ReactiveId, else_branch: ReactiveId) -> ReactiveId:
-    """Conditional activation; the condition is re-evaluated every instant."""
-    return env.alloc(RifNode(cond, then_branch, else_branch))
+    """Conditional activation; the condition is compiled once, here, and
+    re-evaluated every instant."""
+    return env.alloc(RifNode(*compile_cond(cond), then_branch, else_branch))
 
 
 def close(env: Environment, child: ReactiveId) -> ReactiveId:
@@ -92,7 +92,7 @@ def await_(env: Environment, cond: Cond, child: ReactiveId) -> ReactiveId:
     The condition is checked once per instant until it holds and never
     again afterwards.
     """
-    return env.alloc(AwaitNode(cond, child))
+    return env.alloc(AwaitNode(*compile_cond(cond), child))
 
 
 def when(env: Environment, cond: Cond, child: ReactiveId) -> ReactiveId:

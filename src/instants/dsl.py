@@ -9,10 +9,16 @@ The grammar is the table ``_FORMS``. For each kind of form (reactive
 expression, program form, action, condition, integer expression) it has
 one row per head: the AST class the form builds and the kind of each
 argument. ``_build`` parses every form from those rows and ``render``
-prints every AST node back from them. Integer literals and ``true`` and
-``false`` are the only atoms that are forms. ``(par E ...)`` is the one
-form outside the table: it parses to a right fold of binary merges, and
-compilation flattens any chain of nested merges into one n-ary merge node.
+prints every AST node back from them. Program forms build the engine's
+own classes: ``seq``, ``stop``, ``suspend`` and ``raise`` build
+program.Seq, Stop, Suspend and Raise, and ``print`` and ``set`` build the
+action specs world.Print and SetCell. Only two program forms have classes
+here: ActivateStmt holds an expression's AST, not an id, and HandleStmt
+takes its arguments in syntax order (tag, body, handler), not Handle's.
+Integer literals and ``true`` and ``false`` are the only atoms that are
+forms. ``(par E ...)`` is the one form outside the table: it parses to a
+right fold of binary merges, and compilation flattens any chain of nested
+merges into one n-ary merge node.
 Print templates interpolate ``{cell:name}`` and ``{value:name}`` as
 decimal integers. The README lists every form.
 
@@ -51,7 +57,6 @@ from .world import (
     Cond,
     InstantEvents,
     IntConst,
-    IntExpr,
     Negate,
     Not,
     Or,
@@ -181,39 +186,8 @@ ExprAst = Union[
 
 
 @dataclass(frozen=True)
-class SeqStmt:
-    items: tuple["ProgStmt", ...]
-
-
-@dataclass(frozen=True)
-class PrintStmt:
-    template: str
-
-
-@dataclass(frozen=True)
-class SetStmt:
-    name: str
-    value: IntExpr
-
-
-@dataclass(frozen=True)
-class StopStmt:
-    pass
-
-
-@dataclass(frozen=True)
-class SuspendStmt:
-    pass
-
-
-@dataclass(frozen=True)
 class ActivateStmt:
     expr: ExprAst
-
-
-@dataclass(frozen=True)
-class RaiseStmt:
-    tag: str
 
 
 @dataclass(frozen=True)
@@ -223,7 +197,7 @@ class HandleStmt:
     handler: "ProgStmt"
 
 
-ProgStmt = Union[SeqStmt, PrintStmt, SetStmt, StopStmt, SuspendStmt, ActivateStmt, RaiseStmt, HandleStmt]
+ProgStmt = Union[Seq, Print, SetCell, Stop, Suspend, ActivateStmt, Raise, HandleStmt]
 
 
 # --------------------------------------------------------------------------
@@ -355,13 +329,13 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
         "nothing": (NothingExpr,),
     }),
     "program": ("a program form", {
-        "seq": (SeqStmt, "program*"),
-        "print": (PrintStmt, "str"),
-        "set": (SetStmt, "name:cell", "integer"),
-        "stop": (StopStmt,),
-        "suspend": (SuspendStmt,),
+        "seq": (Seq, "program*"),
+        "print": (Print, "str"),
+        "set": (SetCell, "name:cell", "integer"),
+        "stop": (Stop,),
+        "suspend": (Suspend,),
         "activate": (ActivateStmt, "expression"),
-        "raise": (RaiseStmt, "name:tag"),
+        "raise": (Raise, "name:tag"),
         "handle": (HandleStmt, "name:tag", "program", "program"),
     }),
     "action": ("an action", {
@@ -509,22 +483,16 @@ def render(ast: object) -> str:
 
 def _compile_prog(stmt: ProgStmt, env: Environment) -> Program:
     match stmt:
-        case SeqStmt(items=items):
+        case Seq(items=items):
             return Seq(tuple(_compile_prog(item, env) for item in items))
-        case PrintStmt(template=template):
-            return Atom(build_action(Print(template)))
-        case SetStmt(name=name, value=value):
-            return Atom(build_action(SetCell(name, value)))
-        case StopStmt():
-            return Stop()
-        case SuspendStmt():
-            return Suspend()
+        case Print() | SetCell():
+            return Atom(build_action(stmt))
+        case Stop() | Suspend() | Raise():
+            return stmt
         case ActivateStmt(expr=expr):
             # Inline sub-expressions are compiled before the enclosing
             # program runs.
             return Activate(compile_expr(expr, env))
-        case RaiseStmt(tag=tag):
-            return Raise(tag)
         case HandleStmt(tag=tag, body=body, handler=handler):
             return Handle(_compile_prog(body, env), tag, _compile_prog(handler, env))
     raise TypeError(f"not a program form: {stmt!r}")
@@ -580,26 +548,30 @@ def parse_trace(text: str) -> list[InstantEvents]:
     """Parse a trace file into one InstantEvents per instant."""
     instants = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if stripped.startswith(";"):
+        raw, semicolon, _ = raw.partition(";")
+        if semicolon and not raw.strip():
             continue  # comment-only lines do not count as instants
-        if ";" in raw:
-            raw = raw[: raw.index(";")]
         signals: set[str] = set()
         values: dict[str, int] = {}
-        for token in raw.split():
-            if "=" in token:
-                name, _, literal = token.partition("=")
-                if not _NAME_RE.match(name):
-                    raise ParseError(f"bad signal name {name!r}", lineno, 1)
-                if not _INT_RE.match(literal):
-                    raise ParseError(f"bad integer value {literal!r} for {name!r}", lineno, 1)
-                if name in values:
-                    raise DuplicateAssignment(f"signal {name!r} assigned twice in one instant", lineno, 1)
-                values[name] = _to_int(literal, lineno, 1)
-            else:
-                if not _NAME_RE.match(token):
-                    raise ParseError(f"bad signal name {token!r}", lineno, 1)
-                signals.add(token)
+        try:
+            for index, token in enumerate(raw.split()):
+                if "=" in token:
+                    name, _, literal = token.partition("=")
+                    if not _NAME_RE.match(name):
+                        raise ParseError(f"bad signal name {name!r}")
+                    if not _INT_RE.match(literal):
+                        raise ParseError(f"bad integer value {literal!r} for {name!r}")
+                    if name in values:
+                        raise DuplicateAssignment(f"signal {name!r} assigned twice in one instant")
+                    values[name] = _to_int(literal, 0, 0)
+                else:
+                    if not _NAME_RE.match(token):
+                        raise ParseError(f"bad signal name {token!r}")
+                    signals.add(token)
+        except ParseError as error:
+            # The errors above carry no position: the failing token's
+            # column is worked out here, so valid lines never pay for it.
+            col = [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
+            raise type(error)(str(error), lineno, col) from None
         instants.append(InstantEvents(frozenset(signals), values))
     return instants

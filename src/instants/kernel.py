@@ -16,22 +16,24 @@ Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
 handler catches the abort instead and keeps running.
 
+The basic kind, BasicNode, lives in program.py with the flat code it runs,
+and is re-imported here; the other kinds are defined below.
+
 A loop records its body's whole region when it is built: the status of
-every node reachable from the body, each basic expression's pc, armed
-handlers and Activate targets, and the latch or count of every await and
-nested loop. A restart restores that snapshot in place, so the region
-keeps its ids and the node table stays the same size over a run. A body
-that terminated after reading this instant's events would see the same
-events again if it restarted now, so the restart waits for the next
-activation; bodies that read nothing restart in place, which is also where
-instantaneous-loop divergence is caught.
+every node reachable from the body, a copy of each basic expression at its
+pc, and the latch or count of every await and nested loop. A restart
+restores that snapshot in place, so the region keeps its ids and the node
+table stays the same size over a run. A body that terminated after reading
+this instant's events would see the same events again if it restarted now,
+so the restart waits for the next activation; bodies that read nothing
+restart in place, which is also where instantaneous-loop divergence is
+caught.
 """
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 from .core import (
@@ -50,8 +52,8 @@ from .core import (
     UncaughtAbort,
     star,
 )
-from .program import Resumption, run_resumption
-from .world import Cond, HostAction, InstantEvents, World, compile_cond
+from .program import BasicNode
+from .world import HostAction, InstantEvents, World
 
 Remap = Callable[[ReactiveId], ReactiveId]
 
@@ -64,33 +66,6 @@ class _Stateless:
 
     def load(self, state: None) -> None:
         pass
-
-
-@dataclass
-class BasicNode:
-    resumption: Resumption
-
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        res = self.resumption
-        ahead = len(res.target_pcs) - bisect_left(res.target_pcs, res.pc)
-        return res.targets[len(res.targets) - ahead:]
-
-    def remap(self, f: Remap) -> BasicNode:
-        res = self.resumption
-        return BasicNode(Resumption(res.ops, res.target_pcs, tuple(map(f, self.children)),
-                                    res.pc, res.handlers))
-
-    def step(self, env: Environment) -> Status:
-        return run_resumption(env, self.resumption)
-
-    def save(self) -> tuple:
-        res = self.resumption
-        return res.pc, res.handlers, self.children
-
-    def load(self, state: tuple) -> None:
-        res = self.resumption
-        res.pc, res.handlers, res.targets = state
 
 
 @dataclass
@@ -119,24 +94,18 @@ Predicate = Callable[[World], bool]
 
 @dataclass
 class RifNode(_Stateless):
-    cond: Cond
+    # The condition as compiled once by rif; copies share it.
+    test: Predicate
+    reads_events: bool
     then_branch: ReactiveId
     else_branch: ReactiveId
-    # The condition compiled once, when built; copies share it.
-    test: Predicate | None = field(default=None, repr=False, compare=False)
-    reads_events: bool = field(default=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.test is None:
-            self.test, self.reads_events = compile_cond(self.cond)
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
         return (self.then_branch, self.else_branch)
 
     def remap(self, f: Remap) -> RifNode:
-        return RifNode(self.cond, f(self.then_branch), f(self.else_branch),
-                       self.test, self.reads_events)
+        return RifNode(self.test, self.reads_events, f(self.then_branch), f(self.else_branch))
 
     def step(self, env: Environment) -> Status:
         # A suspended branch resumes without re-evaluating the condition;
@@ -186,11 +155,10 @@ class LoopNode:
     def remap(self, f: Remap) -> LoopNode:
         snapshot = []
         for rid, status, state in self.snapshot:
-            if isinstance(state, tuple):
-                # A basic expression's state. Its targets are those ahead of
-                # the snapshot's pc, which can be more than the node lists.
-                pc, handlers, targets = state
-                state = (pc, handlers, tuple(map(f, targets)))
+            if isinstance(state, BasicNode):
+                # A basic expression's copy at the snapshot's pc: its
+                # targets can be more than the live node still lists.
+                state = state.remap(f)
             snapshot.append((f(rid), status, state))
         return LoopNode(f(self.body), tuple(snapshot), self.remaining)
 
@@ -245,22 +213,18 @@ class InitNode(_Stateless):
 
 @dataclass
 class AwaitNode:
-    cond: Cond
+    # The condition as compiled once by await_; copies share it.
+    test: Predicate
+    reads_events: bool
     child: ReactiveId
     latched: bool = False
-    test: Predicate | None = field(default=None, repr=False, compare=False)
-    reads_events: bool = field(default=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.test is None:
-            self.test, self.reads_events = compile_cond(self.cond)
 
     @property
     def children(self) -> tuple[ReactiveId, ...]:
         return (self.child,)
 
     def remap(self, f: Remap) -> AwaitNode:
-        return AwaitNode(self.cond, f(self.child), self.latched, self.test, self.reads_events)
+        return AwaitNode(self.test, self.reads_events, f(self.child), self.latched)
 
     def step(self, env: Environment) -> Status:
         if not self.latched:

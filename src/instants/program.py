@@ -1,4 +1,5 @@
-"""Basic reactive expressions: instruction trees compiled to flat code.
+"""Basic reactive expressions: instruction trees compiled to flat code, and
+the node that runs it.
 
 A basic reactive expression is a finite instruction tree executed one
 activation at a time. Stop and Suspend are the control points that end an
@@ -27,13 +28,20 @@ handler. The expression's children are therefore the targets of the
 Activate instructions from pc on, a slice of the target list, which is
 sorted by pc.
 
-A resumption is the shared code plus the expression's own state: pc, the
-armed handlers as an immutable tuple, and the targets. Activate
-instructions count targets from the end of the tuple, so a copy keeps only
-the targets still ahead of pc.
+A BasicNode is the kernel's node for a basic expression, and this module
+is the only one that knows the code's layout. The node holds the shared
+code and the expression's own state: pc, the armed handlers as an
+immutable tuple, and the targets. Activate instructions count targets from
+the end of the tuple, so a copy keeps only the targets still ahead of pc,
+and so does the state a loop saves, which is such a copy.
+
+The DSL's program forms parse to Seq, Stop, Suspend and Raise directly,
+and its print and set forms to the action specs world.Print and SetCell,
+which compilation wraps in Atom.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -41,7 +49,7 @@ from .core import Abort, END, ReactiveId, Status, STOP, SUSP
 from .world import HostAction
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .kernel import Environment
+    from .kernel import Environment, Remap
 
 
 @dataclass(frozen=True)
@@ -97,7 +105,7 @@ Handlers = tuple[tuple[str, int], ...]
 
 
 @dataclass(slots=True)
-class Resumption:
+class BasicNode:
     ops: tuple[tuple[int, object], ...]
     target_pcs: tuple[int, ...]
     targets: tuple[ReactiveId, ...]
@@ -108,9 +116,28 @@ class Resumption:
     def done(self) -> bool:
         return self.pc >= len(self.ops)
 
+    @property
+    def children(self) -> tuple[ReactiveId, ...]:
+        ahead = len(self.target_pcs) - bisect_left(self.target_pcs, self.pc)
+        return self.targets[len(self.targets) - ahead:]
 
-def initial_resumption(program: Program) -> Resumption:
-    """Compile program to flat code, positioned at its first instruction."""
+    def remap(self, f: Remap) -> BasicNode:
+        return BasicNode(self.ops, self.target_pcs, tuple(map(f, self.children)),
+                         self.pc, self.handlers)
+
+    def step(self, env: Environment) -> Status:
+        return run_resumption(env, self)
+
+    def save(self) -> BasicNode:
+        return BasicNode(self.ops, self.target_pcs, self.children, self.pc, self.handlers)
+
+    def load(self, state: BasicNode) -> None:
+        self.pc, self.handlers, self.targets = state.pc, state.handlers, state.targets
+
+
+def initial_resumption(program: Program) -> BasicNode:
+    """Compile program to flat code in a node positioned at its first
+    instruction."""
     ops: list = []
     targets: list[ReactiveId] = []
     target_pcs: list[int] = []
@@ -148,7 +175,7 @@ def initial_resumption(program: Program) -> Resumption:
             ops[handler_pc - 1] = (POP, len(ops))
     for k, at in enumerate(target_pcs):
         ops[at] = (ACTIVATE, k - len(targets))
-    return Resumption(tuple(ops), tuple(target_pcs), tuple(targets))
+    return BasicNode(tuple(ops), tuple(target_pcs), tuple(targets))
 
 
 def _unwind(handlers: Handlers, tag: str) -> tuple[int, Handlers] | None:
@@ -161,18 +188,18 @@ def _unwind(handlers: Handlers, tag: str) -> tuple[int, Handlers] | None:
     return None
 
 
-def run_resumption(env: "Environment", res: Resumption) -> Status:
+def run_resumption(env: Environment, node: BasicNode) -> Status:
     """Execute one activation of a basic reactive expression.
 
     Runs instructions until the program is exhausted (END), a Stop or
     Suspend is executed, or an activated child pauses. An abort raised by
     an action, a Raise, or an activated child jumps to the innermost armed
     handler with the same tag and continues there within this activation;
-    with no matching handler the resumption is finished and the abort
+    with no matching handler the node is finished and the abort
     propagates to the caller.
     """
-    ops, targets = res.ops, res.targets
-    pc, handlers = res.pc, res.handlers
+    ops, targets = node.ops, node.targets
+    pc, handlers = node.pc, node.handlers
     end = len(ops)
     while True:
         try:
@@ -206,4 +233,4 @@ def run_resumption(env: "Environment", res: Resumption) -> Status:
                 raise
             pc, handlers = caught
         finally:
-            res.pc, res.handlers = pc, handlers
+            node.pc, node.handlers = pc, handlers

@@ -7,7 +7,7 @@ payloads read as 0, so evaluation is total.
 
 Conditions, integer expressions and actions are frozen trees, and each is
 compiled once, by one walk, into Python closures that take the world:
-compile_cond when the kernel builds the rif or await node that tests it,
+compile_cond when rif or await_ builds the node that tests it,
 compile_int inside those and inside actions, and an action when
 build_action makes its HostAction. A print template is split into text and
 fields at that point too. Conditions and integer expressions only read the

@@ -13,18 +13,13 @@ from instants.dsl import (
     LoopExpr,
     MergeExpr,
     NothingExpr,
-    PrintStmt,
-    RaiseStmt,
     RepeatExpr,
     RexpExpr,
     RifExpr,
-    SeqStmt,
-    SetStmt,
-    StopStmt,
-    SuspendStmt,
     TerminateExpr,
     WhenExpr,
 )
+from instants.program import Raise, Seq, Stop, Suspend
 from instants.world import (
     ActionSeq,
     And,
@@ -120,13 +115,13 @@ def gen_action(rng: random.Random, depth: int, allow_raise: bool = True):
 def gen_stmt(rng: random.Random, depth: int, allow_raise: bool = True):
     roll = rng.random()
     if roll < 0.22:
-        return PrintStmt(gen_template(rng))
+        return Print(gen_template(rng))
     if roll < 0.38:
-        return SetStmt(rng.choice(CELLS), gen_int(rng, 1))
+        return SetCell(rng.choice(CELLS), gen_int(rng, 1))
     if roll < 0.58:
-        return StopStmt()
+        return Stop()
     if roll < 0.66:
-        return SuspendStmt()
+        return Suspend()
     if roll < 0.78 and depth > 0:
         return ActivateStmt(gen_expr(rng, depth - 1, allow_raise))
     if roll < 0.88 and depth > 0:
@@ -136,12 +131,12 @@ def gen_stmt(rng: random.Random, depth: int, allow_raise: bool = True):
             gen_prog(rng, depth - 1, max_items=2, allow_raise=allow_raise),
         )
     if roll < 0.94 and allow_raise:
-        return RaiseStmt(rng.choice(TAGS))
-    return SeqStmt(tuple(gen_stmt(rng, 0, allow_raise) for _ in range(rng.randint(0, 2))))
+        return Raise(rng.choice(TAGS))
+    return Seq(tuple(gen_stmt(rng, 0, allow_raise) for _ in range(rng.randint(0, 2))))
 
 
 def gen_prog(rng: random.Random, depth: int, max_items: int = 8, allow_raise: bool = True):
-    return SeqStmt(tuple(gen_stmt(rng, depth, allow_raise) for _ in range(rng.randint(0, max_items))))
+    return Seq(tuple(gen_stmt(rng, depth, allow_raise) for _ in range(rng.randint(0, max_items))))
 
 
 def gen_expr(rng: random.Random, depth: int, allow_raise: bool = True):
@@ -178,10 +173,10 @@ def gen_expr(rng: random.Random, depth: int, allow_raise: bool = True):
 
 def gen_suspender(rng: random.Random):
     """A short basic program that suspends at least once."""
-    items = [PrintStmt(rng.choice(TEXTS)), SuspendStmt()]
-    items += [rng.choice((PrintStmt(rng.choice(TEXTS)), SuspendStmt(), StopStmt()))
+    items = [Print(rng.choice(TEXTS)), Suspend()]
+    items += [rng.choice((Print(rng.choice(TEXTS)), Suspend(), Stop()))
               for _ in range(rng.randint(0, 3))]
-    return RexpExpr(SeqStmt(tuple(items)))
+    return RexpExpr(Seq(tuple(items)))
 
 
 def _fold(rng: random.Random, branches: list, shape: str):

@@ -4,9 +4,10 @@ This is a second, independent implementation of the reactive semantics. It
 interprets parsed surface-language trees directly: basic programs run as
 Python generators that yield at their control points, composite expressions
 are stepped by plain recursion, and the event world is a handful of dicts.
-Only the AST dataclasses are shared with the package under test; evaluation,
-scheduling, duplication-by-rebuilding, and the outcome algebra are all
-re-implemented here.
+Only the AST dataclasses are shared with the package under test (the
+DSL's expression classes, and the instruction and action classes its
+program forms parse to); evaluation, scheduling, duplication-by-rebuilding,
+and the outcome algebra are all re-implemented here.
 
 Loop and repeat bodies are always pristine when copied (they come straight
 from an AST), so "duplicate at current state" degenerates to rebuilding the
@@ -29,20 +30,15 @@ from instants.dsl import (
     LoopExpr,
     MergeExpr,
     NothingExpr,
-    PrintStmt,
-    RaiseStmt,
     RepeatExpr,
     RexpExpr,
     RifExpr,
-    SeqStmt,
-    SetStmt,
-    StopStmt,
-    SuspendStmt,
     TerminateExpr,
     WhenExpr,
     compile_expr,
 )
 from instants.kernel import Environment
+from instants.program import Raise, Seq, Stop, Suspend
 from instants.world import (
     ActionSeq,
     And,
@@ -298,9 +294,9 @@ class Oracle:
         if isinstance(ast, TerminateExpr):
             return self.build(RifExpr(ast.cond, NothingExpr(), ast.body))
         if isinstance(ast, HaltExpr):
-            return self.build(LoopExpr(RexpExpr(SeqStmt((StopStmt(),)))))
+            return self.build(LoopExpr(RexpExpr(Seq((Stop(),)))))
         if isinstance(ast, NothingExpr):
-            return _Basic(self.run_prog(SeqStmt(())))
+            return _Basic(self.run_prog(Seq(())))
         raise TypeError(ast)
 
     # -- basic programs as generators --------------------------------------
@@ -324,22 +320,22 @@ class Oracle:
             raise TypeError(spec)
 
     def run_prog(self, prog):
-        if isinstance(prog, SeqStmt):
+        if isinstance(prog, Seq):
             for item in prog.items:
                 yield from self.run_prog(item)
-        elif isinstance(prog, PrintStmt):
+        elif isinstance(prog, Print):
             if _tpl_reads(prog.template):
                 self.reads += 1
             self.w.out.append(_render(prog.template, self.w))
-        elif isinstance(prog, SetStmt):
+        elif isinstance(prog, SetCell):
             if _int_reads(prog.value):
                 self.reads += 1
             self.w.cells[prog.name] = _ev_int(prog.value, self.w)
-        elif isinstance(prog, StopStmt):
+        elif isinstance(prog, Stop):
             yield STOP
-        elif isinstance(prog, SuspendStmt):
+        elif isinstance(prog, Suspend):
             yield SUSP
-        elif isinstance(prog, RaiseStmt):
+        elif isinstance(prog, Raise):
             raise OracleAbort(prog.tag)
         elif isinstance(prog, ActivateStmt):
             node = self.build(prog.expr)

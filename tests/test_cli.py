@@ -148,6 +148,7 @@ def test_formatting_is_deterministic(tmp_path):
         ("suspend_close.rx", None, "suspend_close.golden"),
         ("keypad.rx", "keypad_enter.trace", "keypad_enter.golden"),
         ("keypad.rx", "keypad_clear.trace", "keypad_clear.golden"),
+        ("keypad.rx", "keypad_overflow.trace", "keypad_overflow.golden"),
     ],
 )
 def test_demo_goldens(capsys, program, trace, golden):

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from instants import Environment, parse_program, parse_trace, render
+from instants import Environment, parse_program, parse_trace, render, rexp
 from instants.dsl import (
     ArityError,
     DuplicateAssignment,
@@ -14,15 +14,12 @@ from instants.dsl import (
     NegativeRepeatCount,
     NothingExpr,
     ParseError,
-    PrintStmt,
     RexpExpr,
-    SeqStmt,
-    StopStmt,
     UnknownForm,
     compile_expr,
 )
-from instants.program import ATOM
-from instants.world import InstantEvents
+from instants.program import ATOM, Raise, Seq, Stop, Suspend
+from instants.world import InstantEvents, IntConst, Print, SetCell
 
 from helpers import react_once
 
@@ -36,8 +33,8 @@ def test_parse_merge_example():
     ast = parse_program(MERGE_SRC)
     assert isinstance(ast, MergeExpr)
     assert isinstance(ast.left, RexpExpr)
-    assert ast.left.program == SeqStmt(
-        (PrintStmt("1"), StopStmt(), PrintStmt("2"))
+    assert ast.left.program == Seq(
+        (Print("1"), Stop(), Print("2"))
     )
 
 
@@ -91,7 +88,15 @@ def test_par_folds_right_into_merges():
 
 def test_comments_and_strings():
     ast = parse_program('; header\n(rexp (seq (print "a;b \\"q\\" \\n")))  ; tail')
-    assert ast.program.items[0] == PrintStmt('a;b "q" \n')
+    assert ast.program.items[0] == Print('a;b "q" \n')
+
+
+def test_program_forms_parse_to_the_engine_classes():
+    ast = parse_program('(rexp (seq (print "a") (set x 1) (stop) (suspend) (raise T)))')
+    assert ast.program == Seq((Print("a"), SetCell("x", IntConst(1)), Stop(), Suspend(), Raise("T")))
+    # Print and SetCell are action specs: rexp takes them only once compiled.
+    with pytest.raises(TypeError):
+        rexp(Environment(), ast.program)
 
 
 def test_render_parse_round_trip():
@@ -122,7 +127,7 @@ def test_identical_actions_share_one_compiled_action():
     env = Environment()
     src = '(rexp (seq (print "shared x") (stop) (print "shared x") (print "other x")))'
     root = compile_expr(parse_program(src), env)
-    first, second, other = [arg for op, arg in env.nodes[root].resumption.ops if op == ATOM]
+    first, second, other = [arg for op, arg in env.nodes[root].ops if op == ATOM]
     assert first is second and first is not other
     assert react_once(env, root) == (["shared x"], False)
     assert react_once(env, root) == (["shared x", "other x"], True)
@@ -183,6 +188,23 @@ def test_trace_bad_tokens_rejected():
         parse_trace("digit=x")
     with pytest.raises(ParseError):
         parse_trace("9digit")
+
+
+@pytest.mark.parametrize(
+    "text, error, message, line, col",
+    [
+        ("go\n  a b@d", ParseError, "bad signal name 'b@d'", 2, 5),
+        ("x=1\tx=2", DuplicateAssignment, "signal 'x' assigned twice in one instant", 1, 5),
+        ("a v=q", ParseError, "bad integer value 'q' for 'v'", 1, 3),
+        ("; c\n9digit", ParseError, "bad signal name '9digit'", 2, 1),
+    ],
+)
+def test_trace_error_class_message_and_position(text, error, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_trace(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} at line {line}, column {col}"
+    assert (exc.value.line, exc.value.col) == (line, col)
 
 
 @pytest.mark.parametrize(

@@ -79,7 +79,7 @@ def test_star_algebra_exhaustive():
 
 def test_alloc_fresh_status_is_stop():
     env = Environment()
-    r = env.alloc(BasicNode(initial_resumption(Seq(()))))
+    r = env.alloc(initial_resumption(Seq(())))
     assert env.statuses[r] is STOP
 
 

@@ -18,12 +18,8 @@ from instants.dsl import (
     HaltExpr,
     LoopExpr,
     NothingExpr,
-    PrintStmt,
     RexpExpr,
     RifExpr,
-    SeqStmt,
-    SetStmt,
-    StopStmt,
     TerminateExpr,
     WhenExpr,
     compile_expr,
@@ -31,7 +27,8 @@ from instants.dsl import (
     render,
 )
 from instants.combinators import merge
-from instants.world import ActionSeq, SetCell, World, eval_cond, InstantEvents, Sig
+from instants.program import Seq, Stop
+from instants.world import ActionSeq, Print, SetCell, World, eval_cond, InstantEvents, Sig
 
 from genprog import SIGNALS, gen_case, gen_cond, gen_expr, gen_trace
 from reference import engine_run
@@ -126,10 +123,10 @@ def _print_body(rng: random.Random, side: str) -> RexpExpr:
     items = []
     for i in range(rng.randint(1, 5)):
         if rng.random() < 0.55:
-            items.append(PrintStmt(f"{side}{i}"))
+            items.append(Print(f"{side}{i}"))
         else:
-            items.append(StopStmt())
-    return RexpExpr(SeqStmt(tuple(items)))
+            items.append(Stop())
+    return RexpExpr(Seq(tuple(items)))
 
 
 def check_left_before_right(seed: int) -> None:
@@ -153,9 +150,9 @@ def check_left_before_right(seed: int) -> None:
 
 
 def _writes_world(ast) -> bool:
-    if isinstance(ast, (SetStmt, SetCell)):
+    if isinstance(ast, SetCell):
         return True
-    if isinstance(ast, (ActionSeq, SeqStmt)):
+    if isinstance(ast, (ActionSeq, Seq)):
         return any(_writes_world(item) for item in ast.items)
     if hasattr(ast, "__dataclass_fields__"):
         return any(_writes_world(getattr(ast, name)) for name in ast.__dataclass_fields__)
@@ -197,7 +194,7 @@ def check_desugaring_equivalences(seed: int) -> None:
         RifExpr(cond, NothingExpr(), body), trace, **LIMITS
     )
     assert engine_run(HaltExpr(), trace, **LIMITS) == engine_run(
-        LoopExpr(RexpExpr(SeqStmt((StopStmt(),)))), trace, **LIMITS
+        LoopExpr(RexpExpr(Seq((Stop(),)))), trace, **LIMITS
     )
 
 

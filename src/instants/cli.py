@@ -1,11 +1,13 @@
 """Command-line runner: load a program and a trace, execute instants.
 
-Exit codes: 0 the program terminated, 3 still alive when the run stopped,
-4 the program or trace could not be read as UTF-8 text, or failed to parse
-or compile (including programs nested too deeply for the host's recursion
-limit), 5 a runtime failure
-(uncaught abort, micro-step limit, instantaneous loop, an integer too large
-to print, or an activation nested too deeply, labelled RecursionError).
+Exit codes: 0 the program terminated, 2 a malformed command line (a
+missing --program, a non-integer limit, an unknown format), which argparse
+reports, 3 still alive when the run stopped, 4 a limit below 1, or the
+program or trace could not be read as UTF-8 text (a leading byte-order mark
+is skipped), or failed to parse or compile (including programs nested too
+deeply for the host's recursion limit), 5 a runtime failure (uncaught
+abort, micro-step limit, instantaneous loop, an integer too large to print,
+or an activation nested too deeply, labelled RecursionError).
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ class RunConfig:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as error:
         raise ParseError(f"{path}: {error}") from None
 

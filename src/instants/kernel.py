@@ -19,15 +19,15 @@ handler catches the abort instead and keeps running.
 The basic kind, BasicNode, lives in program.py with the flat code it runs,
 and is re-imported here; the other kinds are defined below.
 
-A loop records its body's whole region when it is built: the status of
-every node reachable from the body, a copy of each basic expression at its
-pc, and the latch or count of every await and nested loop. A restart
-restores that snapshot in place, so the region keeps its ids and the node
-table stays the same size over a run. A body that terminated after reading
-this instant's events would see the same events again if it restarted now,
-so the restart waits for the next activation; bodies that read nothing
-restart in place, which is also where instantaneous-loop divergence is
-caught.
+A loop records its body's whole region when it is built: the id and status
+of every node reachable from the body, and what its save returns, which
+holds no ids: the pc and handlers of each basic expression, and the latch
+or count of every await and nested loop. A restart restores that snapshot
+in place, so the region keeps its ids and the node table stays the same
+size over a run. A body that terminated after reading this instant's
+events would see the same events again if it restarted now, so the restart
+waits for the next activation; bodies that read nothing restart in place,
+which is also where instantaneous-loop divergence is caught.
 """
 from __future__ import annotations
 
@@ -153,14 +153,8 @@ class LoopNode:
         return tuple(rid for rid, _, _ in self.snapshot)
 
     def remap(self, f: Remap) -> LoopNode:
-        snapshot = []
-        for rid, status, state in self.snapshot:
-            if isinstance(state, BasicNode):
-                # A basic expression's copy at the snapshot's pc: its
-                # targets can be more than the live node still lists.
-                state = state.remap(f)
-            snapshot.append((f(rid), status, state))
-        return LoopNode(f(self.body), tuple(snapshot), self.remaining)
+        snapshot = tuple((f(rid), status, state) for rid, status, state in self.snapshot)
+        return LoopNode(f(self.body), snapshot, self.remaining)
 
     def step(self, env: Environment) -> Status:
         restarts = 0

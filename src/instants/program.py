@@ -12,9 +12,9 @@ it. The opcodes are:
 
 - ``ATOM action``: run a host action.
 - ``PAUSE status``: end the activation with STOP or SUSP, pc past it.
-- ``ACTIVATE k``: step target k. When the target ends, run on; otherwise
+- ``ACTIVATE k``: step child k. When the child ends, run on; otherwise
   end the activation with its status and leave pc on this instruction, so
-  the next activation steps the target again.
+  the next activation steps the child again.
 - ``RAISE tag``: abort with the tag.
 - ``PUSH (tag, pc)``: arm a handler whose code starts at pc.
 - ``POP pc``: disarm the innermost handler and jump to pc.
@@ -22,18 +22,15 @@ it. The opcodes are:
 ``Handle(body, tag, handler)`` becomes PUSH, the body, a POP that jumps
 over the handler's code, then that code. A caught abort jumps forward to
 the handler's code with the handlers outside it still armed, so pc only
-moves forward, and the code from pc on is everything the expression can
-still run: the rest of its instructions and the code of every armed
-handler. The expression's children are therefore the targets of the
-Activate instructions from pc on, a slice of the target list, which is
-sorted by pc.
+moves forward.
 
 A BasicNode is the kernel's node for a basic expression, and this module
 is the only one that knows the code's layout. The node holds the shared
-code and the expression's own state: pc, the armed handlers as an
-immutable tuple, and the targets. Activate instructions count targets from
-the end of the tuple, so a copy keeps only the targets still ahead of pc,
-and so does the state a loop saves, which is such a copy.
+code, its children, and the expression's own state: pc and the armed
+handlers as an immutable tuple. The children are the targets of all the
+Activate instructions in code order. They do not change as pc moves, so a
+copy also keeps the targets pc has passed, with their statuses, and never
+steps them. The state a loop saves is the pair of pc and handlers.
 
 The DSL's program forms parse to Seq, Stop, Suspend and Raise directly,
 and its print and set forms to the action specs world.Print and SetCell,
@@ -41,7 +38,6 @@ which compilation wraps in Atom.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
@@ -107,8 +103,7 @@ Handlers = tuple[tuple[str, int], ...]
 @dataclass(slots=True)
 class BasicNode:
     ops: tuple[tuple[int, object], ...]
-    target_pcs: tuple[int, ...]
-    targets: tuple[ReactiveId, ...]
+    children: tuple[ReactiveId, ...]
     pc: int = 0
     handlers: Handlers = ()
 
@@ -116,23 +111,17 @@ class BasicNode:
     def done(self) -> bool:
         return self.pc >= len(self.ops)
 
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        ahead = len(self.target_pcs) - bisect_left(self.target_pcs, self.pc)
-        return self.targets[len(self.targets) - ahead:]
-
     def remap(self, f: Remap) -> BasicNode:
-        return BasicNode(self.ops, self.target_pcs, tuple(map(f, self.children)),
-                         self.pc, self.handlers)
+        return BasicNode(self.ops, tuple(map(f, self.children)), self.pc, self.handlers)
 
     def step(self, env: Environment) -> Status:
         return run_resumption(env, self)
 
-    def save(self) -> BasicNode:
-        return BasicNode(self.ops, self.target_pcs, self.children, self.pc, self.handlers)
+    def save(self) -> tuple[int, Handlers]:
+        return self.pc, self.handlers
 
-    def load(self, state: BasicNode) -> None:
-        self.pc, self.handlers, self.targets = state.pc, state.handlers, state.targets
+    def load(self, state: tuple[int, Handlers]) -> None:
+        self.pc, self.handlers = state
 
 
 def initial_resumption(program: Program) -> BasicNode:
@@ -140,7 +129,6 @@ def initial_resumption(program: Program) -> BasicNode:
     instruction."""
     ops: list = []
     targets: list[ReactiveId] = []
-    target_pcs: list[int] = []
     # Besides instructions, the stack holds ("body", at) and ("handler", at)
     # marks: the end of the body or handler code of the Handle at pc ``at``.
     pending: list = [program]
@@ -155,9 +143,8 @@ def initial_resumption(program: Program) -> BasicNode:
         elif isinstance(item, Suspend):
             ops.append((PAUSE, SUSP))
         elif isinstance(item, Activate):
-            target_pcs.append(len(ops))
+            ops.append((ACTIVATE, len(targets)))
             targets.append(item.child)
-            ops.append(None)  # numbered from the end once all are known
         elif isinstance(item, Raise):
             ops.append((RAISE, item.tag))
         elif isinstance(item, Handle):
@@ -173,9 +160,7 @@ def initial_resumption(program: Program) -> BasicNode:
         else:
             _, (_, handler_pc) = ops[item[1]]
             ops[handler_pc - 1] = (POP, len(ops))
-    for k, at in enumerate(target_pcs):
-        ops[at] = (ACTIVATE, k - len(targets))
-    return BasicNode(tuple(ops), tuple(target_pcs), tuple(targets))
+    return BasicNode(tuple(ops), tuple(targets))
 
 
 def _unwind(handlers: Handlers, tag: str) -> tuple[int, Handlers] | None:
@@ -198,7 +183,7 @@ def run_resumption(env: Environment, node: BasicNode) -> Status:
     with no matching handler the node is finished and the abort
     propagates to the caller.
     """
-    ops, targets = node.ops, node.targets
+    ops, children = node.ops, node.children
     pc, handlers = node.pc, node.handlers
     end = len(ops)
     while True:
@@ -212,7 +197,7 @@ def run_resumption(env: Environment, node: BasicNode) -> Status:
                     pc += 1
                     return arg
                 elif op == ACTIVATE:
-                    status = env.step(targets[arg])
+                    status = env.step(children[arg])
                     if status is not END:
                         return status
                     pc += 1

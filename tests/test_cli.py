@@ -263,3 +263,36 @@ def test_undecodable_files_are_input_errors(tmp_path, capsys):
     assert main(["--program", program, "--trace", str(bad_trace)]) == EXIT_INPUT_ERROR
     err = capsys.readouterr().err
     assert f"instants: {bad_trace}: " in err and "Traceback" not in err
+
+
+def test_byte_order_marks_are_skipped(tmp_path, capsys):
+    program = tmp_path / "keypad.rx"
+    program.write_bytes(b"\xef\xbb\xbf" + (DEMOS / "keypad.rx").read_bytes())
+    trace = tmp_path / "keypad_enter.trace"
+    trace.write_bytes(b"\xef\xbb\xbf" + (DEMOS / "keypad_enter.trace").read_bytes())
+    assert main(["--program", str(program), "--trace", str(trace)]) == EXIT_ALIVE
+    out = capsys.readouterr().out
+    assert out == (DEMOS / "keypad_enter.golden").read_text(encoding="utf-8")
+
+
+MERGE_PAIR = ["--program", str(DEMOS / "merge_pair.rx")]
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        # Malformed command lines: argparse exits 2.
+        ([], 2),
+        (MERGE_PAIR + ["--max-instants", "x"], 2),
+        (MERGE_PAIR + ["--format", "xml"], 2),
+        # Well-formed, but RunConfig rejects the value.
+        (MERGE_PAIR + ["--max-instants", "0"], EXIT_INPUT_ERROR),
+    ],
+)
+def test_command_line_error_exit_codes(capsys, argv, code):
+    try:
+        result = main(argv)
+    except SystemExit as error:
+        result = error.code
+    assert result == code
+    assert capsys.readouterr().out == ""

@@ -569,26 +569,36 @@ def test_dup_of_loop_renames_targets_in_its_snapshot():
     assert react_once(env, l) == (["b", "c"], False)
 
 
-def test_basic_children_are_the_targets_still_ahead():
+def test_basic_children_are_all_targets_in_code_order():
     env = Environment()
-    a, b, c, d, e = (nothing(env) for _ in range(5))
+    a, b, c, d, e = (rexp(env, seq(printer(name))) for name in "abcde")
     body = seq(Activate(b), Stop(), Activate(c))
     r = rexp(env, seq(Activate(a), Handle(body, "T", seq(Activate(d))), Stop(), Activate(e)))
-    react_once(env, r)
-    # Paused inside the Handle body: the rest of the body, the armed
-    # handler and what follows the Handle.
-    assert sorted(env.nodes[r].children) == [c, d, e]
-    react_once(env, r)
-    # The body has exited, so its handler is no longer reachable.
-    assert sorted(env.nodes[r].children) == [e]
+    assert env.nodes[r].children == (a, b, c, d, e)
+    assert react_once(env, r) == (["a", "b"], False)
+    # Paused inside the Handle body, past two finished targets: the
+    # children do not change as pc moves.
+    assert env.nodes[r].children == (a, b, c, d, e)
+    copy = env.dup(r)
+    copied = env.nodes[copy].children
+    assert set(copied).isdisjoint((a, b, c, d, e))
+    assert [env.statuses[child] for child in copied] == [END, END, STOP, STOP, STOP]
+    # The copy never steps its finished targets again and prints what the
+    # original prints.
+    for expected in ((["c"], False), (["e"], True)):
+        assert react_once(env, copy) == expected
+        assert react_once(env, r) == expected
+    assert env.statuses[copy] is env.statuses[r] is END
+    assert env.nodes[r].children == (a, b, c, d, e)
 
     env = Environment()
     a, b, c, d, f = (nothing(env) for _ in range(5))
     inner = Handle(seq(Stop(), Raise("U"), Activate(a)), "T", seq(Activate(f)))
     r = rexp(env, seq(Handle(inner, "U", seq(Activate(b), Stop(), Activate(c))), Activate(d)))
+    assert env.nodes[r].children == (a, f, b, c, d)
     react_once(env, r)
-    assert sorted(env.nodes[r].children) == [a, b, c, d, f]
     react_once(env, r)
-    # The outer handler caught U: the inner handler and the rest of the
-    # body are gone, the rest of the outer handler remains.
-    assert sorted(env.nodes[r].children) == [c, d]
+    # The outer handler caught U and jumped over a and f, which keep their
+    # fresh status and stay children.
+    assert env.nodes[r].children == (a, f, b, c, d)
+    assert (env.statuses[a], env.statuses[f], env.statuses[b]) == (STOP, STOP, END)

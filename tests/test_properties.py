@@ -179,6 +179,17 @@ def check_dup_isolation(seed: int) -> bool:
     copy2 = env2.dup(root2)
     _drive(env2, root2, trace)
     assert _drive(env2, copy2, trace) == baseline
+
+    # A copy taken after k instants carries on as the original would have,
+    # when the first k instants neither terminate nor fail.
+    rows, terminated, error = baseline
+    k = random.Random(f"mid-run {seed}").randrange(1, max(2, len(trace)))
+    if k < len(rows):
+        env3 = _fresh_env()
+        root3 = compile_expr(ast, env3)
+        _drive(env3, root3, trace[:k])
+        copy3 = env3.dup(root3)
+        assert _drive(env3, copy3, trace[k:]) == (rows[k:], terminated, error)
     return True
 
 

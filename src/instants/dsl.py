@@ -10,17 +10,23 @@ expression, program form, action, condition, integer expression) it has
 one row per head: the AST class the form builds and the kind of each
 argument. ``_build`` parses every form from those rows and ``render``
 prints every AST node back from them. Program forms build the engine's
-own classes: ``seq``, ``stop``, ``suspend`` and ``raise`` build
-program.Seq, Stop, Suspend and Raise, and ``print`` and ``set`` build the
-action specs world.Print and SetCell. Only two program forms have classes
-here: ActivateStmt holds an expression's AST, not an id, and HandleStmt
-takes its arguments in syntax order (tag, body, handler), not Handle's.
+own classes: ``seq``, ``stop``, ``suspend``, ``raise`` and ``handle``
+build program.Seq, Stop, Suspend, Raise and Handle (whose row fills its
+fields by name, as ``(handle TAG BODY HANDLER)`` gives them in another
+order), and ``print`` and ``set`` build the action specs world.Print and
+SetCell. Only ``activate`` has a class here: ActivateStmt holds an
+expression's AST, not an id.
 Integer literals and ``true`` and ``false`` are the only atoms that are
 forms. ``(par E ...)`` is the one form outside the table: it parses to a
 right fold of binary merges, and compilation flattens any chain of nested
 merges into one n-ary merge node.
 Print templates interpolate ``{cell:name}`` and ``{value:name}`` as
 decimal integers. The README lists every form.
+
+The text is first read with no positions: one regular-expression scan,
+then nesting on a stack. Line and column are worked out only when a parse
+fails, by reading the text again with a tokenizer that tracks them; the
+same builder then raises the error with its position.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
@@ -190,46 +196,22 @@ class ActivateStmt:
     expr: ExprAst
 
 
-@dataclass(frozen=True)
-class HandleStmt:
-    tag: str
-    body: "ProgStmt"
-    handler: "ProgStmt"
-
-
-ProgStmt = Union[Seq, Print, SetCell, Stop, Suspend, ActivateStmt, Raise, HandleStmt]
+ProgStmt = Union[Seq, Print, SetCell, Stop, Suspend, ActivateStmt, Raise, Handle]
 
 
 # --------------------------------------------------------------------------
-# Lexing and reading
+# Reading
 
-
-@dataclass(slots=True)
-class _Atom:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(slots=True)
-class _Str:
-    value: str
-    line: int
-    col: int
-
-
-@dataclass(slots=True)
-class _List:
-    items: tuple["_SNode", ...]
-    line: int
-    col: int
-
-
-_SNode = Union[_Atom, _Str, _List]
+# A reader returns a form as a tuple of forms, and an atom or a string
+# literal as a str; a string literal keeps its quotes, and no atom starts
+# with '"'. parse_program reads with no positions first. Only a parse that
+# fails reads the text again with _tokenize, whose tokens, and the forms
+# _nest makes of them, are subclasses that carry their line and column.
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
+_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 # Every character but space, tab and CR starts one of these, so the search
 # skips exactly that whitespace; newlines are matched to count lines as the
 # scan goes. A string runs to its closing quote, a newline or the end of
@@ -240,12 +222,27 @@ _TOKEN_RE = re.compile(
     r'|(?P<str>"(?P<body>(?:[^"\\\n]|\\[\s\S]?)*)(?P<closed>")?)'
     r'|(?P<atom>[^ \t\r\n();"]+)'
 )
-_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
+# The same tokens with no positions: a paren, a string literal, an atom, or
+# "" for a comment. Only a closed string with known escapes matches as a
+# string; any other leaves a lone '"' token, a fault for parse_program.
+_FAST_TOKEN_RE = re.compile(r';[^\n]*|([()]|"(?:[^"\\\n]|\\[ntr"\\])*"|"|[^ \t\r\n();"]+)')
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    """Split text into (kind, value, line, col) tokens, comments dropped;
-    kind is "open", "close", "str" or "atom"."""
+class _Text(str):
+    """A token with its line and column."""
+
+
+class _Form(tuple):
+    """A form with the line and column of its open paren."""
+
+
+def _at(node) -> tuple[int, int]:
+    return getattr(node, "line", 0), getattr(node, "col", 0)
+
+
+def _tokenize(text: str) -> list[_Text]:
+    """Split text into tokens with positions, comments dropped; raise the
+    first lexical error with its position."""
     tokens = []
     line, line_start = 1, 0
     for m in _TOKEN_RE.finditer(text):
@@ -257,48 +254,53 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
         if kind is None:
             continue  # a comment
         col = m.start() - line_start + 1
-        value = m.group()
         if kind == "str":
-            value = m.group("body")
-            for e in _ESCAPE_RE.finditer(value):
+            for e in _ESCAPE_RE.finditer(m.group("body")):
                 if e.group(1) not in _ESCAPES:
                     message = f"unknown escape \\{e.group(1)}" if e.group(1) else "unterminated escape"
                     raise ParseError(message, line, col + 1 + e.start())
             if m.group("closed") is None:
                 raise ParseError("unterminated string", line, col)
-            value = _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], value)
-        tokens.append((kind, value, line, col))
+        token = _Text(m.group())
+        token.line, token.col = line, col
+        tokens.append(token)
     return tokens
 
 
-def _read_single(text: str) -> _SNode:
-    """Read exactly one s-expression, keeping open lists on a stack."""
-    tokens = _tokenize(text)
-    if not tokens:
-        raise ParseError("empty input")
-    open_lists: list[tuple[list, int, int]] = []
-    for index, (kind, value, line, col) in enumerate(tokens):
-        if kind == "open":
-            open_lists.append(([], line, col))
-            continue
-        if kind == "close":
+def _nest(tokens: list[str]):
+    """Nest tokens into exactly one s-expression, keeping open lists on a
+    stack; "" tokens (comments) are skipped. A fault raises a ParseError
+    with the position of the token at fault, if tokens carry one."""
+    open_lists: list[tuple[list, str]] = []
+    items: list = []
+    for token in tokens:
+        if token == ")":
             if not open_lists:
-                raise ParseError("unexpected ')'", line, col)
-            items, line, col = open_lists.pop()
-            node = _List(tuple(items), line, col)
-        elif kind == "str":
-            node = _Str(value, line, col)
-        else:
-            node = _Atom(value, line, col)
-        if open_lists:
-            open_lists[-1][0].append(node)
-        elif index + 1 < len(tokens):
-            extra = tokens[index + 1]
-            raise ParseError("trailing content after expression", extra[2], extra[3])
-        else:
-            return node
-    _, line, col = open_lists[-1]
-    raise ParseError("unclosed parenthesis", line, col)
+                raise ParseError("trailing content after expression" if items else "unexpected ')'", *_at(token))
+            form = tuple(items)
+            items, opener = open_lists.pop()
+            if opener.__class__ is _Text:
+                form = _Form(form)
+                form.line, form.col = opener.line, opener.col
+            items.append(form)
+        elif token:
+            if items and not open_lists:
+                raise ParseError("trailing content after expression", *_at(token))
+            if token == "(":
+                open_lists.append((items, token))
+                items = []
+            else:
+                items.append(token)
+    if open_lists:
+        raise ParseError("unclosed parenthesis", *_at(open_lists[-1][1]))
+    if not items:
+        raise ParseError("empty input")
+    return items[0]
+
+
+def _unquote(literal: str) -> str:
+    body = literal[1:-1]
+    return _ESCAPE_RE.sub(lambda e: _ESCAPES[e.group(1)], body) if "\\" in body else body
 
 
 # --------------------------------------------------------------------------
@@ -306,13 +308,15 @@ def _read_single(text: str) -> _SNode:
 
 
 # For each kind of form: the noun its errors use, and its rows. A row maps a
-# form's head to its AST class and the kind of each argument, in field
+# form's head to its AST class and the kind of each argument, in syntax
 # order. An argument kind is another form kind; "str", a string literal;
 # "count", an integer literal; "name:<what>", a name; "op", the head itself
 # (it takes no argument); or a form kind with "*", which takes all the
-# arguments as a tuple. Integer literals and true/false are the only atom
-# forms, and (par E ...) is the one form outside the table: it takes at
-# least one expression and folds right into merges.
+# arguments as a tuple. The arguments fill the class's fields in order,
+# unless the class comes in a tuple with the names of the fields they fill.
+# Integer literals and true/false are the only atom forms, and (par E ...)
+# is the one form outside the table: it takes at least one expression and
+# folds right into merges.
 _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
     "expression": ("a reactive expression", {
         "rexp": (RexpExpr, "program"),
@@ -336,7 +340,7 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
         "suspend": (Suspend,),
         "activate": (ActivateStmt, "expression"),
         "raise": (Raise, "name:tag"),
-        "handle": (HandleStmt, "name:tag", "program", "program"),
+        "handle": ((Handle, "tag", "body", "handler"), "name:tag", "program", "program"),
     }),
     "action": ("an action", {
         "print": (Print, "str"),
@@ -364,85 +368,119 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
 }
 
 
-def _to_int(text: str, line: int, col: int) -> int:
+def _to_int(literal: str) -> int:
     try:
-        return int(text)
+        return int(literal)
     except ValueError:
         # The host caps str-to-int conversion (sys.get_int_max_str_digits).
-        raise ParseError("integer literal has too many digits", line, col) from None
+        raise ParseError("integer literal has too many digits", *_at(literal)) from None
 
 
-def _build(node: _SNode, kind: str):
-    """Build the AST of one form of the given kind from its s-expression."""
-    noun, rows = _FORMS[kind]
-    if node.__class__ is _Atom and kind in ("condition", "integer"):
-        text = node.text
-        if kind == "integer" and _INT_RE.match(text):
-            return IntConst(_to_int(text, node.line, node.col))
-        if kind == "condition" and text in ("true", "false"):
-            return BoolConst(text == "true")
-        # The noun without its article: "condition", "integer expression".
-        raise ParseError(f"expected {noun.partition(' ')[2]}, got {text!r}", node.line, node.col)
-    if node.__class__ is not _List:
-        raise ParseError(f"expected {noun}", node.line, node.col)
-    if not node.items:
-        raise ParseError(f"empty form where {noun} expected", node.line, node.col)
-    head = node.items[0]
-    if head.__class__ is not _Atom:
-        raise ParseError("form head must be a symbol", node.line, node.col)
-    head = head.text
-    args = node.items[1:]
-    if head == "par" and kind == "expression":
-        if not args:
-            raise ArityError("(par ...) takes at least 1 argument(s), got 0", node.line, node.col)
-        exprs = [_build(arg, kind) for arg in args]
-        folded = exprs.pop()
-        while exprs:
-            folded = MergeExpr(exprs.pop(), folded)
-        return folded
-    row = rows.get(head)
-    if row is None:
-        raise UnknownForm(f"unknown {kind} form {head!r}", node.line, node.col)
-    kinds = row[1:]
-    if kinds and kinds[-1][-1] == "*":
-        return row[0](tuple([_build(arg, kinds[-1][:-1]) for arg in args]))
-    values = []
-    if kinds and kinds[0] == "op":
-        values.append(head)
-        kinds = kinds[1:]
-    if len(args) != len(kinds):
-        raise ArityError(f"({head} ...) takes {len(kinds)} argument(s), got {len(args)}", node.line, node.col)
-    for arg, arg_kind in zip(args, kinds):
-        if arg_kind in _FORMS:
-            values.append(_build(arg, arg_kind))
-        elif arg_kind == "str":
-            if arg.__class__ is not _Str:
-                raise ParseError("expected a string literal", arg.line, arg.col)
-            values.append(arg.value)
-        elif arg_kind == "count":
-            if arg.__class__ is not _Atom or not _INT_RE.match(arg.text):
-                raise ParseError("expected an integer literal", arg.line, arg.col)
-            values.append(_to_int(arg.text, arg.line, arg.col))
-        else:
-            if arg.__class__ is not _Atom or not _NAME_RE.match(arg.text):
-                raise ParseError(f"expected {arg_kind.removeprefix('name:')} name", arg.line, arg.col)
-            values.append(arg.text)
+def _build(node, kind: str):
+    """Build the AST of one form of the given kind from what a reader
+    returned. A form's last argument is built by the same loop, not by a
+    call, so a chain nested through last arguments, such as the merges that
+    render prints for a long par, takes no stack."""
+    waiting = []  # (row, values) of the forms whose last argument is node
+    while True:
+        noun, rows = _FORMS[kind]
+        if not isinstance(node, tuple):
+            if kind == "integer" and _INT_RE.match(node):
+                ast = IntConst(_to_int(node))
+            elif kind == "condition" and node in ("true", "false"):
+                ast = BoolConst(node == "true")
+            elif kind in ("condition", "integer") and node[0] != '"':
+                # The noun without its article: "condition", "integer expression".
+                raise ParseError(f"expected {noun.partition(' ')[2]}, got {node!r}", *_at(node))
+            else:
+                raise ParseError(f"expected {noun}", *_at(node))
+            break
+        if not node:
+            raise ParseError(f"empty form where {noun} expected", *_at(node))
+        head = node[0]
+        if not isinstance(head, str) or head[0] == '"':
+            raise ParseError("form head must be a symbol", *_at(node))
+        args = node[1:]
+        if head == "par" and kind == "expression":
+            if not args:
+                raise ArityError("(par ...) takes at least 1 argument(s), got 0", *_at(node))
+            waiting += [(rows["merge"], [_build(arg, kind)]) for arg in args[:-1]]
+            node = args[-1]
+            continue
+        row = rows.get(head)
+        if row is None:
+            raise UnknownForm(f"unknown {kind} form {head!r}", *_at(node))
+        kinds = row[1:]
+        if kinds and kinds[-1][-1] == "*":
+            ast = row[0](tuple([_build(arg, kinds[-1][:-1]) for arg in args]))
+            break
+        values = []
+        if kinds and kinds[0] == "op":
+            values.append(head)
+            kinds = kinds[1:]
+        if len(args) != len(kinds):
+            raise ArityError(f"({head} ...) takes {len(kinds)} argument(s), got {len(args)}", *_at(node))
+        tail = len(kinds) > 0 and kinds[-1] in _FORMS
+        for arg, arg_kind in zip(args[:len(args) - tail], kinds):
+            if arg_kind in _FORMS:
+                values.append(_build(arg, arg_kind))
+            elif arg_kind == "str":
+                if not isinstance(arg, str) or arg[0] != '"':
+                    raise ParseError("expected a string literal", *_at(arg))
+                values.append(_unquote(arg))
+            elif arg_kind == "count":
+                if not isinstance(arg, str) or not _INT_RE.match(arg):
+                    raise ParseError("expected an integer literal", *_at(arg))
+                values.append(_to_int(arg))
+            else:
+                if not isinstance(arg, str) or not _NAME_RE.match(arg):
+                    raise ParseError(f"expected {arg_kind.removeprefix('name:')} name", *_at(arg))
+                values.append(arg)
+        if not tail:
+            ast = _make(row, values)
+            break
+        waiting.append((row, values))
+        node, kind = args[-1], kinds[-1]
+    while waiting:
+        row, values = waiting.pop()
+        values.append(ast)
+        ast = _make(row, values)
+    return ast
+
+
+def _make(row: tuple, values: list):
+    """Build a row's class from its argument values, in syntax order."""
+    if row[0].__class__ is tuple:
+        return row[0][0](**dict(zip(row[0][1:], values)))
     return row[0](*values)
 
 
 def parse_program(text: str) -> ExprAst:
     """Parse one reactive expression from source text."""
-    return _build(_read_single(text), "expression")
+    tokens = _FAST_TOKEN_RE.findall(text)
+    try:
+        if '"' not in tokens:
+            return _build(_nest(tokens), "expression")
+    except ParseError:
+        pass
+    # The same reader and builder again, with positions: this raises the
+    # error, with its line and column.
+    return _build(_nest(_tokenize(text)), "expression")
 
 
 # --------------------------------------------------------------------------
 # Rendering (inverse of parse_program, used for golden files and tests)
 
 
-# Each AST class with the head and argument kinds of its row. The classes
+# Each AST class with the head, argument kinds and field names of its row
+# (a class and the fields its arguments fill, in syntax order). The classes
 # with an "op" argument have one row per operator and take their head from
 # that field.
-_ROWS_BY_CLASS = {row[0]: (head, row[1:]) for _, rows in _FORMS.values() for head, row in rows.items()}
+_ROWS_BY_CLASS = {
+    named[0]: (head, row[1:], named[1:])
+    for _, rows in _FORMS.values() for head, row in rows.items()
+    for named in [row[0] if row[0].__class__ is tuple else (row[0], *(f.name for f in fields(row[0])))]
+}
 
 
 def _escape(text: str) -> str:
@@ -454,27 +492,35 @@ def _escape(text: str) -> str:
 def render(ast: object) -> str:
     """Render any AST node (expression, program form, action, condition or
     integer expression) as source text that parses back to it."""
-    if ast.__class__ is IntConst:
-        return str(ast.value)
-    if ast.__class__ is BoolConst:
-        return "true" if ast.value else "false"
-    if ast.__class__ not in _ROWS_BY_CLASS:
-        raise TypeError(f"not a DSL form: {ast!r}")
-    head, kinds = _ROWS_BY_CLASS[ast.__class__]
-    parts = [head]
-    for field, kind in zip(fields(ast), kinds):
-        value = getattr(ast, field.name)
-        if kind == "op":
-            parts[0] = value
-        elif kind == "str":
-            parts.append(_escape(value))
-        elif kind[-1] == "*":
-            parts += map(render, value)
-        elif kind in _FORMS:
-            parts.append(render(value))
+    out = []
+    # What is left to print, last first: AST nodes, and text as a str (the
+    # argument itself is never text).
+    pending = [ast]
+    while pending:
+        item = pending.pop()
+        if item.__class__ is str and item is not ast:
+            out.append(item)
+        elif item.__class__ is IntConst:
+            out.append(str(item.value))
+        elif item.__class__ is BoolConst:
+            out.append("true" if item.value else "false")
+        elif item.__class__ in _ROWS_BY_CLASS:
+            head, kinds, names = _ROWS_BY_CLASS[item.__class__]
+            pending.append(")")
+            for name, kind in zip(names[::-1], kinds[::-1]):
+                value = getattr(item, name)
+                if kind == "op":
+                    head = value
+                elif kind[-1] == "*":
+                    for part in value[::-1]:
+                        pending += (part, " ")
+                else:
+                    text = value if kind in _FORMS else _escape(value) if kind == "str" else str(value)
+                    pending += (text, " ")
+            pending.append(f"({head}")
         else:
-            parts.append(str(value))
-    return f"({' '.join(parts)})"
+            raise TypeError(f"not a DSL form: {item!r}")
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------
@@ -493,7 +539,7 @@ def _compile_prog(stmt: ProgStmt, env: Environment) -> Program:
             # Inline sub-expressions are compiled before the enclosing
             # program runs.
             return Activate(compile_expr(expr, env))
-        case HandleStmt(tag=tag, body=body, handler=handler):
+        case Handle(body=body, tag=tag, handler=handler):
             return Handle(_compile_prog(body, env), tag, _compile_prog(handler, env))
     raise TypeError(f"not a program form: {stmt!r}")
 
@@ -563,7 +609,7 @@ def parse_trace(text: str) -> list[InstantEvents]:
                         raise ParseError(f"bad integer value {literal!r} for {name!r}")
                     if name in values:
                         raise DuplicateAssignment(f"signal {name!r} assigned twice in one instant")
-                    values[name] = _to_int(literal, 0, 0)
+                    values[name] = _to_int(literal)
                 else:
                     if not _NAME_RE.match(token):
                         raise ParseError(f"bad signal name {token!r}")

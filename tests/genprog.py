@@ -8,7 +8,6 @@ from instants.dsl import (
     AwaitExpr,
     CloseExpr,
     HaltExpr,
-    HandleStmt,
     InitExpr,
     LoopExpr,
     MergeExpr,
@@ -19,7 +18,7 @@ from instants.dsl import (
     TerminateExpr,
     WhenExpr,
 )
-from instants.program import Raise, Seq, Stop, Suspend
+from instants.program import Handle, Raise, Seq, Stop, Suspend
 from instants.world import (
     ActionSeq,
     And,
@@ -125,10 +124,12 @@ def gen_stmt(rng: random.Random, depth: int, allow_raise: bool = True):
     if roll < 0.78 and depth > 0:
         return ActivateStmt(gen_expr(rng, depth - 1, allow_raise))
     if roll < 0.88 and depth > 0:
-        return HandleStmt(
-            rng.choice(TAGS),
-            gen_prog(rng, depth - 1, max_items=3, allow_raise=allow_raise),
-            gen_prog(rng, depth - 1, max_items=2, allow_raise=allow_raise),
+        # By keyword, the draws keep their syntax order (tag, body, handler),
+        # so each seed still gives the same program.
+        return Handle(
+            tag=rng.choice(TAGS),
+            body=gen_prog(rng, depth - 1, max_items=3, allow_raise=allow_raise),
+            handler=gen_prog(rng, depth - 1, max_items=2, allow_raise=allow_raise),
         )
     if roll < 0.94 and allow_raise:
         return Raise(rng.choice(TAGS))

@@ -25,7 +25,6 @@ from instants.dsl import (
     CloseExpr,
     ExprAst,
     HaltExpr,
-    HandleStmt,
     InitExpr,
     LoopExpr,
     MergeExpr,
@@ -38,7 +37,7 @@ from instants.dsl import (
     compile_expr,
 )
 from instants.kernel import Environment
-from instants.program import Raise, Seq, Stop, Suspend
+from instants.program import Handle, Raise, Seq, Stop, Suspend
 from instants.world import (
     ActionSeq,
     And,
@@ -344,7 +343,7 @@ class Oracle:
                 if st == END:
                     break
                 yield st
-        elif isinstance(prog, HandleStmt):
+        elif isinstance(prog, Handle):
             it = self.run_prog(prog.body)
             while True:
                 try:

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -16,11 +18,15 @@ from instants.dsl import (
     ParseError,
     RexpExpr,
     UnknownForm,
+    _build,
+    _nest,
+    _tokenize,
     compile_expr,
 )
 from instants.program import ATOM, Raise, Seq, Stop, Suspend
 from instants.world import InstantEvents, IntConst, Print, SetCell
 
+from genprog import gen_case
 from helpers import react_once
 
 MERGE_SRC = (
@@ -243,3 +249,78 @@ def test_parse_error_class_message_and_position(src, error, message, line, col):
     assert type(exc.value) is error
     assert str(exc.value) == f"{message} at line {line}, column {col}"
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+def test_render_walks_a_5000_branch_par_without_recursion():
+    ast = parse_program("(par " + "(nothing) " * 5000 + ")")
+    text = render(ast)
+    assert text.count("(merge ") == 4999
+    assert render(parse_program(text)) == text
+
+
+@pytest.mark.parametrize(
+    "opening, closing",
+    [
+        ("(close ", ")"),
+        # The first argument is built by a call, so this nests the builder.
+        ("(merge ", " (halt))"),
+    ],
+)
+def test_900_nested_levels_parse(opening, closing):
+    ast = parse_program(opening * 900 + "(nothing)" + closing * 900)
+    assert render(ast).count(opening) == 900
+
+
+# Edits that break a program in the ways a reader can fail.
+_SNIPPETS = ['(', ')', '"', '\\', ';', '\n', '\t', ' ', 'x', '1', '"open', '"a\\q"', '"\\',
+             ') (', '()', '(nothing)', '9' * 32, '9' * 5000]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    at = rng.randrange(len(text) + 1)
+    roll = rng.randrange(5)
+    if roll == 0:
+        return text[:at] + text[at + 1:]
+    if roll == 1:
+        return text[:at]
+    if roll == 4:
+        return text[:at] + rng.choice(_SNIPPETS) + text[at:]
+    # A string literal that follows: a bad escape just inside it, or all
+    # of it but the opening quote gone.
+    quote = text.find('"', at)
+    if quote < 0:
+        return text
+    if roll == 2:
+        return text[:quote + 1] + "\\" + rng.choice("qa0 \n") + text[quote + 1:]
+    return text[:quote + 1] + text[text.find('"', quote + 1) + 1:]
+
+
+def _read_outcome(parse):
+    try:
+        return render(parse())
+    except ParseError as error:
+        return type(error), str(error), error.line, error.col
+
+
+def test_fast_and_positional_reads_agree():
+    """parse_program reads without positions first; the positional reader
+    with the same builder must give the same AST, or the same error with
+    the same line and column."""
+    rng = random.Random(11)
+    keypad = (Path(__file__).resolve().parent.parent / "demos" / "keypad.rx").read_text()
+    sources = [keypad] + [render(gen_case(seed)[0]) for seed in range(250)]
+    texts = []
+    for source in sources:
+        # Spread some of the text over lines and tabs, so positions vary.
+        source = "".join(rng.choice(["\n", "\n\t", " ; c\n"]) if c == " " and rng.random() < 0.2 else c
+                         for c in source)
+        texts += [source] + [_mutate(rng, source) for _ in range(8)]
+    texts.append(f"(rexp\n  (set x {'9' * 5000}))")
+    outcomes = set()
+    for text in texts:
+        fast = _read_outcome(lambda: parse_program(text))
+        positional = _read_outcome(lambda: _build(_nest(_tokenize(text)), "expression"))
+        assert fast == positional, text
+        outcomes.add(fast[0] if isinstance(fast, tuple) else "ok")
+    # Both kinds of outcome, and every error class the reader raises.
+    assert outcomes == {"ok", ParseError, UnknownForm, ArityError}

@@ -7,8 +7,8 @@ conditionally, and in loops; preemption unwinds as tagged aborts caught by
 handlers. A small s-expression DSL and a CLI runner sit on top.
 
 The names imported here are the public API. Conditions, integer
-expressions, action specs and World live in instants.world, node classes in
-instants.kernel, and the keypad controller in instants.keypad.
+expressions, action specs and World live in instants.world, and node classes
+in instants.kernel.
 """
 
 from .combinators import (

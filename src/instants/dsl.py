@@ -25,8 +25,8 @@ decimal integers. The README lists every form.
 
 The text is first read with no positions: one regular-expression scan,
 then nesting on a stack. Line and column are worked out only when a parse
-fails, by reading the text again with a tokenizer that tracks them; the
-same builder then raises the error with its position.
+fails, by scanning the same token pattern again, this time with positions;
+the same builder then raises the error with its position.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
@@ -212,20 +212,15 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
-# Every character but space, tab and CR starts one of these, so the search
-# skips exactly that whitespace; newlines are matched to count lines as the
-# scan goes. A string runs to its closing quote, a newline or the end of
-# input; a backslash takes the next character with it, whatever it is, and
-# the escapes are checked after the match.
-_TOKEN_RE = re.compile(
-    r'(?P<newline>\n)|(?P<open>\()|(?P<close>\))|;[^\n]*'
-    r'|(?P<str>"(?P<body>(?:[^"\\\n]|\\[\s\S]?)*)(?P<closed>")?)'
-    r'|(?P<atom>[^ \t\r\n();"]+)'
-)
-# The same tokens with no positions: a paren, a string literal, an atom, or
-# "" for a comment. Only a closed string with known escapes matches as a
-# string; any other leaves a lone '"' token, a fault for parse_program.
-_FAST_TOKEN_RE = re.compile(r';[^\n]*|([()]|"(?:[^"\\\n]|\\[ntr"\\])*"|"|[^ \t\r\n();"]+)')
+# A paren, a string literal, an atom, or "" for a comment; the search skips
+# every other character, which is whitespace. Only a closed string with
+# known escapes matches as a string; any other leaves a lone '"' token, a
+# fault for parse_program and the first lexical error for _tokenize.
+_TOKEN_RE = re.compile(r';[^\n]*|([()]|"(?:[^"\\\n]|\\[ntr"\\])*"|"|[^ \t\r\n();"]+)')
+# The body of a bad string, from its opening quote: it runs to a quote, a
+# newline or the end of input, and a backslash takes the next character
+# with it, whatever it is.
+_BAD_STRING_RE = re.compile(r'"((?:[^"\\\n]|\\[\s\S]?)*)')
 
 
 class _Text(str):
@@ -242,26 +237,29 @@ def _at(node) -> tuple[int, int]:
 
 def _tokenize(text: str) -> list[_Text]:
     """Split text into tokens with positions, comments dropped; raise the
-    first lexical error with its position."""
+    first lexical error with its position. A token holds no newline, so
+    the lines between two tokens are counted in the gap between them."""
     tokens = []
-    line, line_start = 1, 0
+    line, line_start, last = 1, 0, 0
     for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = m.end()
-            continue
-        if kind is None:
+        token = m.group(1)
+        if not token:
             continue  # a comment
-        col = m.start() - line_start + 1
-        if kind == "str":
-            for e in _ESCAPE_RE.finditer(m.group("body")):
+        start = m.start()
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        col = start - line_start + 1
+        if token == '"':
+            bad = _BAD_STRING_RE.match(text, start)
+            for e in _ESCAPE_RE.finditer(bad.group(1)):
                 if e.group(1) not in _ESCAPES:
                     message = f"unknown escape \\{e.group(1)}" if e.group(1) else "unterminated escape"
                     raise ParseError(message, line, col + 1 + e.start())
-            if m.group("closed") is None:
-                raise ParseError("unterminated string", line, col)
-        token = _Text(m.group())
+            raise ParseError("unterminated string", line, col)
+        token = _Text(token)
         token.line, token.col = line, col
         tokens.append(token)
     return tokens
@@ -457,7 +455,7 @@ def _make(row: tuple, values: list):
 
 def parse_program(text: str) -> ExprAst:
     """Parse one reactive expression from source text."""
-    tokens = _FAST_TOKEN_RE.findall(text)
+    tokens = _TOKEN_RE.findall(text)
     try:
         if '"' not in tokens:
             return _build(_nest(tokens), "expression")
@@ -491,7 +489,9 @@ def _escape(text: str) -> str:
 
 def render(ast: object) -> str:
     """Render any AST node (expression, program form, action, condition or
-    integer expression) as source text that parses back to it."""
+    integer expression) as source text that parses back to it. An integer
+    literal longer than the host's int-to-str limit raises ValueError, as
+    str() does; parse_program could not read it back either."""
     out = []
     # What is left to print, last first: AST nodes, and text as a str (the
     # argument itself is never text).

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import pytest
 
-from instants import END, Environment
+from instants import END, Environment, parse_program
+from instants.dsl import ExprAst, compile_expr
 from instants.world import InstantEvents
+
+KEYPAD_RX = Path(__file__).resolve().parent.parent / "demos" / "keypad.rx"
 
 
 def print_limit() -> int:
@@ -36,3 +40,23 @@ def run_instants(env: Environment, root, events_list, pad_empty: int = 0):
     trace = env.react_t(root, max(1, len(events)), events)
     assert trace.error is None, trace.error
     return [(record.outputs, record.status.name, record.status is END) for record in trace.instants]
+
+
+def keypad_ast(digits: int = 3, with_neg: bool = False) -> ExprAst:
+    """The AST of demos/keypad.rx with a buffer of the given number of
+    digits and, if asked, a neg button branch that negates the number, in
+    front of the digit branch."""
+    source = KEYPAD_RX.read_text(encoding="utf-8")
+    digit_branch = "(rexp (seq (activate (repeat 3"
+    for anchor in ("(repeat 3", digit_branch):
+        assert source.count(anchor) == 1, anchor
+    if with_neg:
+        neg_branch = "(rif (sig neg) (rexp (seq (set num (neg (cell num))))) (halt))"
+        source = source.replace(digit_branch, f"{neg_branch}\n{digit_branch}")
+    source = source.replace("(repeat 3", f"(repeat {digits}")
+    return parse_program(source)
+
+
+def keypad(env: Environment, digits: int = 3, with_neg: bool = False):
+    """Compile the keypad of keypad_ast into env and return its id."""
+    return compile_expr(keypad_ast(digits, with_neg), env)

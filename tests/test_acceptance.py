@@ -27,11 +27,10 @@ from instants import (
     star,
 )
 from instants.cli import EXIT_RUNTIME_ERROR, main
-from instants.keypad import KeypadSpec, mk_controller
 from instants.world import InstantEvents
 
 from genprog import gen_case
-from helpers import react_once, run_instants
+from helpers import keypad, react_once, run_instants
 from reference import engine_run, oracle_run
 from test_properties import (
     check_desugaring_equivalences,
@@ -140,13 +139,13 @@ def test_criterion_7_keypad_scenarios():
         return InstantEvents(frozenset({name}))
 
     env = Environment()
-    ctl = mk_controller(env, KeypadSpec(digits=3))
+    ctl = keypad(env, digits=3)
     rows = run_instants(env, ctl, [digit(1), digit(2), digit(3), pressed("enter")], pad_empty=1)
     assert [outputs for outputs, _, _ in rows] == [[], [], [], ["123"], []]
     assert all(status == "STOP" for _, status, _ in rows)
 
     env = Environment()
-    ctl = mk_controller(env, KeypadSpec(digits=3))
+    ctl = keypad(env, digits=3)
     rows = run_instants(
         env, ctl,
         [digit(1), digit(2), pressed("clear"), digit(4), digit(5), digit(6), pressed("enter")],
@@ -155,7 +154,7 @@ def test_criterion_7_keypad_scenarios():
     assert all(status == "STOP" for _, status, _ in rows)
 
     env = Environment()
-    ctl = mk_controller(env, KeypadSpec(digits=2))
+    ctl = keypad(env, digits=2)
     rows = run_instants(env, ctl, [digit(7), digit(8), digit(9), pressed("enter")])
     assert [outputs for outputs, _, _ in rows] == [[], [], [], ["78"]]
     assert all(status == "STOP" for _, status, _ in rows)

@@ -27,7 +27,7 @@ from instants.program import ATOM, Raise, Seq, Stop, Suspend
 from instants.world import InstantEvents, IntConst, Print, SetCell
 
 from genprog import gen_case
-from helpers import react_once
+from helpers import needs_print_limit, print_limit, react_once
 
 MERGE_SRC = (
     '(merge (rexp (seq (print "1") (stop) (print "2")))'
@@ -241,6 +241,9 @@ def test_trace_error_class_message_and_position(text, error, message, line, col)
         ("((nothing))", ParseError, "form head must be a symbol", 1, 1),
         ("(loop\n  (rexp (seq)) ", ParseError, "unclosed parenthesis", 1, 1),
         ("\n )", ParseError, "unexpected ')'", 2, 2),
+        # Gaps with several newlines, CRLF line ends and a comment.
+        ("(merge (nothing)\r\n\r\n; c )\n\t(wat))", UnknownForm, "unknown expression form 'wat'", 4, 2),
+        ('(rexp\r\n\r\n  (seq (print "ok")\n\n (print "a\\q")))', ParseError, "unknown escape \\q", 5, 11),
     ],
 )
 def test_parse_error_class_message_and_position(src, error, message, line, col):
@@ -249,6 +252,12 @@ def test_parse_error_class_message_and_position(src, error, message, line, col):
     assert type(exc.value) is error
     assert str(exc.value) == f"{message} at line {line}, column {col}"
     assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@needs_print_limit
+def test_render_raises_on_a_literal_past_the_print_limit():
+    with pytest.raises(ValueError):
+        render(RexpExpr(SetCell("x", IntConst(10 ** print_limit()))))
 
 
 def test_render_walks_a_5000_branch_par_without_recursion():

@@ -8,14 +8,22 @@ double-quoted, with the escapes ``\\n``, ``\\t``, ``\\r``, ``\\"`` and
 The grammar is the table ``_FORMS``. For each kind of form (reactive
 expression, program form, action, condition, integer expression) it has
 one row per head: the AST class the form builds and the kind of each
-argument. ``_build`` parses every form from those rows and ``render``
-prints every AST node back from them. Program forms build the engine's
+argument. At import the table is digested once into ``_ROWS``, rows ready
+to build from: the class, whether the head is a value, the kind of a
+``*`` row's arguments, how to read each leading argument, the kind of the
+last one and the arity. ``_build`` parses every form with one lookup of
+its digested row, and ``render`` prints every AST node back from the same
+rows. Program forms build the engine's
 own classes: ``seq``, ``stop``, ``suspend``, ``raise`` and ``handle``
 build program.Seq, Stop, Suspend, Raise and Handle (whose row fills its
 fields by name, as ``(handle TAG BODY HANDLER)`` gives them in another
 order), and ``print`` and ``set`` build the action specs world.Print and
 SetCell. Only ``activate`` has a class here: ActivateStmt holds an
 expression's AST, not an id.
+A rexp body is compiled in one walk: program.initial_resumption lays out
+its code and hands each print, set and activate form back to
+compile_expr as it reaches it, which gives a HostAction for print and
+set and compiles an activated expression to its id.
 Integer literals and ``true`` and ``false`` are the only atoms that are
 forms. ``(par E ...)`` is the one form outside the table: it parses to a
 right fold of binary merges, and compilation flattens any chain of nested
@@ -36,22 +44,14 @@ comment is skipped.
 from __future__ import annotations
 
 import re
+from functools import partial
 from dataclasses import dataclass, fields
 from typing import Union
 
 from . import combinators
 from .core import ReactiveId
 from .kernel import Environment
-from .program import (
-    Activate,
-    Atom,
-    Handle,
-    Program,
-    Raise,
-    Seq,
-    Stop,
-    Suspend,
-)
+from .program import Handle, Raise, Seq, Stop, Suspend, initial_resumption
 from .world import (
     ActionSeq,
     ActionSpec,
@@ -374,14 +374,59 @@ def _to_int(literal: str) -> int:
         raise ParseError("integer literal has too many digits", *_at(literal)) from None
 
 
+def _escape(text: str) -> str:
+    out = text.replace("\\", "\\\\").replace('"', '\\"')
+    out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
+    return f'"{out}"'
+
+
+# How a row reads an atom argument and prints it back: what gives the
+# atom's value, or None when the atom does not match; the error then; and
+# what prints the value. Names are read by _read_name.
+_ATOMS = {
+    "str": (lambda atom: _unquote(atom) if atom[0] == '"' else None, "expected a string literal", _escape),
+    "count": (lambda atom: _to_int(atom) if _INT_RE.match(atom) else None, "expected an integer literal", str),
+}
+
+
+def _read_name(atom: str) -> str | None:
+    # An ASCII identifier is exactly a _NAME_RE match, and costs less to test.
+    return atom if atom.isidentifier() and atom.isascii() else None
+
+
+def _digest(cls, *kinds) -> tuple:
+    """A _FORMS row as _build reads it: (make, names, op, star, lead, last,
+    arity). make is the AST class; names is None when the arguments fill
+    its fields in order, else the fields they fill. op is whether the head
+    is the first value. star is the kind of every argument of a "*" row,
+    else None. lead holds each argument before a last one of a form kind:
+    its form kind, or how to read it as an atom; last is that argument's
+    form kind, or None. arity counts the arguments."""
+    make, *names = cls if cls.__class__ is tuple else (cls,)
+    op = kinds[:1] == ("op",)
+    kinds = kinds[op:]
+    star = kinds[0][:-1] if kinds and kinds[0][-1] == "*" else None
+    last = kinds[-1] if kinds and kinds[-1] in _FORMS else None
+    lead = () if star else tuple(
+        kind if kind in _FORMS else _ATOMS.get(kind) or (_read_name, f"expected {kind[5:]} name", str)
+        for kind in kinds[:len(kinds) - (last is not None)])
+    return make, names or None, op, star, lead, last, len(kinds)
+
+
+# The grammar digested once: for each kind of form, its noun and its rows.
+_ROWS = {kind: (noun, {head: _digest(*row) for head, row in rows.items()})
+         for kind, (noun, rows) in _FORMS.items()}
+
+
 def _build(node, kind: str):
     """Build the AST of one form of the given kind from what a reader
-    returned. A form's last argument is built by the same loop, not by a
-    call, so a chain nested through last arguments, such as the merges that
-    render prints for a long par, takes no stack."""
-    waiting = []  # (row, values) of the forms whose last argument is node
+    returned, with one lookup of the form's digested row. A form's last
+    argument is built by the same loop, not by a call, so a chain nested
+    through last arguments, such as the merges that render prints for a
+    long par, takes no stack."""
+    waiting = []  # (make, names, values) of the forms whose last argument is node
     while True:
-        noun, rows = _FORMS[kind]
+        noun, rows = _ROWS[kind]
         if not isinstance(node, tuple):
             if kind == "integer" and _INT_RE.match(node):
                 ast = IntConst(_to_int(node))
@@ -396,61 +441,48 @@ def _build(node, kind: str):
         if not node:
             raise ParseError(f"empty form where {noun} expected", *_at(node))
         head = node[0]
-        if not isinstance(head, str) or head[0] == '"':
+        # Only a str may key a lookup: hashing a tuple nested deeply enough
+        # crashes the interpreter. No row has a string literal as its head.
+        if not isinstance(head, str):
             raise ParseError("form head must be a symbol", *_at(node))
-        args = node[1:]
-        if head == "par" and kind == "expression":
-            if not args:
-                raise ArityError("(par ...) takes at least 1 argument(s), got 0", *_at(node))
-            waiting += [(rows["merge"], [_build(arg, kind)]) for arg in args[:-1]]
-            node = args[-1]
-            continue
         row = rows.get(head)
         if row is None:
-            raise UnknownForm(f"unknown {kind} form {head!r}", *_at(node))
-        kinds = row[1:]
-        if kinds and kinds[-1][-1] == "*":
-            ast = row[0](tuple([_build(arg, kinds[-1][:-1]) for arg in args]))
+            if head[0] == '"':
+                raise ParseError("form head must be a symbol", *_at(node))
+            if head != "par" or kind != "expression":
+                raise UnknownForm(f"unknown {kind} form {head!r}", *_at(node))
+            if len(node) == 1:
+                raise ArityError("(par ...) takes at least 1 argument(s), got 0", *_at(node))
+            waiting += [(MergeExpr, None, [_build(arg, kind)]) for arg in node[1:-1]]
+            node = node[-1]
+            continue
+        make, names, op, star, lead, last, arity = row
+        if star:
+            ast = make(tuple([_build(arg, star) for arg in node[1:]]))
             break
-        values = []
-        if kinds and kinds[0] == "op":
-            values.append(head)
-            kinds = kinds[1:]
-        if len(args) != len(kinds):
-            raise ArityError(f"({head} ...) takes {len(kinds)} argument(s), got {len(args)}", *_at(node))
-        tail = len(kinds) > 0 and kinds[-1] in _FORMS
-        for arg, arg_kind in zip(args[:len(args) - tail], kinds):
-            if arg_kind in _FORMS:
+        if len(node) - 1 != arity:
+            raise ArityError(f"({head} ...) takes {arity} argument(s), got {len(node) - 1}", *_at(node))
+        values = [head] if op else []
+        at = 0  # the index of arg in node
+        for arg_kind in lead:
+            at += 1
+            arg = node[at]
+            if arg_kind.__class__ is str:
                 values.append(_build(arg, arg_kind))
-            elif arg_kind == "str":
-                if not isinstance(arg, str) or arg[0] != '"':
-                    raise ParseError("expected a string literal", *_at(arg))
-                values.append(_unquote(arg))
-            elif arg_kind == "count":
-                if not isinstance(arg, str) or not _INT_RE.match(arg):
-                    raise ParseError("expected an integer literal", *_at(arg))
-                values.append(_to_int(arg))
+            elif isinstance(arg, str) and (value := arg_kind[0](arg)) is not None:
+                values.append(value)
             else:
-                if not isinstance(arg, str) or not _NAME_RE.match(arg):
-                    raise ParseError(f"expected {arg_kind.removeprefix('name:')} name", *_at(arg))
-                values.append(arg)
-        if not tail:
-            ast = _make(row, values)
+                raise ParseError(arg_kind[1], *_at(arg))
+        if last is None:
+            ast = make(*values) if names is None else make(**dict(zip(names, values)))
             break
-        waiting.append((row, values))
-        node, kind = args[-1], kinds[-1]
+        waiting.append((make, names, values))
+        node, kind = node[-1], last
     while waiting:
-        row, values = waiting.pop()
+        make, names, values = waiting.pop()
         values.append(ast)
-        ast = _make(row, values)
+        ast = make(*values) if names is None else make(**dict(zip(names, values)))
     return ast
-
-
-def _make(row: tuple, values: list):
-    """Build a row's class from its argument values, in syntax order."""
-    if row[0].__class__ is tuple:
-        return row[0][0](**dict(zip(row[0][1:], values)))
-    return row[0](*values)
 
 
 def parse_program(text: str) -> ExprAst:
@@ -470,28 +502,26 @@ def parse_program(text: str) -> ExprAst:
 # Rendering (inverse of parse_program, used for golden files and tests)
 
 
-# Each AST class with the head, argument kinds and field names of its row
-# (a class and the fields its arguments fill, in syntax order). The classes
-# with an "op" argument have one row per operator and take their head from
-# that field.
-_ROWS_BY_CLASS = {
-    named[0]: (head, row[1:], named[1:])
-    for _, rows in _FORMS.values() for head, row in rows.items()
-    for named in [row[0] if row[0].__class__ is tuple else (row[0], *(f.name for f in fields(row[0])))]
-}
+def _printers(make, names, op, star, lead, last, arity) -> tuple:
+    """For each argument of a digested row, in syntax order, the field it
+    fills and how it prints: "op" for the head itself, "*" for a tuple of
+    forms, None for one form, else an atom's printer."""
+    shows = ["*"] if star else [None if k.__class__ is str else k[2] for k in lead] + [None] * (last is not None)
+    return tuple(zip(names or [f.name for f in fields(make)], ["op"] * op + shows))
 
 
-def _escape(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
-    return f'"{out}"'
+# Each AST class with the head of its digested row and how its arguments
+# print. The classes with an "op" argument have one row per operator and
+# take their head from that field.
+_ROWS_BY_CLASS = {row[0]: (head, _printers(*row)) for _, rows in _ROWS.values() for head, row in rows.items()}
 
 
 def render(ast: object) -> str:
     """Render any AST node (expression, program form, action, condition or
-    integer expression) as source text that parses back to it. An integer
-    literal longer than the host's int-to-str limit raises ValueError, as
-    str() does; parse_program could not read it back either."""
+    integer expression) as source text that parses back to it, from the
+    digested row of its class (_ROWS_BY_CLASS). An integer literal longer
+    than the host's int-to-str limit raises ValueError, as str() does;
+    parse_program could not read it back either."""
     out = []
     # What is left to print, last first: AST nodes, and text as a str (the
     # argument itself is never text).
@@ -505,18 +535,17 @@ def render(ast: object) -> str:
         elif item.__class__ is BoolConst:
             out.append("true" if item.value else "false")
         elif item.__class__ in _ROWS_BY_CLASS:
-            head, kinds, names = _ROWS_BY_CLASS[item.__class__]
+            head, args = _ROWS_BY_CLASS[item.__class__]
             pending.append(")")
-            for name, kind in zip(names[::-1], kinds[::-1]):
+            for name, show in args[::-1]:
                 value = getattr(item, name)
-                if kind == "op":
+                if show == "op":
                     head = value
-                elif kind[-1] == "*":
+                elif show == "*":
                     for part in value[::-1]:
                         pending += (part, " ")
                 else:
-                    text = value if kind in _FORMS else _escape(value) if kind == "str" else str(value)
-                    pending += (text, " ")
+                    pending += (value if show is None else show(value), " ")
             pending.append(f"({head}")
         else:
             raise TypeError(f"not a DSL form: {item!r}")
@@ -527,28 +556,20 @@ def render(ast: object) -> str:
 # Compilation to kernel nodes
 
 
-def _compile_prog(stmt: ProgStmt, env: Environment) -> Program:
-    match stmt:
-        case Seq(items=items):
-            return Seq(tuple(_compile_prog(item, env) for item in items))
-        case Print() | SetCell():
-            return Atom(build_action(stmt))
-        case Stop() | Suspend() | Raise():
-            return stmt
-        case ActivateStmt(expr=expr):
-            # Inline sub-expressions are compiled before the enclosing
-            # program runs.
-            return Activate(compile_expr(expr, env))
-        case Handle(body=body, tag=tag, handler=handler):
-            return Handle(_compile_prog(body, env), tag, _compile_prog(handler, env))
-    raise TypeError(f"not a program form: {stmt!r}")
-
-
 def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
-    """Allocate kernel nodes for the expression, bottom up."""
+    """Allocate kernel nodes for the expression, bottom up. A rexp body's
+    print, set and activate forms come back here from
+    program.initial_resumption as it reaches them, in program order: print
+    and set compile to a HostAction, and activate to the id of its
+    expression. So a nested rexp costs two Python frames, this one and
+    initial_resumption's."""
+    if ast.__class__ is ActivateStmt:
+        ast = ast.expr
     match ast:
+        case Print() | SetCell():
+            return build_action(ast)
         case RexpExpr(program=program):
-            return combinators.rexp(env, _compile_prog(program, env))
+            return env.alloc(initial_resumption(program, _compile, env))
         case MergeExpr():
             # A chain of nested merges, however folded, becomes one n-ary
             # node over its leaves in left-to-right order.
@@ -559,31 +580,38 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
                 if isinstance(item, MergeExpr):
                     pending += (item.right, item.left)
                 else:
-                    leaves.append(compile_expr(item, env))
+                    leaves.append(_compile(item, env))
             return combinators.merge(env, *leaves)
         case RifExpr(cond=cond, then_expr=a, else_expr=b):
-            return combinators.rif(env, cond, compile_expr(a, env), compile_expr(b, env))
+            return combinators.rif(env, cond, _compile(a, env), _compile(b, env))
         case CloseExpr(child=child):
-            return combinators.close(env, compile_expr(child, env))
+            return combinators.close(env, _compile(child, env))
         case LoopExpr(body=body):
-            return combinators.loop(env, compile_expr(body, env))
+            return combinators.loop(env, _compile(body, env))
         case RepeatExpr(count=count, body=body):
             if count < 0:
                 raise NegativeRepeatCount(f"repeat count must be non-negative, got {count}")
-            return combinators.repeat(env, count, compile_expr(body, env))
+            return combinators.repeat(env, count, _compile(body, env))
         case InitExpr(action=action, body=body):
-            return combinators.init(env, build_action(action), compile_expr(body, env))
+            return combinators.init(env, build_action(action), _compile(body, env))
         case AwaitExpr(cond=cond, body=body):
-            return combinators.await_(env, cond, compile_expr(body, env))
+            return combinators.await_(env, cond, _compile(body, env))
         case WhenExpr(cond=cond, body=body):
-            return combinators.when(env, cond, compile_expr(body, env))
+            return combinators.when(env, cond, _compile(body, env))
         case TerminateExpr(cond=cond, body=body):
-            return combinators.terminate(env, cond, compile_expr(body, env))
+            return combinators.terminate(env, cond, _compile(body, env))
         case HaltExpr():
             return combinators.halt(env)
         case NothingExpr():
             return combinators.nothing(env)
     raise TypeError(f"not an expression: {ast!r}")
+
+
+# What compile_expr calls for the forms inside one: compile_expr itself,
+# through a partial. Calling the partial adds no Python frame, and a
+# wrapper put on the name compile_expr, such as bench/tracer.py's, sees one
+# call per compile rather than one per print and set.
+_compile = partial(compile_expr)
 
 
 # --------------------------------------------------------------------------

@@ -32,14 +32,19 @@ Activate instructions in code order. They do not change as pc moves, so a
 copy also keeps the targets pc has passed, with their statuses, and never
 steps them. The state a loop saves is the pair of pc and handlers.
 
-The DSL's program forms parse to Seq, Stop, Suspend and Raise directly,
-and its print and set forms to the action specs world.Print and SetCell,
-which compilation wraps in Atom.
+The DSL's program forms parse to Seq, Stop, Suspend, Raise and Handle
+directly, and its print, set and activate forms to items that are not
+instructions. The DSL passes a callback to initial_resumption, which
+hands it each such item as the walk reaches it, in program order: print
+and set come back as a HostAction and make an ATOM instruction, activate
+comes back as the id of its compiled expression and makes an ACTIVATE
+one. So a DSL program is laid out in one walk, with no Atom or Activate
+built for it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Union
 
 from .core import Abort, END, ReactiveId, Status, STOP, SUSP
 from .world import HostAction
@@ -124,9 +129,18 @@ class BasicNode:
         self.pc, self.handlers = state
 
 
-def initial_resumption(program: Program) -> BasicNode:
+# What initial_resumption lays out itself: the instructions, and its own
+# marks, which are tuples.
+_LAID_OUT = (Seq, Atom, Stop, Suspend, Activate, Raise, Handle, tuple)
+
+
+def initial_resumption(program: Program, compile: Callable[..., HostAction | ReactiveId] | None = None,
+                       context: object = None) -> BasicNode:
     """Compile program to flat code in a node positioned at its first
-    instruction."""
+    instruction. Each item that is not an instruction goes to
+    compile(item, context) as it is reached, in program order: a
+    HostAction back makes an ATOM instruction, and an id an ACTIVATE one.
+    Without compile, such an item raises TypeError."""
     ops: list = []
     targets: list[ReactiveId] = []
     # Besides instructions, the stack holds ("body", at) and ("handler", at)
@@ -134,7 +148,16 @@ def initial_resumption(program: Program) -> BasicNode:
     pending: list = [program]
     while pending:
         item = pending.pop()
-        if isinstance(item, Seq):
+        if not isinstance(item, _LAID_OUT):
+            if compile is None:
+                raise TypeError(f"not an instruction: {item!r}")
+            compiled = compile(item, context)
+            if isinstance(compiled, HostAction):
+                ops.append((ATOM, compiled))
+            else:
+                ops.append((ACTIVATE, len(targets)))
+                targets.append(compiled)
+        elif isinstance(item, Seq):
             pending.extend(reversed(item.items))
         elif isinstance(item, Atom):
             ops.append((ATOM, item.action))
@@ -150,8 +173,6 @@ def initial_resumption(program: Program) -> BasicNode:
         elif isinstance(item, Handle):
             pending += (("handler", len(ops)), item.handler, ("body", len(ops)), item.body)
             ops.append((PUSH, item.tag))
-        elif not isinstance(item, tuple):
-            raise TypeError(f"not an instruction: {item!r}")
         elif item[0] == "body":
             # The handler's code starts after the POP placed here.
             at = item[1]

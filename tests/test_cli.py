@@ -240,6 +240,20 @@ def test_host_limits_exit_with_a_label_and_no_traceback(
     assert message in stream
 
 
+def test_a_form_head_nested_200000_deep_is_a_parse_error(tmp_path):
+    # The builder tests that a head is a str before it looks the head up:
+    # hashing a tuple nested this deeply crashes the interpreter.
+    depth = 200_000
+    program = write(tmp_path, "deep_head.rx", "(rexp (seq " + "(" * depth + ")" * depth + "))")
+    proc = subprocess.run(
+        [sys.executable, "-m", "instants", "--program", program],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+    )
+    assert proc.returncode == EXIT_INPUT_ERROR
+    assert proc.stderr == "instants: form head must be a symbol at line 1, column 12\n"
+
+
 @needs_print_limit
 def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):
     digits = "9" * 5000

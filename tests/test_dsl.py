@@ -23,8 +23,8 @@ from instants.dsl import (
     _tokenize,
     compile_expr,
 )
-from instants.program import ATOM, Raise, Seq, Stop, Suspend
-from instants.world import InstantEvents, IntConst, Print, SetCell
+from instants.program import ACTIVATE, ATOM, POP, PUSH, RAISE, Activate, Atom, Handle, Raise, Seq, Stop, Suspend
+from instants.world import InstantEvents, IntConst, Print, SetCell, build_action
 
 from genprog import gen_case
 from helpers import needs_print_limit, print_limit, react_once
@@ -235,10 +235,14 @@ def test_trace_error_class_message_and_position(text, error, message, line, col)
         ("(rif maybe (nothing) (halt))", ParseError, "expected condition, got 'maybe'", 1, 6),
         ("(rif (= x 1) (nothing) (halt))", ParseError, "expected integer expression, got 'x'", 1, 9),
         ("(rexp (set x (cell 1)))", ParseError, "expected cell name", 1, 20),
+        # Names are ASCII identifiers only.
+        ("(rexp (raise é))", ParseError, "expected tag name", 1, 14),
+        ("(rif (sig 1x) (nothing) (halt))", ParseError, "expected signal name", 1, 11),
         ("(repeat x (halt))", ParseError, "expected an integer literal", 1, 9),
         ("(rexp (print x))", ParseError, "expected a string literal", 1, 14),
         ("(rexp ())", ParseError, "empty form where a program form expected", 1, 7),
         ("((nothing))", ParseError, "form head must be a symbol", 1, 1),
+        ('(rexp (seq ("seq")))', ParseError, "form head must be a symbol", 1, 12),
         ("(loop\n  (rexp (seq)) ", ParseError, "unclosed parenthesis", 1, 1),
         ("\n )", ParseError, "unexpected ')'", 2, 2),
         # Gaps with several newlines, CRLF line ends and a comment.
@@ -278,6 +282,49 @@ def test_render_walks_a_5000_branch_par_without_recursion():
 def test_900_nested_levels_parse(opening, closing):
     ast = parse_program(opening * 900 + "(nothing)" + closing * 900)
     assert render(ast).count(opening) == 900
+
+
+def test_200_nested_rexp_levels_parse_and_compile():
+    depth = 200
+    env = Environment()
+    compile_expr(parse_program('(rexp (seq (print "a") (activate ' * depth + "(nothing)" + ")))" * depth), env)
+    assert len(env.nodes) == depth + 1
+
+
+def test_compile_allocates_in_program_order():
+    """compile_expr lays out a rexp body in one walk; the node table must be
+    the one that rexp gives for the same program converted by hand, with
+    each activated expression compiled first, in program order."""
+    source = (
+        '(rexp (seq (print "a") (activate (rexp (seq (print "b") (stop))))'
+        ' (handle T (seq (set x 1) (activate (nothing)) (raise T))'
+        ' (seq (activate (halt)) (print "c")))'
+        " (activate (loop (rexp (stop))))))"
+    )
+    env = Environment()
+    root = compile_expr(parse_program(source), env)
+
+    by_hand = Environment()
+    first, second, third, fourth = (
+        compile_expr(parse_program(text), by_hand)
+        for text in ('(rexp (seq (print "b") (stop)))', "(nothing)", "(halt)", "(loop (rexp (stop)))")
+    )
+    program = Seq((
+        Atom(build_action(Print("a"))),
+        Activate(first),
+        Handle(
+            Seq((Atom(build_action(SetCell("x", IntConst(1)))), Activate(second), Raise("T"))),
+            "T",
+            Seq((Activate(third), Atom(build_action(Print("c"))))),
+        ),
+        Activate(fourth),
+    ))
+    assert root == rexp(by_hand, program)
+    assert env.nodes == by_hand.nodes
+    assert env.statuses == by_hand.statuses
+    assert [op for op, _ in env.nodes[root].ops] == [ATOM, ACTIVATE, PUSH, ATOM, ACTIVATE, RAISE, POP,
+                                                    ACTIVATE, ATOM, ACTIVATE]
+    assert env.nodes[root].children == (first, second, third, fourth)
 
 
 # Edits that break a program in the ways a reader can fail.

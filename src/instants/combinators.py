@@ -41,12 +41,12 @@ def merge(env: Environment, *children: ReactiveId) -> ReactiveId:
 def rif(env: Environment, cond: Cond, then_branch: ReactiveId, else_branch: ReactiveId) -> ReactiveId:
     """Conditional activation; the condition is compiled once, here, and
     re-evaluated every instant."""
-    return env.alloc(RifNode(*compile_cond(cond), then_branch, else_branch))
+    return env.alloc(RifNode(*compile_cond(cond), (then_branch, else_branch)))
 
 
 def close(env: Environment, child: ReactiveId) -> ReactiveId:
     """Resolve the child's suspensions within the instant."""
-    return env.alloc(CloseNode(child))
+    return env.alloc(CloseNode((child,)))
 
 
 def nothing(env: Environment) -> ReactiveId:
@@ -68,7 +68,7 @@ def loop(env: Environment, body: ReactiveId) -> ReactiveId:
     taken here, so restarts allocate no nodes.
     """
     own = env.dup(body)
-    return env.alloc(LoopNode(own, env.snapshot(own)))
+    return env.alloc(LoopNode(*env.snapshot(own)))
 
 
 def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
@@ -78,12 +78,12 @@ def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
     if count == 0:
         return nothing(env)
     own = env.dup(body)
-    return env.alloc(LoopNode(own, env.snapshot(own), count))
+    return env.alloc(LoopNode(*env.snapshot(own), count))
 
 
 def init(env: Environment, action: HostAction, child: ReactiveId) -> ReactiveId:
     """Run the action before every activation of the child."""
-    return env.alloc(InitNode(action, child))
+    return env.alloc(InitNode(action, (child,)))
 
 
 def await_(env: Environment, cond: Cond, child: ReactiveId) -> ReactiveId:
@@ -92,7 +92,7 @@ def await_(env: Environment, cond: Cond, child: ReactiveId) -> ReactiveId:
     The condition is checked once per instant until it holds and never
     again afterwards.
     """
-    return env.alloc(AwaitNode(*compile_cond(cond), child))
+    return env.alloc(AwaitNode(*compile_cond(cond), (child,)))
 
 
 def when(env: Environment, cond: Cond, child: ReactiveId) -> ReactiveId:

@@ -208,7 +208,6 @@ ProgStmt = Union[Seq, Print, SetCell, Stop, Suspend, ActivateStmt, Raise, Handle
 # fails reads the text again with _tokenize, whose tokens, and the forms
 # _nest makes of them, are subclasses that carry their line and column.
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
@@ -390,7 +389,7 @@ _ATOMS = {
 
 
 def _read_name(atom: str) -> str | None:
-    # An ASCII identifier is exactly a _NAME_RE match, and costs less to test.
+    # A name is an ASCII identifier: [A-Za-z_][A-Za-z0-9_]*.
     return atom if atom.isidentifier() and atom.isascii() else None
 
 
@@ -631,7 +630,7 @@ def parse_trace(text: str) -> list[InstantEvents]:
             for index, token in enumerate(raw.split()):
                 if "=" in token:
                     name, _, literal = token.partition("=")
-                    if not _NAME_RE.match(name):
+                    if _read_name(name) is None:
                         raise ParseError(f"bad signal name {name!r}")
                     if not _INT_RE.match(literal):
                         raise ParseError(f"bad integer value {literal!r} for {name!r}")
@@ -639,7 +638,7 @@ def parse_trace(text: str) -> list[InstantEvents]:
                         raise DuplicateAssignment(f"signal {name!r} assigned twice in one instant")
                     values[name] = _to_int(literal)
                 else:
-                    if not _NAME_RE.match(token):
+                    if _read_name(token) is None:
                         raise ParseError(f"bad signal name {token!r}")
                     signals.add(token)
         except ParseError as error:

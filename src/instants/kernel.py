@@ -3,14 +3,15 @@
 An Environment owns every reactive expression it allocated: a node table
 describing structure, a status table holding each expression's last outcome,
 the event world, and the divergence limits. Each node kind is one class
-that defines its children, its copy with the children renamed (remap), its
-step, and the save/load pair for its state. Activation is a recursive walk:
-Environment.step checks for END, lets the node step itself, writes the
-resulting status back, and returns it. A terminated expression is inert;
-stepping it returns END and changes nothing. A merge holds all its branches
-in one node, so the walk is as deep as the program's nesting, not its
-width. Copying (dup) and snapshots find a node's region by an iterative
-walk, so they work at any depth.
+that defines its step and the save/load pair for its state. Every kind
+holds the ids of its children in its children field and nowhere else, so
+dup copies every kind the same way: the same fields, with the children
+renamed. Activation is a recursive walk: Environment.step checks for END,
+lets the node step itself, writes the resulting status back, and returns
+it. A terminated expression is inert; stepping it returns END and changes
+nothing. A merge holds all its branches in one node, so the walk is as
+deep as the program's nesting, not its width. Copying (dup) and snapshots
+find a node's region by an iterative walk, so they work at any depth.
 
 Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
@@ -19,21 +20,22 @@ handler catches the abort instead and keeps running.
 The basic kind, BasicNode, lives in program.py with the flat code it runs,
 and is re-imported here; the other kinds are defined below.
 
-A loop records its body's whole region when it is built: the id and status
-of every node reachable from the body, and what its save returns, which
-holds no ids: the pc and handlers of each basic expression, and the latch
-or count of every await and nested loop. A restart restores that snapshot
-in place, so the region keeps its ids and the node table stays the same
-size over a run. A body that terminated after reading this instant's
-events would see the same events again if it restarted now, so the restart
-waits for the next activation; bodies that read nothing restart in place,
-which is also where instantaneous-loop divergence is caught.
+A loop records its body's whole region when it is built: the id of every
+node reachable from the body, as its children, and the status of each and
+what its save returns, which holds no ids: the pc and handlers of each
+basic expression, and the latch or count of every await and nested loop.
+A restart restores that snapshot in place, so the region keeps its ids and
+the node table stays the same size over a run. A body that terminated
+after reading this instant's events would see the same events again if it
+restarted now, so the restart waits for the next activation; bodies that
+read nothing restart in place, which is also where instantaneous-loop
+divergence is caught.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Union
 
 from .core import (
@@ -55,8 +57,6 @@ from .core import (
 from .program import BasicNode
 from .world import HostAction, InstantEvents, World
 
-Remap = Callable[[ReactiveId], ReactiveId]
-
 
 class _Stateless:
     """The save/load pair of a node kind whose only state is its status."""
@@ -71,9 +71,6 @@ class _Stateless:
 @dataclass
 class MergeNode(_Stateless):
     children: tuple[ReactiveId, ...]
-
-    def remap(self, f: Remap) -> MergeNode:
-        return MergeNode(tuple(map(f, self.children)))
 
     def step(self, env: Environment) -> Status:
         # Mid-instant re-step: only the suspended children run, and the
@@ -97,69 +94,58 @@ class RifNode(_Stateless):
     # The condition as compiled once by rif; copies share it.
     test: Predicate
     reads_events: bool
-    then_branch: ReactiveId
-    else_branch: ReactiveId
-
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        return (self.then_branch, self.else_branch)
-
-    def remap(self, f: Remap) -> RifNode:
-        return RifNode(self.test, self.reads_events, f(self.then_branch), f(self.else_branch))
+    children: tuple[ReactiveId, ReactiveId]  # then, else
 
     def step(self, env: Environment) -> Status:
         # A suspended branch resumes without re-evaluating the condition;
         # otherwise the condition is evaluated anew every instant.
-        if env.statuses[self.then_branch] is SUSP:
-            return env.step(self.then_branch)
-        if env.statuses[self.else_branch] is SUSP:
-            return env.step(self.else_branch)
+        then_branch, else_branch = self.children
+        if env.statuses[then_branch] is SUSP:
+            return env.step(then_branch)
+        if env.statuses[else_branch] is SUSP:
+            return env.step(else_branch)
         if env._eval_cond(self.test, self.reads_events):
-            return env.step(self.then_branch)
-        return env.step(self.else_branch)
+            return env.step(then_branch)
+        return env.step(else_branch)
 
 
 @dataclass
 class CloseNode(_Stateless):
-    child: ReactiveId
-
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        return (self.child,)
-
-    def remap(self, f: Remap) -> CloseNode:
-        return CloseNode(f(self.child))
+    children: tuple[ReactiveId]
 
     def step(self, env: Environment) -> Status:
-        return env._close_steps(self.child)
+        return env._close_steps(self.children[0])
 
 
-# One entry per node of a loop body's region: (id, status, state), where the
-# state is what the node's save returned.
-Snapshot = tuple[tuple[ReactiveId, Status, object], ...]
+# One entry per node of a region: (status, state), where the state is what
+# the node's save returned.
+States = tuple[tuple[Status, object], ...]
 
 
 @dataclass
 class LoopNode:
-    """Runs body to termination ``remaining`` more times (forever when
-    None), restoring it from the snapshot before each restart."""
+    """Runs the body, its first child, to termination ``remaining`` more
+    times (forever when None), restoring it from the snapshot before each
+    restart."""
 
-    body: ReactiveId
-    snapshot: Snapshot
+    # The body's whole region, body first, and what each node of it held
+    # when the loop was built, in the same order.
+    children: tuple[ReactiveId, ...]
+    snapshot: States
     remaining: int | None = None
 
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        return tuple(rid for rid, _, _ in self.snapshot)
-
-    def remap(self, f: Remap) -> LoopNode:
-        snapshot = tuple((f(rid), status, state) for rid, status, state in self.snapshot)
-        return LoopNode(f(self.body), snapshot, self.remaining)
+    def __post_init__(self) -> None:
+        # A restart walks this flat tuple, which costs less per restart than
+        # zipping the two fields. dup builds a copy through __init__, so the
+        # copy gets its own, over its own ids.
+        self._restore = tuple((rid, status, state)
+                              for rid, (status, state) in zip(self.children, self.snapshot))
 
     def step(self, env: Environment) -> Status:
         restarts = 0
+        body = self.children[0]
         before = env._event_reads
-        status = env.step(self.body)
+        status = env.step(body)
         while status is END:
             if self.remaining is not None:
                 self.remaining -= 1
@@ -167,7 +153,7 @@ class LoopNode:
                     return END
             observed = env._event_reads > before
             statuses, nodes = env.statuses, env.nodes
-            for rid, saved, state in self.snapshot:
+            for rid, saved, state in self._restore:
                 statuses[rid] = saved
                 nodes[rid].load(state)
             if observed:
@@ -178,7 +164,7 @@ class LoopNode:
             if restarts > env.limits.max_loop_restarts:
                 raise InstantaneousLoop(env.limits.max_loop_restarts)
             before = env._event_reads
-            status = env.step(self.body)
+            status = env.step(body)
         return status
 
     def save(self) -> int | None:
@@ -191,18 +177,11 @@ class LoopNode:
 @dataclass
 class InitNode(_Stateless):
     action: HostAction
-    child: ReactiveId
-
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        return (self.child,)
-
-    def remap(self, f: Remap) -> InitNode:
-        return InitNode(self.action, f(self.child))
+    children: tuple[ReactiveId]
 
     def step(self, env: Environment) -> Status:
         env.run_action(self.action)
-        return env.step(self.child)
+        return env.step(self.children[0])
 
 
 @dataclass
@@ -210,22 +189,15 @@ class AwaitNode:
     # The condition as compiled once by await_; copies share it.
     test: Predicate
     reads_events: bool
-    child: ReactiveId
+    children: tuple[ReactiveId]
     latched: bool = False
-
-    @property
-    def children(self) -> tuple[ReactiveId, ...]:
-        return (self.child,)
-
-    def remap(self, f: Remap) -> AwaitNode:
-        return AwaitNode(self.test, self.reads_events, f(self.child), self.latched)
 
     def step(self, env: Environment) -> Status:
         if not self.latched:
             if not env._eval_cond(self.test, self.reads_events):
                 return STOP
             self.latched = True
-        return env.step(self.child)
+        return env.step(self.children[0])
 
     def save(self) -> bool:
         return self.latched
@@ -288,14 +260,17 @@ class Environment:
         # alloc accepts only allocated children, so a child's id is lower
         # than its parent's and ascending order copies children first.
         for old in sorted(self._region(r)):
-            new = self.alloc(self.nodes[old].remap(memo.__getitem__))
+            node = self.nodes[old]
+            new = self.alloc(replace(node, children=tuple(map(memo.__getitem__, node.children))))
             self.statuses[new] = self.statuses[old]
             memo[old] = new
         return memo[r]
 
-    def snapshot(self, r: ReactiveId) -> Snapshot:
-        """Record the state of every node reachable from r, r first."""
-        return tuple((rid, self.statuses[rid], self.nodes[rid].save()) for rid in self._region(r))
+    def snapshot(self, r: ReactiveId) -> tuple[tuple[ReactiveId, ...], States]:
+        """The region of r, r first, and the status and state of each of
+        its nodes in the same order."""
+        region = tuple(self._region(r))
+        return region, tuple((self.statuses[rid], self.nodes[rid].save()) for rid in region)
 
     # ------------------------------------------------------------------
     # Stepping

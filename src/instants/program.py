@@ -50,7 +50,7 @@ from .core import Abort, END, ReactiveId, Status, STOP, SUSP
 from .world import HostAction
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .kernel import Environment, Remap
+    from .kernel import Environment
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,6 @@ class BasicNode:
     @property
     def done(self) -> bool:
         return self.pc >= len(self.ops)
-
-    def remap(self, f: Remap) -> BasicNode:
-        return BasicNode(self.ops, tuple(map(f, self.children)), self.pc, self.handlers)
 
     def step(self, env: Environment) -> Status:
         return run_resumption(env, self)

@@ -50,7 +50,7 @@ class World:
         self.instant_values.clear()
         self.output.clear()
         if events is not None:
-            for name in sorted(events.signals):
+            for name in events.signals:
                 self.signals[name] = True
             for name, value in events.values.items():
                 self.signals[name] = True

@@ -203,6 +203,8 @@ def test_trace_bad_tokens_rejected():
         ("x=1\tx=2", DuplicateAssignment, "signal 'x' assigned twice in one instant", 1, 5),
         ("a v=q", ParseError, "bad integer value 'q' for 'v'", 1, 3),
         ("; c\n9digit", ParseError, "bad signal name '9digit'", 2, 1),
+        ("é", ParseError, "bad signal name 'é'", 1, 1),
+        ("x=1 é=2", ParseError, "bad signal name 'é'", 1, 5),
     ],
 )
 def test_trace_error_class_message_and_position(text, error, message, line, col):

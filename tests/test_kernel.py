@@ -1,6 +1,7 @@
 """Kernel behavior: allocation, stepping, duplication, guard rails."""
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -29,6 +30,7 @@ from instants import (
     close,
     compile_expr,
     halt,
+    init,
     loop,
     merge,
     nothing,
@@ -36,11 +38,12 @@ from instants import (
     parse_trace,
     repeat,
     rexp,
+    rif,
     seq,
     star,
     terminate,
 )
-from instants.kernel import BasicNode, MergeNode
+from instants.kernel import BasicNode, LoopNode, MergeNode
 from instants.program import initial_resumption
 from instants.world import InstantEvents, Sig
 
@@ -320,11 +323,12 @@ def test_dup_and_loop_of_a_deep_close_chain():
     original_ids, copy_ids = [r], [copy]
     for ids in (original_ids, copy_ids):
         for _ in range(depth):
-            ids.append(env.nodes[ids[-1]].child)
+            (child,) = env.nodes[ids[-1]].children
+            ids.append(child)
         assert isinstance(env.nodes[ids[-1]], BasicNode)
     assert set(original_ids).isdisjoint(copy_ids)
     l = loop(env, r)
-    assert len(env.nodes[l].snapshot) == depth + 1
+    assert len(env.nodes[l].children) == len(env.nodes[l].snapshot) == depth + 1
     assert len(env.nodes) == 3 * (depth + 1) + 1
 
 
@@ -358,7 +362,7 @@ def test_dup_shares_compiled_conditions():
     copy = env.nodes[env.dup(r)]
     # The copies test the same compiled predicates; nothing is compiled again.
     assert copy.test is rif.test and copy.reads_events
-    assert env.nodes[copy.else_branch].test is env.nodes[rif.else_branch].test
+    assert env.nodes[copy.children[1]].test is env.nodes[rif.children[1]].test
     assert react_once(env, env.dup(r), InstantEvents(frozenset({"go"}))) == ([], True)
 
 
@@ -548,8 +552,8 @@ def test_dup_of_running_loop_restarts_its_own_body():
     l = loop(env, rexp(env, seq(printer("x"), Stop(), printer("y"), Stop())))
     assert react_once(env, l) == (["x"], False)
     copy = env.dup(l)
-    body_ids = {rid for rid, _, _ in env.nodes[l].snapshot}
-    copy_ids = {rid for rid, _, _ in env.nodes[copy].snapshot}
+    body_ids = set(env.nodes[l].children)
+    copy_ids = set(env.nodes[copy].children)
     assert body_ids.isdisjoint(copy_ids)
     assert react_once(env, copy) == (["y"], False)
     assert react_once(env, copy) == (["x"], False)
@@ -567,6 +571,65 @@ def test_dup_of_loop_renames_targets_in_its_snapshot():
     copy = env.dup(l)
     assert react_once(env, copy) == (["b", "c"], False)
     assert react_once(env, l) == (["b", "c"], False)
+
+
+def test_dup_copies_every_node_kind():
+    env = Environment()
+    leaf = rexp(env, seq(printer("k1"), Stop(), printer("k2")))
+    basic = rexp(env, seq(printer("a1"), Stop(), Activate(leaf), Stop(), printer("a3")))
+    left = rexp(env, seq(printer("L1"), Stop(), printer("L2")))
+    branch = rif(env, Sig("left"), left, rexp(env, seq(printer("R1"), Stop(), printer("R2"), Stop(), printer("R3"))))
+    closed = close(env, rexp(env, seq(printer("c1"), Suspend(), printer("c2"), Stop(), printer("c3"), Suspend(),
+                                      printer("c4"), Stop(), printer("c5"), Suspend(), printer("c6"))))
+    inited = init(env, build_action(Print("i")), rexp(env, seq(Stop(), Stop(), Stop(), Stop())))
+    waiting = await_(env, Sig("go"), rexp(env, seq(printer("g1"), Stop(), printer("g2"), Stop())))
+    counted = repeat(env, 4, rexp(env, seq(printer("r"), Stop())))
+    looped = loop(env, rexp(env, seq(printer("l1"), Stop(), printer("l2"), Stop(), printer("l3"))))
+    root = merge(env, basic, branch, closed, inited, waiting, counted, looped)
+    react_once(env, root, InstantEvents(frozenset({"go"})))
+    react_once(env, root)
+    # Basic past its first pc, await latched, repeat on its second run,
+    # loop in mid-run.
+    assert env.nodes[basic].pc > 0 and env.nodes[waiting].latched
+    assert env.nodes[counted].remaining == 3 and env.nodes[env.nodes[looped].children[0]].pc > 0
+
+    copy = env.dup(root)
+    region, copy_region = env.snapshot(root)[0], env.snapshot(copy)[0]
+    assert set(region).isdisjoint(copy_region)
+    ids = dict(zip(region, copy_region))
+    kinds = set()
+    for old, new in ids.items():
+        original, copied = env.nodes[old], env.nodes[new]
+        kinds.add(type(original).__name__)
+        assert type(copied) is type(original)
+        assert env.statuses[new] is env.statuses[old]
+        for field in fields(original):
+            if field.name != "children":
+                assert getattr(copied, field.name) == getattr(original, field.name)
+        for shared in ("test", "action", "ops"):
+            if hasattr(original, shared):
+                assert getattr(copied, shared) is getattr(original, shared)
+        assert copied.children == tuple(ids[child] for child in original.children)
+        if isinstance(original, LoopNode):
+            # A restart of the copy resets the copy's own region.
+            assert copied._restore == tuple((ids[rid], status, state) for rid, status, state in original._restore)
+    assert kinds == {"BasicNode", "MergeNode", "RifNode", "CloseNode", "LoopNode", "InitNode", "AwaitNode"}
+
+    # Running the copy leaves the original as it was, and the copy prints
+    # what the original prints.
+    events = [InstantEvents(frozenset({"left"}))] + [None] * 5
+    before = [(env.statuses[rid], env.nodes[rid].save()) for rid in region]
+    copied_run = [react_once(env, copy, instant) for instant in events]
+    assert [(env.statuses[rid], env.nodes[rid].save()) for rid in region] == before
+    assert [react_once(env, root, instant) for instant in events] == copied_run
+    assert copied_run == [
+        (["k2", "L1", "c5", "c6", "i", "r", "l3", "l1"], False),
+        (["a3", "R3", "i", "r", "l2"], False),
+        (["i", "l3", "l1"], False),
+        (["l2"], False),
+        (["l3", "l1"], False),
+        (["l2"], False),
+    ]
 
 
 def test_basic_children_are_all_targets_in_code_order():

@@ -14,16 +14,15 @@ to build from: the class, whether the head is a value, the kind of a
 last one and the arity. ``_build`` parses every form with one lookup of
 its digested row, and ``render`` prints every AST node back from the same
 rows. Program forms build the engine's
-own classes: ``seq``, ``stop``, ``suspend``, ``raise`` and ``handle``
-build program.Seq, Stop, Suspend, Raise and Handle (whose row fills its
-fields by name, as ``(handle TAG BODY HANDLER)`` gives them in another
-order), and ``print`` and ``set`` build the action specs world.Print and
-SetCell. Only ``activate`` has a class here: ActivateStmt holds an
-expression's AST, not an id.
-A rexp body is compiled in one walk: program.initial_resumption lays out
-its code and hands each print, set and activate form back to
-compile_expr as it reaches it, which gives a HostAction for print and
-set and compiles an activated expression to its id.
+own classes: ``seq``, ``stop``, ``suspend``, ``activate``, ``raise`` and
+``handle`` build program.Seq, Stop, Suspend, Activate, Raise and Handle
+(whose row fills its fields by name, as ``(handle TAG BODY HANDLER)``
+gives them in another order), and ``print`` and ``set`` build the action
+specs world.Print and SetCell, which a program takes as they are. So a
+parsed rexp body is a library program, with an expression's AST as each
+Activate's child. compile_expr lays it out with
+program.initial_resumption, compiles the node's children, in code order,
+to ids, and only then allocates the node.
 Integer literals and ``true`` and ``false`` are the only atoms that are
 forms. ``(par E ...)`` is the one form outside the table: it parses to a
 right fold of binary merges, and compilation flattens any chain of nested
@@ -44,14 +43,14 @@ comment is skipped.
 from __future__ import annotations
 
 import re
-from functools import partial
 from dataclasses import dataclass, fields
+from itertools import repeat
 from typing import Union
 
 from . import combinators
 from .core import ReactiveId
 from .kernel import Environment
-from .program import Handle, Raise, Seq, Stop, Suspend, initial_resumption
+from .program import Activate, Handle, Program, Seq, Stop, Suspend, initial_resumption
 from .world import (
     ActionSeq,
     ActionSpec,
@@ -67,7 +66,7 @@ from .world import (
     Not,
     Or,
     Print,
-    RaiseTag,
+    Raise,
     SetCell,
     Sig,
     ValueRef,
@@ -109,7 +108,7 @@ class NegativeRepeatCount(CompileError):
 
 @dataclass(frozen=True)
 class RexpExpr:
-    program: "ProgStmt"
+    program: Program
 
 
 @dataclass(frozen=True)
@@ -189,14 +188,6 @@ ExprAst = Union[
     HaltExpr,
     NothingExpr,
 ]
-
-
-@dataclass(frozen=True)
-class ActivateStmt:
-    expr: ExprAst
-
-
-ProgStmt = Union[Seq, Print, SetCell, Stop, Suspend, ActivateStmt, Raise, Handle]
 
 
 # --------------------------------------------------------------------------
@@ -335,14 +326,14 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
         "set": (SetCell, "name:cell", "integer"),
         "stop": (Stop,),
         "suspend": (Suspend,),
-        "activate": (ActivateStmt, "expression"),
+        "activate": (Activate, "expression"),
         "raise": (Raise, "name:tag"),
         "handle": ((Handle, "tag", "body", "handler"), "name:tag", "program", "program"),
     }),
     "action": ("an action", {
         "print": (Print, "str"),
         "set": (SetCell, "name:cell", "integer"),
-        "raise": (RaiseTag, "name:tag"),
+        "raise": (Raise, "name:tag"),
         "do": (ActionSeq, "action*"),
     }),
     "condition": ("a condition", {
@@ -556,19 +547,15 @@ def render(ast: object) -> str:
 
 
 def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
-    """Allocate kernel nodes for the expression, bottom up. A rexp body's
-    print, set and activate forms come back here from
-    program.initial_resumption as it reaches them, in program order: print
-    and set compile to a HostAction, and activate to the id of its
-    expression. So a nested rexp costs two Python frames, this one and
-    initial_resumption's."""
-    if ast.__class__ is ActivateStmt:
-        ast = ast.expr
+    """Allocate kernel nodes for the expression, bottom up. A rexp body is
+    laid out first; the expressions it activates, the node's children in
+    code order, are compiled next, and the node is allocated last. So a
+    nested rexp costs one Python frame."""
     match ast:
-        case Print() | SetCell():
-            return build_action(ast)
         case RexpExpr(program=program):
-            return env.alloc(initial_resumption(program, _compile, env))
+            node = initial_resumption(program)
+            node.children = tuple(map(compile_expr, node.children, repeat(env)))
+            return env.alloc(node)
         case MergeExpr():
             # A chain of nested merges, however folded, becomes one n-ary
             # node over its leaves in left-to-right order.
@@ -579,38 +566,31 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
                 if isinstance(item, MergeExpr):
                     pending += (item.right, item.left)
                 else:
-                    leaves.append(_compile(item, env))
+                    leaves.append(compile_expr(item, env))
             return combinators.merge(env, *leaves)
         case RifExpr(cond=cond, then_expr=a, else_expr=b):
-            return combinators.rif(env, cond, _compile(a, env), _compile(b, env))
+            return combinators.rif(env, cond, compile_expr(a, env), compile_expr(b, env))
         case CloseExpr(child=child):
-            return combinators.close(env, _compile(child, env))
+            return combinators.close(env, compile_expr(child, env))
         case LoopExpr(body=body):
-            return combinators.loop(env, _compile(body, env))
+            return combinators.loop(env, compile_expr(body, env))
         case RepeatExpr(count=count, body=body):
             if count < 0:
                 raise NegativeRepeatCount(f"repeat count must be non-negative, got {count}")
-            return combinators.repeat(env, count, _compile(body, env))
+            return combinators.repeat(env, count, compile_expr(body, env))
         case InitExpr(action=action, body=body):
-            return combinators.init(env, build_action(action), _compile(body, env))
+            return combinators.init(env, build_action(action), compile_expr(body, env))
         case AwaitExpr(cond=cond, body=body):
-            return combinators.await_(env, cond, _compile(body, env))
+            return combinators.await_(env, cond, compile_expr(body, env))
         case WhenExpr(cond=cond, body=body):
-            return combinators.when(env, cond, _compile(body, env))
+            return combinators.when(env, cond, compile_expr(body, env))
         case TerminateExpr(cond=cond, body=body):
-            return combinators.terminate(env, cond, _compile(body, env))
+            return combinators.terminate(env, cond, compile_expr(body, env))
         case HaltExpr():
             return combinators.halt(env)
         case NothingExpr():
             return combinators.nothing(env)
     raise TypeError(f"not an expression: {ast!r}")
-
-
-# What compile_expr calls for the forms inside one: compile_expr itself,
-# through a partial. Calling the partial adds no Python frame, and a
-# wrapper put on the name compile_expr, such as bench/tracer.py's, sees one
-# call per compile rather than one per print and set.
-_compile = partial(compile_expr)
 
 
 # --------------------------------------------------------------------------
@@ -620,7 +600,11 @@ _compile = partial(compile_expr)
 def parse_trace(text: str) -> list[InstantEvents]:
     """Parse a trace file into one InstantEvents per instant."""
     instants = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only "\n" ends a line, as in parse_program's positions; str.split()
+    # below takes any other line break for whitespace. A final newline
+    # starts no instant.
+    lines = text.split("\n")
+    for lineno, raw in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
         raw, semicolon, _ = raw.partition(";")
         if semicolon and not raw.strip():
             continue  # comment-only lines do not count as instants

@@ -32,22 +32,21 @@ Activate instructions in code order. They do not change as pc moves, so a
 copy also keeps the targets pc has passed, with their statuses, and never
 steps them. The state a loop saves is the pair of pc and handlers.
 
-The DSL's program forms parse to Seq, Stop, Suspend, Raise and Handle
-directly, and its print, set and activate forms to items that are not
-instructions. The DSL passes a callback to initial_resumption, which
-hands it each such item as the walk reaches it, in program order: print
-and set come back as a HostAction and make an ATOM instruction, activate
-comes back as the id of its compiled expression and makes an ACTIVATE
-one. So a DSL program is laid out in one walk, with no Atom or Activate
-built for it.
+Besides the instructions, a program may hold the action specs Print,
+SetCell and ActionSeq, each laid out as an ATOM of its compiled action;
+Raise is one class with the action spec, and stays a RAISE instruction.
+So a rexp body the DSL parses is a program as it stands. Layout never
+looks inside an Activate: the DSL puts an expression's AST there, lays
+the body out, then compiles the node's children, the targets in code
+order, to ids before it allocates the node.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Union
 
 from .core import Abort, END, ReactiveId, Status, STOP, SUSP
-from .world import HostAction
+from .world import ActionSeq, HostAction, Print, Raise, SetCell, build_action
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Environment
@@ -79,18 +78,13 @@ class Activate:
 
 
 @dataclass(frozen=True)
-class Raise:
-    tag: str
-
-
-@dataclass(frozen=True)
 class Handle:
     body: "Program"
     tag: str
     handler: "Program"
 
 
-Program = Union[Atom, Seq, Stop, Suspend, Activate, Raise, Handle]
+Program = Union[Atom, Seq, Stop, Suspend, Activate, Raise, Handle, Print, SetCell, ActionSeq]
 
 
 def seq(*items: Program) -> Seq:
@@ -126,18 +120,11 @@ class BasicNode:
         self.pc, self.handlers = state
 
 
-# What initial_resumption lays out itself: the instructions, and its own
-# marks, which are tuples.
-_LAID_OUT = (Seq, Atom, Stop, Suspend, Activate, Raise, Handle, tuple)
-
-
-def initial_resumption(program: Program, compile: Callable[..., HostAction | ReactiveId] | None = None,
-                       context: object = None) -> BasicNode:
+def initial_resumption(program: Program) -> BasicNode:
     """Compile program to flat code in a node positioned at its first
-    instruction. Each item that is not an instruction goes to
-    compile(item, context) as it is reached, in program order: a
-    HostAction back makes an ATOM instruction, and an id an ACTIVATE one.
-    Without compile, such an item raises TypeError."""
+    instruction. A Print, SetCell or ActionSeq item becomes an ATOM of its
+    compiled action; any item that is neither that nor an instruction
+    raises TypeError."""
     ops: list = []
     targets: list[ReactiveId] = []
     # Besides instructions, the stack holds ("body", at) and ("handler", at)
@@ -145,19 +132,12 @@ def initial_resumption(program: Program, compile: Callable[..., HostAction | Rea
     pending: list = [program]
     while pending:
         item = pending.pop()
-        if not isinstance(item, _LAID_OUT):
-            if compile is None:
-                raise TypeError(f"not an instruction: {item!r}")
-            compiled = compile(item, context)
-            if isinstance(compiled, HostAction):
-                ops.append((ATOM, compiled))
-            else:
-                ops.append((ACTIVATE, len(targets)))
-                targets.append(compiled)
-        elif isinstance(item, Seq):
+        if isinstance(item, Seq):
             pending.extend(reversed(item.items))
         elif isinstance(item, Atom):
             ops.append((ATOM, item.action))
+        elif isinstance(item, (Print, SetCell, ActionSeq)):
+            ops.append((ATOM, build_action(item)))
         elif isinstance(item, Stop):
             ops.append((PAUSE, STOP))
         elif isinstance(item, Suspend):
@@ -170,6 +150,8 @@ def initial_resumption(program: Program, compile: Callable[..., HostAction | Rea
         elif isinstance(item, Handle):
             pending += (("handler", len(ops)), item.handler, ("body", len(ops)), item.body)
             ops.append((PUSH, item.tag))
+        elif item.__class__ is not tuple:
+            raise TypeError(f"not an instruction: {item!r}")
         elif item[0] == "body":
             # The handler's code starts after the POP placed here.
             at = item[1]

@@ -232,7 +232,7 @@ class SetCell:
 
 
 @dataclass(frozen=True)
-class RaiseTag:
+class Raise:
     tag: str
 
 
@@ -241,7 +241,7 @@ class ActionSeq:
     items: tuple["ActionSpec", ...]
 
 
-ActionSpec = Union[Print, SetCell, RaiseTag, ActionSeq]
+ActionSpec = Union[Print, SetCell, Raise, ActionSeq]
 
 
 @dataclass(frozen=True)
@@ -296,7 +296,7 @@ def _compile_action(spec: ActionSpec) -> tuple[Callable[[World], None], bool]:
                 world.cells[name] = run_value(world)
 
             return set_cell, reads
-        case RaiseTag(tag=tag):
+        case Raise(tag=tag):
 
             def raise_tag(world: World) -> None:
                 raise Abort(tag)

@@ -4,7 +4,6 @@ from __future__ import annotations
 import random
 
 from instants.dsl import (
-    ActivateStmt,
     AwaitExpr,
     CloseExpr,
     HaltExpr,
@@ -18,7 +17,7 @@ from instants.dsl import (
     TerminateExpr,
     WhenExpr,
 )
-from instants.program import Handle, Raise, Seq, Stop, Suspend
+from instants.program import Activate, Handle, Raise, Seq, Stop, Suspend
 from instants.world import (
     ActionSeq,
     And,
@@ -32,7 +31,6 @@ from instants.world import (
     Not,
     Or,
     Print,
-    RaiseTag,
     SetCell,
     Sig,
     ValueRef,
@@ -107,7 +105,7 @@ def gen_action(rng: random.Random, depth: int, allow_raise: bool = True):
             tuple(gen_action(rng, depth - 1, allow_raise) for _ in range(rng.randint(0, 2)))
         )
     if allow_raise:
-        return RaiseTag(rng.choice(TAGS))
+        return Raise(rng.choice(TAGS))
     return Print(gen_template(rng))
 
 
@@ -122,7 +120,7 @@ def gen_stmt(rng: random.Random, depth: int, allow_raise: bool = True):
     if roll < 0.66:
         return Suspend()
     if roll < 0.78 and depth > 0:
-        return ActivateStmt(gen_expr(rng, depth - 1, allow_raise))
+        return Activate(gen_expr(rng, depth - 1, allow_raise))
     if roll < 0.88 and depth > 0:
         # By keyword, the draws keep their syntax order (tag, body, handler),
         # so each seed still gives the same program.

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 
 from instants.core import Limits
 from instants.dsl import (
-    ActivateStmt,
     AwaitExpr,
     CloseExpr,
     ExprAst,
@@ -37,7 +36,7 @@ from instants.dsl import (
     compile_expr,
 )
 from instants.kernel import Environment
-from instants.program import Handle, Raise, Seq, Stop, Suspend
+from instants.program import Activate, Handle, Raise, Seq, Stop, Suspend
 from instants.world import (
     ActionSeq,
     And,
@@ -51,7 +50,6 @@ from instants.world import (
     Not,
     Or,
     Print,
-    RaiseTag,
     SetCell,
     Sig,
     ValueRef,
@@ -310,7 +308,7 @@ class Oracle:
             self.w.out.append(_render(spec.template, self.w))
         elif isinstance(spec, SetCell):
             self.w.cells[spec.name] = _ev_int(spec.value, self.w)
-        elif isinstance(spec, RaiseTag):
+        elif isinstance(spec, Raise):
             raise OracleAbort(spec.tag)
         elif isinstance(spec, ActionSeq):
             for item in spec.items:
@@ -336,8 +334,8 @@ class Oracle:
             yield SUSP
         elif isinstance(prog, Raise):
             raise OracleAbort(prog.tag)
-        elif isinstance(prog, ActivateStmt):
-            node = self.build(prog.expr)
+        elif isinstance(prog, Activate):
+            node = self.build(prog.child)
             while True:
                 st = self.step(node)
                 if st == END:

@@ -100,9 +100,9 @@ def test_comments_and_strings():
 def test_program_forms_parse_to_the_engine_classes():
     ast = parse_program('(rexp (seq (print "a") (set x 1) (stop) (suspend) (raise T)))')
     assert ast.program == Seq((Print("a"), SetCell("x", IntConst(1)), Stop(), Suspend(), Raise("T")))
-    # Print and SetCell are action specs: rexp takes them only once compiled.
-    with pytest.raises(TypeError):
-        rexp(Environment(), ast.program)
+    # A parsed body is a library program: rexp takes it as it stands.
+    env = Environment()
+    assert react_once(env, rexp(env, ast.program)) == (["a"], False)
 
 
 def test_render_parse_round_trip():
@@ -184,6 +184,15 @@ def test_trace_comment_lines_are_skipped():
     assert trace[1] == InstantEvents(frozenset(), {"c": 4})
 
 
+def test_trace_lines_end_only_at_newline():
+    assert parse_trace("a\x0cb\n") == [InstantEvents(frozenset({"a", "b"}), {})]
+    # CRLF line ends, a blank last line and comment-only lines as before.
+    assert parse_trace("a\r\nb=2\r\n\r\n") == [
+        InstantEvents(frozenset({"a"}), {}), InstantEvents(frozenset(), {"b": 2}), InstantEvents()]
+    assert parse_trace("a\n\n") == [InstantEvents(frozenset({"a"}), {}), InstantEvents()]
+    assert parse_trace("; c\r\na\n  ; d") == [InstantEvents(frozenset({"a"}), {})]
+
+
 def test_trace_duplicate_assignment_rejected():
     with pytest.raises(DuplicateAssignment):
         parse_trace("digit=1 digit=2")
@@ -205,6 +214,8 @@ def test_trace_bad_tokens_rejected():
         ("; c\n9digit", ParseError, "bad signal name '9digit'", 2, 1),
         ("é", ParseError, "bad signal name 'é'", 1, 1),
         ("x=1 é=2", ParseError, "bad signal name 'é'", 1, 5),
+        # A form feed is whitespace, not a line break.
+        ("a\x0c\x0cbad!", ParseError, "bad signal name 'bad!'", 1, 4),
     ],
 )
 def test_trace_error_class_message_and_position(text, error, message, line, col):
@@ -290,6 +301,18 @@ def test_200_nested_rexp_levels_parse_and_compile():
     depth = 200
     env = Environment()
     compile_expr(parse_program('(rexp (seq (print "a") (activate ' * depth + "(nothing)" + ")))" * depth), env)
+    assert len(env.nodes) == depth + 1
+
+
+def test_900_nested_rexp_levels_built_as_an_ast_compile():
+    # Built directly: parsing this shape nests the builder through seq's
+    # arguments.
+    depth = 900
+    ast = NothingExpr()
+    for _ in range(depth):
+        ast = RexpExpr(Seq((Print("a"), Activate(ast))))
+    env = Environment()
+    compile_expr(ast, env)
     assert len(env.nodes) == depth + 1
 
 

@@ -17,12 +17,14 @@ from instants import (
     Stop,
     Suspend,
     build_action,
+    parse_program,
     rexp,
     seq,
 )
 from instants.program import initial_resumption, run_resumption
+from instants.world import ActionSeq, IntConst, SetCell
 
-from helpers import react_once
+from helpers import react_once, run_instants
 
 
 def printer(text):
@@ -142,3 +144,25 @@ def test_suspend_positions_resumption_after_the_suspend():
     assert status.name == "SUSP"
     assert run_resumption(env, res) is END
     assert env.world.output == ["late"]
+
+
+def test_library_programs_take_action_specs_directly():
+    specs = (Print("a"), SetCell("x", IntConst(1)), Stop(), Print("{cell:x}"))
+    env, by_hand = Environment(), Environment()
+    direct = rexp(env, seq(*specs))
+    atoms = rexp(by_hand, seq(*(item if item == Stop() else Atom(build_action(item)) for item in specs)))
+    ops, hand_ops = env.nodes[direct].ops, by_hand.nodes[atoms].ops
+    assert ops == hand_ops
+    assert all(arg is hand_arg for (_, arg), (_, hand_arg) in zip(ops, hand_ops))
+    rows = [(["a"], "STOP", False), (["1"], "END", True)]
+    assert run_instants(env, direct, [], pad_empty=2) == run_instants(by_hand, atoms, [], pad_empty=2) == rows
+
+    # A Raise inside an ActionSeq reaches the enclosing Handle.
+    env = Environment()
+    body = seq(ActionSeq((Print("a"), Raise("T"), Print("never"))), Print("skipped"))
+    assert react_once(env, rexp(env, Handle(body, "T", Print("caught")))) == (["a", "caught"], True)
+
+    # A parsed body activates an expression's AST, which is no id.
+    program = parse_program('(rexp (seq (print "a") (activate (nothing))))').program
+    with pytest.raises(ValueError, match="is not allocated"):
+        rexp(Environment(), program)

@@ -26,7 +26,7 @@ from instants.world import (
     Negate,
     Not,
     Or,
-    RaiseTag,
+    Raise,
     SetCell,
     Sig,
     ValueRef,
@@ -128,7 +128,7 @@ def test_template_interpolation():
 def test_actions_mutate_and_raise():
     world = World()
     action = build_action(
-        ActionSeq((Print("x={cell:x}"), SetCell("x", IntConst(3)), RaiseTag("Bang")))
+        ActionSeq((Print("x={cell:x}"), SetCell("x", IntConst(3)), Raise("Bang")))
     )
     with pytest.raises(Abort) as exc:
         action.run(world)
@@ -152,7 +152,7 @@ def test_event_read_detection():
     assert not build_action(Print("{{value:}} value")).reads_events
     assert build_action(ActionSeq((SetCell("x", ValueRef("v")),))).reads_events
     assert not build_action(ActionSeq((Print("a"), ActionSeq((SetCell("x", CellRef("v")),))))).reads_events
-    assert build_action(ActionSeq((Print("a"), ActionSeq((RaiseTag("T"), Print("{value:v}")))))).reads_events
+    assert build_action(ActionSeq((Print("a"), ActionSeq((Raise("T"), Print("{value:v}")))))).reads_events
 
 
 def test_an_action_too_deep_to_hash_still_compiles():

@@ -16,8 +16,8 @@ from .kernel import (
     MergeNode,
     RifNode,
 )
-from .program import EMPTY_PROGRAM, Program, Seq, Stop, initial_resumption
-from .world import Cond, HostAction, compile_cond
+from .program import EMPTY_PROGRAM, Program, initial_resumption
+from .world import BoolConst, Cond, HostAction, compile_cond
 
 
 def rexp(env: Environment, program: Program) -> ReactiveId:
@@ -54,9 +54,14 @@ def nothing(env: Environment) -> ReactiveId:
     return rexp(env, EMPTY_PROGRAM)
 
 
+# One compiled test for every halt, so equal programs compile to equal nodes.
+_NEVER = compile_cond(BoolConst(False))
+
+
 def halt(env: Environment) -> ReactiveId:
-    """Stops at every instant, forever."""
-    return loop(env, rexp(env, Seq((Stop(),))))
+    """Stops at every instant, forever: an await whose condition never
+    holds, so a waiting halt is one step per instant."""
+    return env.alloc(AwaitNode(*_NEVER, (nothing(env),)))
 
 
 def loop(env: Environment, body: ReactiveId) -> ReactiveId:

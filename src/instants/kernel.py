@@ -22,8 +22,8 @@ and is re-imported here; the other kinds are defined below.
 
 A loop records its body's whole region when it is built: the id of every
 node reachable from the body, as its children, and the status of each and
-what its save returns, which holds no ids: the pc and handlers of each
-basic expression, and the latch or count of every await and nested loop.
+what its save returns, which holds no ids: the pc of each basic
+expression, and the latch or count of every await and nested loop.
 A restart restores that snapshot in place, so the region keeps its ids and
 the node table stays the same size over a run. A body that terminated
 after reading this instant's events would see the same events again if it

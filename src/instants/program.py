@@ -15,30 +15,29 @@ it. The opcodes are:
 - ``ACTIVATE k``: step child k. When the child ends, run on; otherwise
   end the activation with its status and leave pc on this instruction, so
   the next activation steps the child again.
-- ``RAISE tag``: abort with the tag.
-- ``PUSH (tag, pc)``: arm a handler whose code starts at pc.
-- ``POP pc``: disarm the innermost handler and jump to pc.
+- ``JUMP pc``: go on at pc.
 
-``Handle(body, tag, handler)`` becomes PUSH, the body, a POP that jumps
-over the handler's code, then that code. A caught abort jumps forward to
-the handler's code with the handlers outside it still armed, so pc only
-moves forward.
+``Handle(body, tag, handler)`` becomes the body, a JUMP over the handler's
+code, then that code, and one entry in the node's handle table: the body's
+start and end pc and the tag. A Handle is armed exactly while pc is inside
+its body, and a caught abort jumps forward to the handler's code, so pc
+only moves forward.
 
 A BasicNode is the kernel's node for a basic expression, and this module
-is the only one that knows the code's layout. The node holds the shared
-code, its children, and the expression's own state: pc and the armed
-handlers as an immutable tuple. The children are the targets of all the
-Activate instructions in code order. They do not change as pc moves, so a
-copy also keeps the targets pc has passed, with their statuses, and never
-steps them. The state a loop saves is the pair of pc and handlers.
+is the only one that knows the code's layout. The node holds the code and
+handle table, which copies share, its children, and the expression's own
+state: pc alone, which is also what a loop saves. The children are the
+targets of all the Activate instructions in code order. They do not
+change as pc moves, so a copy also keeps the targets pc has passed, with
+their statuses, and never steps them.
 
 Besides the instructions, a program may hold the action specs Print,
-SetCell and ActionSeq, each laid out as an ATOM of its compiled action;
-Raise is one class with the action spec, and stays a RAISE instruction.
-So a rexp body the DSL parses is a program as it stands. Layout never
-looks inside an Activate: the DSL puts an expression's AST there, lays
-the body out, then compiles the node's children, the targets in code
-order, to ids before it allocates the node.
+SetCell, Raise and ActionSeq, each laid out as an ATOM of its compiled
+action, so a Raise aborts as its action runs. So a rexp body the DSL
+parses is a program as it stands. Layout never looks inside an Activate:
+the DSL puts an expression's AST there, lays the body out, then compiles
+the node's children, the targets in code order, to ids before it
+allocates the node.
 """
 from __future__ import annotations
 
@@ -93,42 +92,49 @@ def seq(*items: Program) -> Seq:
 
 EMPTY_PROGRAM = Seq(())
 
-ATOM, PAUSE, ACTIVATE, RAISE, PUSH, POP = range(6)
+ATOM, PAUSE, ACTIVATE, JUMP = range(4)
 
-# The armed handlers, innermost last: each is its tag and the pc of its code.
-Handlers = tuple[tuple[str, int], ...]
+# Each Handle's scope, inner before outer: its body's start and end pc and
+# its tag. The handler's code starts one past the body's end.
+Handles = tuple[tuple[int, int, str], ...]
 
 
 @dataclass(slots=True)
 class BasicNode:
     ops: tuple[tuple[int, object], ...]
+    handles: Handles
     children: tuple[ReactiveId, ...]
     pc: int = 0
-    handlers: Handlers = ()
-
-    @property
-    def done(self) -> bool:
-        return self.pc >= len(self.ops)
 
     def step(self, env: Environment) -> Status:
         return run_resumption(env, self)
 
-    def save(self) -> tuple[int, Handlers]:
-        return self.pc, self.handlers
+    def save(self) -> int:
+        return self.pc
 
-    def load(self, state: tuple[int, Handlers]) -> None:
-        self.pc, self.handlers = state
+    def load(self, state: int) -> None:
+        self.pc = state
+
+
+@dataclass(slots=True)
+class _Scope:
+    """A Handle being laid out. It is stacked after the body, where it
+    records the scope and leaves room for the JUMP, and again after the
+    handler, where it fills that JUMP in."""
+
+    start: int
+    tag: str
+    end: int = -1
 
 
 def initial_resumption(program: Program) -> BasicNode:
     """Compile program to flat code in a node positioned at its first
-    instruction. A Print, SetCell or ActionSeq item becomes an ATOM of its
-    compiled action; any item that is neither that nor an instruction
-    raises TypeError."""
+    instruction. A Print, SetCell, Raise or ActionSeq item becomes an ATOM
+    of its compiled action; any item that is neither that nor an
+    instruction raises TypeError."""
     ops: list = []
+    handles: list = []
     targets: list[ReactiveId] = []
-    # Besides instructions, the stack holds ("body", at) and ("handler", at)
-    # marks: the end of the body or handler code of the Handle at pc ``at``.
     pending: list = [program]
     while pending:
         item = pending.pop()
@@ -136,7 +142,7 @@ def initial_resumption(program: Program) -> BasicNode:
             pending.extend(reversed(item.items))
         elif isinstance(item, Atom):
             ops.append((ATOM, item.action))
-        elif isinstance(item, (Print, SetCell, ActionSeq)):
+        elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
             ops.append((ATOM, build_action(item)))
         elif isinstance(item, Stop):
             ops.append((PAUSE, STOP))
@@ -145,54 +151,43 @@ def initial_resumption(program: Program) -> BasicNode:
         elif isinstance(item, Activate):
             ops.append((ACTIVATE, len(targets)))
             targets.append(item.child)
-        elif isinstance(item, Raise):
-            ops.append((RAISE, item.tag))
         elif isinstance(item, Handle):
-            pending += (("handler", len(ops)), item.handler, ("body", len(ops)), item.body)
-            ops.append((PUSH, item.tag))
-        elif item.__class__ is not tuple:
+            scope = _Scope(len(ops), item.tag)
+            pending += (scope, item.handler, scope, item.body)
+        elif not isinstance(item, _Scope):
             raise TypeError(f"not an instruction: {item!r}")
-        elif item[0] == "body":
-            # The handler's code starts after the POP placed here.
-            at = item[1]
-            ops[at] = (PUSH, (ops[at][1], len(ops) + 1))
+        elif item.end < 0:
+            # A body ends before every body around it, so inner scopes
+            # come first.
+            item.end = len(ops)
+            handles.append((item.start, item.end, item.tag))
             ops.append(None)
         else:
-            _, (_, handler_pc) = ops[item[1]]
-            ops[handler_pc - 1] = (POP, len(ops))
-    return BasicNode(tuple(ops), tuple(targets))
-
-
-def _unwind(handlers: Handlers, tag: str) -> tuple[int, Handlers] | None:
-    """The pc of the innermost handler for tag and the handlers outside it,
-    or None when no armed handler matches."""
-    for depth in range(len(handlers) - 1, -1, -1):
-        handler_tag, handler_pc = handlers[depth]
-        if handler_tag == tag:
-            return handler_pc, handlers[:depth]
-    return None
+            ops[item.end] = (JUMP, len(ops))
+    return BasicNode(tuple(ops), tuple(handles), tuple(targets))
 
 
 def run_resumption(env: Environment, node: BasicNode) -> Status:
     """Execute one activation of a basic reactive expression.
 
     Runs instructions until the program is exhausted (END), a Stop or
-    Suspend is executed, or an activated child pauses. An abort raised by
-    an action, a Raise, or an activated child jumps to the innermost armed
-    handler with the same tag and continues there within this activation;
-    with no matching handler the node is finished and the abort
-    propagates to the caller.
+    Suspend is executed, or an activated child pauses. pc advances past an
+    ATOM or ACTIVATE only once it succeeds, so when one fails pc names it.
+    An abort from either jumps to the handler code of the innermost Handle
+    whose body holds pc and whose tag matches, and runs on there within
+    this activation; with no such Handle the node is finished and the
+    abort propagates to the caller.
     """
     ops, children = node.ops, node.children
-    pc, handlers = node.pc, node.handlers
+    pc = node.pc
     end = len(ops)
     while True:
         try:
             while pc < end:
                 op, arg = ops[pc]
                 if op == ATOM:
-                    pc += 1
                     env.run_action(arg)
+                    pc += 1
                 elif op == PAUSE:
                     pc += 1
                     return arg
@@ -201,21 +196,16 @@ def run_resumption(env: Environment, node: BasicNode) -> Status:
                     if status is not END:
                         return status
                     pc += 1
-                elif op == PUSH:
-                    pc += 1
-                    handlers += (arg,)
-                elif op == POP:
-                    pc = arg
-                    handlers = handlers[:-1]
                 else:
-                    pc += 1
-                    raise Abort(arg)
+                    pc = arg
             return END
         except Abort as abort:
-            caught = _unwind(handlers, abort.tag)
-            if caught is None:
-                pc, handlers = end, ()
+            for start, stop, tag in node.handles:
+                if start <= pc < stop and tag == abort.tag:
+                    pc = stop + 1
+                    break
+            else:
+                pc = end
                 raise
-            pc, handlers = caught
         finally:
-            node.pc, node.handlers = pc, handlers
+            node.pc = pc

@@ -138,12 +138,58 @@ def gen_prog(rng: random.Random, depth: int, max_items: int = 8, allow_raise: bo
     return Seq(tuple(gen_stmt(rng, depth, allow_raise) for _ in range(rng.randint(0, max_items))))
 
 
+def gen_abort(rng: random.Random, allow_raise: bool = True):
+    """A raise statement, or an activated child that raises: through an
+    ActionSeq that init runs, or, when a signal is present, through a raise
+    statement (otherwise the child ends)."""
+    if not allow_raise:
+        return Print(rng.choice(TEXTS))
+    tag = rng.choice(TAGS)
+    roll = rng.random()
+    if roll < 0.4:
+        return Raise(tag)
+    if roll < 0.7:
+        return Activate(InitExpr(ActionSeq((Print(rng.choice(TEXTS)), Raise(tag))), NothingExpr()))
+    return Activate(RifExpr(Sig(rng.choice(SIGNALS)), RexpExpr(Seq((Raise(tag),))), NothingExpr()))
+
+
+def gen_handler_stack(rng: random.Random, allow_raise: bool = True):
+    """2-4 nested Handles over two tags. Aborts sit in bodies, in handlers
+    and just before a Handle, so each catch must find the innermost Handle
+    whose body holds the abort, and no other."""
+
+    def items():
+        out = []
+        for _ in range(rng.randint(0, 2)):
+            roll = rng.random()
+            if roll < 0.35:
+                out.append(Print(rng.choice(TEXTS)))
+            elif roll < 0.6:
+                out.append(Stop())
+            elif roll < 0.7:
+                out.append(Suspend())
+            else:
+                out.append(gen_abort(rng, allow_raise))
+        return out
+
+    body = Seq(tuple(items()))
+    for _ in range(rng.randint(2, 4)):
+        handle = Handle(tag=rng.choice(TAGS), body=body, handler=Seq(tuple(items())))
+        before = items()
+        if rng.random() < 0.3:
+            before.append(gen_abort(rng, allow_raise))
+        body = Seq((*before, handle, *items()))
+    return body
+
+
 def gen_expr(rng: random.Random, depth: int, allow_raise: bool = True):
     roll = rng.random()
     if depth <= 0 or roll < 0.30:
         leaf = rng.random()
-        if leaf < 0.70:
+        if leaf < 0.60:
             return RexpExpr(gen_prog(rng, max(0, depth - 1), max_items=5, allow_raise=allow_raise))
+        if leaf < 0.70:
+            return RexpExpr(gen_handler_stack(rng, allow_raise))
         if leaf < 0.85:
             return HaltExpr()
         return NothingExpr()

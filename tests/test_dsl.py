@@ -23,7 +23,7 @@ from instants.dsl import (
     _tokenize,
     compile_expr,
 )
-from instants.program import ACTIVATE, ATOM, POP, PUSH, RAISE, Activate, Atom, Handle, Raise, Seq, Stop, Suspend
+from instants.program import ACTIVATE, ATOM, JUMP, Activate, Atom, Handle, Raise, Seq, Stop, Suspend
 from instants.world import InstantEvents, IntConst, Print, SetCell, build_action
 
 from genprog import gen_case
@@ -347,7 +347,7 @@ def test_compile_allocates_in_program_order():
     assert root == rexp(by_hand, program)
     assert env.nodes == by_hand.nodes
     assert env.statuses == by_hand.statuses
-    assert [op for op, _ in env.nodes[root].ops] == [ATOM, ACTIVATE, PUSH, ATOM, ACTIVATE, RAISE, POP,
+    assert [op for op, _ in env.nodes[root].ops] == [ATOM, ACTIVATE, ATOM, ACTIVATE, ATOM, JUMP,
                                                     ACTIVATE, ATOM, ACTIVATE]
     assert env.nodes[root].children == (first, second, third, fourth)
 

@@ -10,6 +10,8 @@ from instants import (
     END,
     Environment,
     Handle,
+    HostAction,
+    IntegerTooLarge,
     Print,
     Raise,
     Seq,
@@ -40,7 +42,7 @@ def test_empty_program_terminates_with_no_effects():
     env = Environment()
     status, res = run_once(env, Seq(()))
     assert status is END
-    assert res.done
+    assert res.pc >= len(res.ops)
     assert env.world.output == []
 
 
@@ -96,6 +98,37 @@ def test_innermost_matching_handler_wins():
     r = rexp(env, outer)
     assert react_once(env, r) == (["inner"], True)
 
+    # Three Handles of one tag: past the inner one, the middle one is the
+    # innermost whose body holds the raise.
+    env = Environment()
+    middle = Handle(seq(inner, Raise("T")), "T", seq(printer("middle")))
+    r = rexp(env, Handle(seq(middle, printer("after")), "T", seq(printer("outer"))))
+    assert react_once(env, r) == (["inner", "middle", "after"], True)
+
+
+@pytest.mark.parametrize("abort, printed", [(Raise("T"), []), (ActionSeq((Print("a"), Raise("T"))), ["a"])],
+                         ids=["raise", "action"])
+def test_abort_just_before_a_handle_is_not_caught_by_it(abort, printed):
+    env = Environment()
+    body = seq(abort, Handle(seq(printer("never")), "T", seq(printer("wrong"))))
+    r = rexp(env, Handle(body, "T", seq(printer("outer"))))
+    assert react_once(env, r) == ([*printed, "outer"], True)
+
+
+def test_handle_with_an_empty_body_skips_its_handler_and_catches_nothing():
+    env = Environment()
+    body = seq(Handle(Seq(()), "T", seq(printer("wrong"))), printer("past"), Raise("T"))
+    r = rexp(env, Handle(body, "T", seq(printer("outer"))))
+    assert react_once(env, r) == (["past", "outer"], True)
+
+
+def test_raise_in_handler_code_reaches_the_outer_handle():
+    env = Environment()
+    inner = Handle(seq(Raise("T")), "T", seq(printer("inner"), Stop(), Raise("T"), printer("never")))
+    r = rexp(env, Handle(Seq((inner,)), "T", seq(printer("outer"))))
+    assert react_once(env, r) == (["inner"], False)
+    assert react_once(env, r) == (["outer"], True)
+
 
 def test_non_matching_handler_is_skipped():
     env = Environment()
@@ -119,7 +152,7 @@ def test_uncaught_raise_empties_the_resumption():
     with pytest.raises(Abort) as exc:
         run_resumption(env, res)
     assert exc.value.tag == "Nope"
-    assert res.done
+    assert res.pc >= len(res.ops)
     assert env.world.output == ["x"]
 
 
@@ -136,6 +169,40 @@ def test_rest_of_handle_body_is_abandoned_after_catch():
     body = seq(Raise("T"), printer("skipped"))
     r = rexp(env, Handle(body, "T", Seq(())))
     assert react_once(env, r) == ([], True)
+
+
+def test_a_basic_node_saves_its_pc_alone():
+    env = Environment()
+    r = rexp(env, Handle(seq(printer("a"), Stop(), printer("b")), "T", Seq(())))
+    node = env.nodes[r]
+    assert react_once(env, r) == (["a"], False)
+    assert node.save() == 2
+    node.load(0)
+    assert react_once(env, r) == (["a"], False)
+
+
+def test_a_failing_instruction_keeps_pc_on_it():
+    """A ReactiveError leaves pc on the ATOM that raised it, as a child
+    that fails leaves its parent's pc on the ACTIVATE."""
+
+    def overflow(world):
+        raise IntegerTooLarge("cell x")
+
+    env = Environment()
+    child = rexp(env, seq(Stop(), printer("a"), Atom(HostAction(overflow)), printer("never")))
+    parent = rexp(env, seq(printer("p"), Activate(child)))
+    assert react_once(env, parent) == (["p"], False)
+    with pytest.raises(IntegerTooLarge):
+        env.react(parent)
+    assert env.world.drain_output() == ["a"]
+    assert env.nodes[child].pc == 2
+    assert env.nodes[parent].pc == 1
+
+
+@pytest.mark.parametrize("item", [("x",), ("body", 0), ("handler", 0), 3])
+def test_an_item_that_is_no_instruction_raises_type_error(item):
+    with pytest.raises(TypeError, match="not an instruction"):
+        rexp(Environment(), seq(item))
 
 
 def test_suspend_positions_resumption_after_the_suspend():

@@ -5,6 +5,8 @@ Generates random programs and event traces, runs both implementations, and
 reports any divergence. The engine runs each program after a round trip
 through its source text (render, then parse), so every case also exercises
 the lexer, reader, builder and renderer; the oracle runs the generated AST.
+Every engine run also asserts that the node table ends the size it had
+after compiling, so loop restarts are checked to allocate nothing.
 The reference interpreter lives with the tests, so this script adds both
 src/ and tests/ to the path.
 """

@@ -68,22 +68,25 @@ def loop(env: Environment, body: ReactiveId) -> ReactiveId:
     """Restart the body whenever it terminates, from the state it had when
     the loop was built.
 
-    The loop runs a private copy of the argument, which it never
-    activates. Each restart resets that copy in place from a snapshot
-    taken here, so restarts allocate no nodes.
+    The loop takes the body over, as every combinator takes its children.
+    Each restart resets the body's region in place from a snapshot taken
+    here, so restarts allocate no nodes. A caller that also steps the body
+    elsewhere gives the loop a copy of it instead, made by env.dup.
     """
-    own = env.dup(body)
-    return env.alloc(LoopNode(*env.snapshot(own)))
+    return env.alloc(LoopNode(*env.snapshot(body)))
 
 
 def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
-    """Run the body to termination ``count`` times, then terminate."""
+    """Run the body to termination ``count`` times, then terminate.
+
+    Like loop, it takes the body over and restarts it in place; a caller
+    that keeps the body for use elsewhere passes a copy made by env.dup.
+    """
     if count < 0:
         raise ValueError("repeat count must be non-negative")
     if count == 0:
         return nothing(env)
-    own = env.dup(body)
-    return env.alloc(LoopNode(*env.snapshot(own), count))
+    return env.alloc(LoopNode(*env.snapshot(body), count))
 
 
 def init(env: Environment, action: HostAction, child: ReactiveId) -> ReactiveId:

@@ -17,10 +17,10 @@ rows. Program forms build the engine's
 own classes: ``seq``, ``stop``, ``suspend``, ``activate``, ``raise`` and
 ``handle`` build program.Seq, Stop, Suspend, Activate, Raise and Handle
 (whose row fills its fields by name, as ``(handle TAG BODY HANDLER)``
-gives them in another order), and ``print`` and ``set`` build the action
-specs world.Print and SetCell, which a program takes as they are. So a
-parsed rexp body is a library program, with an expression's AST as each
-Activate's child. compile_expr lays it out with
+gives them in another order), and ``print``, ``set`` and ``do`` build the
+action specs world.Print, SetCell and ActionSeq, which a program takes as
+they are. So a parsed rexp body is a library program, with an
+expression's AST as each Activate's child. compile_expr lays it out with
 program.initial_resumption, compiles the node's children, in code order,
 to ids, and only then allocates the node.
 Integer literals and ``true`` and ``false`` are the only atoms that are
@@ -329,6 +329,7 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
         "activate": (Activate, "expression"),
         "raise": (Raise, "name:tag"),
         "handle": ((Handle, "tag", "body", "handler"), "name:tag", "program", "program"),
+        "do": (ActionSeq, "action*"),
     }),
     "action": ("an action", {
         "print": (Print, "str"),

@@ -241,6 +241,8 @@ class Environment:
 
     def _region(self, r: ReactiveId) -> list[ReactiveId]:
         """Every id reachable from r, r first."""
+        if r not in self.nodes:
+            raise ValueError(f"unknown reactive id {r}")
         order = [r]
         seen = {r}
         for rid in order:
@@ -254,8 +256,6 @@ class Environment:
         """Deep-copy the region reachable from r, statuses and node states
         included. Sharing inside the region is preserved; the original is
         untouched."""
-        if r not in self.nodes:
-            raise ValueError(f"unknown reactive id {r}")
         memo: dict[ReactiveId, ReactiveId] = {}
         # alloc accepts only allocated children, so a child's id is lower
         # than its parent's and ascending order copies children first.

@@ -334,6 +334,9 @@ class Oracle:
             yield SUSP
         elif isinstance(prog, Raise):
             raise OracleAbort(prog.tag)
+        elif isinstance(prog, ActionSeq):
+            # One action, as the engine's single ATOM runs it: one read.
+            self.exec_action(prog)
         elif isinstance(prog, Activate):
             node = self.build(prog.child)
             while True:
@@ -488,9 +491,12 @@ def oracle_run(ast: ExprAst, trace: list[InstantEvents], *, max_micro=10_000, ma
 
 
 def engine_run(ast: ExprAst, trace: list[InstantEvents], *, max_micro=10_000, max_restarts=1_000_000):
-    """Run the engine under test over the same inputs, same result shape."""
+    """Run the engine under test over the same inputs, same result shape.
+    Asserts that the run allocated no node: restarts reset in place."""
     env = Environment(limits=Limits(max_micro_steps=max_micro, max_loop_restarts=max_restarts))
     root = compile_expr(ast, env)
+    compiled = len(env.nodes)
     result = env.react_t(root, max(1, len(trace)), trace)
+    assert len(env.nodes) == compiled, f"the run grew the node table from {compiled} to {len(env.nodes)}"
     instants = [(tuple(record.outputs), record.status.name) for record in result.instants]
     return instants, result.terminated, result.error

@@ -115,11 +115,14 @@ def test_loop_emits_every_instant():
 def test_loop_is_isolated_from_its_argument():
     env = Environment()
     body = rexp(env, seq(printer("tick"), Stop(), printer("tock"), Stop()))
-    l = loop(env, body)
-    # Advance the argument directly; the loop must not notice.
+    l = loop(env, env.dup(body))
+    # Advance the argument directly; the loop runs its own copy and must
+    # not notice.
     react_once(env, body)
     assert react_once(env, l) == (["tick"], False)
     assert react_once(env, l) == (["tock"], False)
+    # Without the copy, the loop takes the body over.
+    assert env.nodes[loop(env, body)].children[0] == body
 
 
 def test_repeat_zero_is_nothing():

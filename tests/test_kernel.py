@@ -329,7 +329,7 @@ def test_dup_and_loop_of_a_deep_close_chain():
     assert set(original_ids).isdisjoint(copy_ids)
     l = loop(env, r)
     assert len(env.nodes[l].children) == len(env.nodes[l].snapshot) == depth + 1
-    assert len(env.nodes) == 3 * (depth + 1) + 1
+    assert len(env.nodes) == 2 * (depth + 1) + 1
 
 
 def test_rexp_dup_and_loop_of_a_deeply_nested_program():
@@ -450,8 +450,9 @@ def test_unknown_id_is_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.step(123)
-    with pytest.raises(ValueError):
-        env.dup(123)
+    for build in (env.dup, lambda r: loop(env, r), lambda r: repeat(env, 2, r)):
+        with pytest.raises(ValueError, match="unknown reactive id 123"):
+            build(123)
 
 
 def test_node_and_status_stores_stay_aligned():
@@ -510,7 +511,23 @@ def test_keypad_node_count_stays_flat():
     lines = ("enter\n" if i % 5 == 4 else f"digit={i % 10}\n" for i in range(5000))
     events = parse_trace("".join(lines))
     compiled, final = _node_count_after(source, events)
-    assert final == compiled
+    assert compiled == final == 19
+
+
+def test_loop_of_a_wide_par_is_one_node_per_branch_plus_two():
+    branches = " ".join(f'(rexp (seq (print "b{i}") (stop)))' for i in range(64))
+    compiled, final = _node_count_after(f"(loop (par {branches}))", [None] * 3)
+    assert compiled == final == 66
+
+
+def test_nested_loops_allocate_one_node_each():
+    depth = 300
+    source = "(loop " * depth + '(rexp (seq (print "x") (stop)))' + ")" * depth
+    env = Environment()
+    root = compile_expr(parse_program(source), env)
+    assert len(env.nodes) == depth + 1
+    assert [react_once(env, root) for _ in range(3)] == [(["x"], False)] * 3
+    assert len(env.nodes) == depth + 1
 
 
 def test_loop_of_stepped_body_restarts_from_construction_time_state():
@@ -523,8 +540,8 @@ def test_loop_of_stepped_body_restarts_from_construction_time_state():
         # The body ends after "c" and restarts where it stood when the
         # loop was built, not at "a".
         assert react_once(env, l) == (["c", "b"], False)
-    # The argument itself was never activated by the loop.
-    assert react_once(env, body) == (["b"], False)
+    # The loop took the body over: it restarts the body's own region.
+    assert env.nodes[l].children[0] == body
 
 
 def test_loop_restart_restores_repeat_count_and_await_latch():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from genprog import gen_case
 from helpers import needs_print_limit
-from instants import parse_program
+from instants import parse_program, render
 from reference import engine_run, oracle_run
 
 LIMITS = dict(max_micro=200, max_restarts=60)
@@ -35,3 +35,13 @@ def test_engine_and_oracle_stop_a_growing_cell_at_the_same_instant():
     result = engine_run(parse_program(source), trace, **LIMITS)
     assert result == oracle_run(parse_program(source), trace, **LIMITS)
     assert result[2] == "IntegerTooLarge"
+
+
+def test_a_do_item_in_a_rexp_body_round_trips_and_matches_the_oracle():
+    source = '(rexp (handle T (seq (do (print "a") (raise T)) (print "never")) (print "h")))'
+    ast = parse_program(source)
+    assert render(ast) == source
+    trace = [None] * 3
+    result = engine_run(ast, trace, **LIMITS)
+    assert result == oracle_run(ast, trace, **LIMITS)
+    assert result == ([(("a", "h"), "END")], True, None)

@@ -84,9 +84,11 @@ def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
     """
     if count < 0:
         raise ValueError("repeat count must be non-negative")
+    # Taken for every count, so that an unknown body is rejected at 0 too.
+    snapshot = env.snapshot(body)
     if count == 0:
         return nothing(env)
-    return env.alloc(LoopNode(*env.snapshot(body), count))
+    return env.alloc(LoopNode(*snapshot, count))
 
 
 def init(env: Environment, action: HostAction, child: ReactiveId) -> ReactiveId:

@@ -38,7 +38,8 @@ the same builder then raises the error with its position.
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
 payload). A blank line is an instant with no events; a line that is only a
-comment is skipped.
+comment is skipped. parse_trace reads each distinct line once, and equal
+lines share one InstantEvents, which the engine only reads.
 """
 from __future__ import annotations
 
@@ -599,8 +600,15 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
 
 
 def parse_trace(text: str) -> list[InstantEvents]:
-    """Parse a trace file into one InstantEvents per instant."""
+    """Parse a trace file into one InstantEvents per instant.
+
+    Equal lines share one InstantEvents: each distinct text before ``;``
+    is read once per call, and every instant it starts is that same
+    object. The engine only reads an InstantEvents, so sharing is safe; a
+    caller that mutates one, say its ``values``, mutates every instant
+    that shares it."""
     instants = []
+    read: dict[str, InstantEvents] = {}  # a line's text before ";" -> its events
     # Only "\n" ends a line, as in parse_program's positions; str.split()
     # below takes any other line break for whitespace. A final newline
     # starts no instant.
@@ -609,6 +617,12 @@ def parse_trace(text: str) -> list[InstantEvents]:
         raw, semicolon, _ = raw.partition(";")
         if semicolon and not raw.strip():
             continue  # comment-only lines do not count as instants
+        # Looked up only after the check above: a comment-only line's
+        # empty text must not match a blank line's.
+        events = read.get(raw)
+        if events is not None:
+            instants.append(events)
+            continue
         signals: set[str] = set()
         values: dict[str, int] = {}
         try:
@@ -631,5 +645,6 @@ def parse_trace(text: str) -> list[InstantEvents]:
             # column is worked out here, so valid lines never pay for it.
             col = [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
             raise type(error)(str(error), lineno, col) from None
-        instants.append(InstantEvents(frozenset(signals), values))
+        read[raw] = events = InstantEvents(frozenset(signals), values)
+        instants.append(events)
     return instants

@@ -27,7 +27,12 @@ from .core import Abort, IntegerTooLarge
 
 @dataclass(frozen=True)
 class InstantEvents:
-    """Events for one instant: plain signals plus value-carrying signals."""
+    """Events for one instant: plain signals plus value-carrying signals.
+
+    The engine only reads it, so one object may stand for many instants:
+    dsl.parse_trace gives equal trace lines the same one. A caller that
+    mutates one, say its ``values``, mutates every instant that shares it.
+    """
 
     signals: frozenset[str] = frozenset()
     values: Mapping[str, int] = field(default_factory=dict)

@@ -256,6 +256,36 @@ def gen_trace(rng: random.Random):
     return instants
 
 
+# Tokens a trace line rejects: bad names, bad integers and a duplicate
+# assignment (its two halves are one item, so they stay side by side).
+BAD_TRACE_TOKENS = ("9b", "b@d", "\u00e9", "v=q", "v=", "=1", "v=1 v=2")
+
+
+def gen_trace_text(rng: random.Random) -> str:
+    """A trace file from gen_trace's instants, mutated the ways trace files
+    vary: leading space, form feeds and tabs between tokens, trailing
+    comments, CRLF ends, repeated lines, blank lines with comment-only
+    lines right after them, and, now and then, a bad token."""
+    lines = []
+    for events in gen_trace(rng):
+        tokens = sorted(events.signals) + [f"{name}={value}" for name, value in events.values.items()]
+        if rng.random() < 0.06:
+            tokens.append(rng.choice(BAD_TRACE_TOKENS))
+        rng.shuffle(tokens)
+        line = rng.choice(("", "", " ", "\f")) + rng.choice((" ", " ", "  ", "\t", "\f")).join(tokens)
+        if rng.random() < 0.15:
+            line += rng.choice((" ; note", ";", "\t;x=1 9b"))
+        if rng.random() < 0.15:
+            line += "\r"
+        lines.append(line)
+        while rng.random() < 0.35:
+            extra = rng.choice(("", "\r", " ", rng.choice(lines), rng.choice(lines)))
+            lines.append(extra)
+            if not extra.strip() and rng.random() < 0.5:
+                lines.append(rng.choice(("; c", ";", "  ; c", ";c\r")))
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
 def gen_case(seed: int, allow_raise: bool = True):
     """One differential test case: an expression tree plus an event trace."""
     rng = random.Random(seed)

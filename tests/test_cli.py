@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from instants import Environment, compile_expr, parse_program, parse_trace
 from instants.cli import (
     EXIT_ALIVE,
     EXIT_INPUT_ERROR,
@@ -118,6 +119,20 @@ def test_keypad_trace_run(tmp_path):
     assert code == EXIT_ALIVE
     assert [r.outputs for r in trace.instants] == [[], [], [], ["123"], [], []]
     assert all(r.status is STOP for r in trace.instants)
+
+
+def test_shared_trace_events_are_only_read():
+    # Equal trace lines share one InstantEvents, so one parsed trace drives
+    # two runs alike only if the engine never writes to it.
+    text = (DEMOS / "keypad_enter.trace").read_text(encoding="utf-8")
+    events = parse_trace(text)
+    assert events[-1] is events[-2]
+    ast = parse_program((DEMOS / "keypad.rx").read_text(encoding="utf-8"))
+    golden = (DEMOS / "keypad_enter.golden").read_text(encoding="utf-8")
+    for _ in range(2):
+        env = Environment()
+        assert format_trace(env.react_t(compile_expr(ast, env), 1000, events)) == golden
+    assert events == parse_trace(text)
 
 
 def test_json_format_round_trips(tmp_path):

@@ -193,6 +193,14 @@ def test_trace_lines_end_only_at_newline():
     assert parse_trace("; c\r\na\n  ; d") == [InstantEvents(frozenset({"a"}), {})]
 
 
+def test_trace_equal_lines_share_one_instant():
+    # A comment-only line is skipped before a line is looked up, so its
+    # empty text never stands for a blank line's instant.
+    assert parse_trace("\n; c\n") == [InstantEvents()]
+    first, second = parse_trace("a\n;c\na\n")
+    assert first is second and first == InstantEvents(frozenset({"a"}), {})
+
+
 def test_trace_duplicate_assignment_rejected():
     with pytest.raises(DuplicateAssignment):
         parse_trace("digit=1 digit=2")

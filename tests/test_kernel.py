@@ -450,7 +450,7 @@ def test_unknown_id_is_rejected():
     env = Environment()
     with pytest.raises(ValueError):
         env.step(123)
-    for build in (env.dup, lambda r: loop(env, r), lambda r: repeat(env, 2, r)):
+    for build in (env.dup, lambda r: loop(env, r), lambda r: repeat(env, 0, r), lambda r: repeat(env, 2, r)):
         with pytest.raises(ValueError, match="unknown reactive id 123"):
             build(123)
 

@@ -18,19 +18,21 @@ from instants.dsl import (
     HaltExpr,
     LoopExpr,
     NothingExpr,
+    ParseError,
     RexpExpr,
     RifExpr,
     TerminateExpr,
     WhenExpr,
     compile_expr,
     parse_program,
+    parse_trace,
     render,
 )
 from instants.combinators import merge
 from instants.program import Seq, Stop
 from instants.world import ActionSeq, Print, SetCell, World, eval_cond, InstantEvents, Sig
 
-from genprog import SIGNALS, gen_case, gen_cond, gen_expr, gen_trace
+from genprog import SIGNALS, gen_case, gen_cond, gen_expr, gen_trace, gen_trace_text
 from reference import engine_run
 
 LIMITS = dict(max_micro=200, max_restarts=60)
@@ -234,6 +236,39 @@ def check_parse_round_trip(seed: int) -> None:
     assert parse_program(render(ast)) == ast
 
 
+def check_trace_lines_parse_alone(seed: int) -> None:
+    """A trace reads as its lines each read alone: the same instants, or
+    the first bad line's error at that line's number. Equal lines give
+    one shared InstantEvents."""
+    text = gen_trace_text(random.Random(seed))
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    expected, origins, first_error = [], [], None
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            alone = parse_trace(line + "\n")
+        except ParseError as error:
+            first_error = lineno, error
+            break
+        expected += alone
+        origins += [line] * len(alone)
+    try:
+        instants = parse_trace(text)
+    except ParseError as error:
+        assert first_error is not None, text
+        lineno, alone = first_error
+        assert type(error) is type(alone)
+        assert (error.line, error.col) == (lineno, alone.col)
+        assert str(error) == str(alone).replace(" at line 1,", f" at line {lineno},")
+        return
+    assert first_error is None, text
+    assert instants == expected
+    shared = {}
+    for events, line in zip(instants, origins):
+        assert shared.setdefault(line, events) is events
+
+
 # --------------------------------------------------------------------------
 # Hypothesis drivers
 
@@ -316,6 +351,12 @@ def test_determinism(seed):
 @settings(max_examples=150, deadline=None)
 def test_parse_round_trip(seed):
     check_parse_round_trip(seed)
+
+
+@given(seeds)
+@settings(max_examples=200, deadline=None)
+def test_trace_lines_parse_alone(seed):
+    check_trace_lines_parse_alone(seed)
 
 
 def test_fresh_construction_statuses_are_stop():

@@ -10,12 +10,12 @@ expression, program form, action, condition, integer expression) it has
 one row per head: the AST class the form builds and the kind of each
 argument. At import the table is digested once into ``_ROWS``, rows ready
 to build from: the class, whether the head is a value, the kind of a
-``*`` row's arguments, how to read each leading argument, the kind of the
-last one and the arity. ``_build`` parses every form with one lookup of
-its digested row, and ``render`` prints every AST node back from the same
-rows. Program forms build the engine's
-own classes: ``seq``, ``stop``, ``suspend``, ``activate``, ``raise`` and
-``handle`` build program.Seq, Stop, Suspend, Activate, Raise and Handle
+``*`` or ``+`` row's arguments, how to read each leading argument, the
+kind of the last one and the arity. ``_build`` parses every form with one
+lookup of its digested row, and ``render`` prints every AST node back
+from the same rows. Program forms build the engine's own classes:
+``seq``, ``stop``, ``suspend``, ``activate``, ``raise`` and ``handle``
+build program.Seq, Stop, Suspend, Activate, Raise and Handle
 (whose row fills its fields by name, as ``(handle TAG BODY HANDLER)``
 gives them in another order), and ``print``, ``set`` and ``do`` build the
 action specs world.Print, SetCell and ActionSeq, which a program takes as
@@ -24,9 +24,9 @@ expression's AST as each Activate's child. compile_expr lays it out with
 program.initial_resumption, compiles the node's children, in code order,
 to ids, and only then allocates the node.
 Integer literals and ``true`` and ``false`` are the only atoms that are
-forms. ``(par E ...)`` is the one form outside the table: it parses to a
-right fold of binary merges, and compilation flattens any chain of nested
-merges into one n-ary merge node.
+forms. ``(par E ...)`` and ``(merge E E)`` both build one MergeExpr over
+their branches, which compiles to one merge node; render prints every
+MergeExpr as ``(par ...)``.
 Print templates interpolate ``{cell:name}`` and ``{value:name}`` as
 decimal integers. The README lists every form.
 
@@ -114,8 +114,7 @@ class RexpExpr:
 
 @dataclass(frozen=True)
 class MergeExpr:
-    left: "ExprAst"
-    right: "ExprAst"
+    children: tuple["ExprAst", ...]
 
 
 @dataclass(frozen=True)
@@ -301,15 +300,22 @@ def _unquote(literal: str) -> str:
 # order. An argument kind is another form kind; "str", a string literal;
 # "count", an integer literal; "name:<what>", a name; "op", the head itself
 # (it takes no argument); or a form kind with "*", which takes all the
-# arguments as a tuple. The arguments fill the class's fields in order,
-# unless the class comes in a tuple with the names of the fields they fill.
-# Integer literals and true/false are the only atom forms, and (par E ...)
-# is the one form outside the table: it takes at least one expression and
-# folds right into merges.
+# arguments as a tuple, or with "+", which also takes at least one. The
+# arguments fill the class's fields in order, unless the class comes in a
+# tuple with the names of the fields they fill. Integer literals and
+# true/false are the only atom forms. Program forms take every action row.
+_ACTION_ROWS = {
+    "print": (Print, "str"),
+    "set": (SetCell, "name:cell", "integer"),
+    "raise": (Raise, "name:tag"),
+    "do": (ActionSeq, "action*"),
+}
 _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
     "expression": ("a reactive expression", {
         "rexp": (RexpExpr, "program"),
-        "merge": (MergeExpr, "expression", "expression"),
+        # (merge A B) is (par A B), and renders as that.
+        "merge": ((lambda left, right: MergeExpr((left, right)), "left", "right"), "expression", "expression"),
+        "par": (MergeExpr, "expression+"),
         "rif": (RifExpr, "condition", "expression", "expression"),
         "close": (CloseExpr, "expression"),
         "loop": (LoopExpr, "expression"),
@@ -323,21 +329,13 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
     }),
     "program": ("a program form", {
         "seq": (Seq, "program*"),
-        "print": (Print, "str"),
-        "set": (SetCell, "name:cell", "integer"),
         "stop": (Stop,),
         "suspend": (Suspend,),
         "activate": (Activate, "expression"),
-        "raise": (Raise, "name:tag"),
         "handle": ((Handle, "tag", "body", "handler"), "name:tag", "program", "program"),
-        "do": (ActionSeq, "action*"),
+        **_ACTION_ROWS,
     }),
-    "action": ("an action", {
-        "print": (Print, "str"),
-        "set": (SetCell, "name:cell", "integer"),
-        "raise": (Raise, "name:tag"),
-        "do": (ActionSeq, "action*"),
-    }),
+    "action": ("an action", _ACTION_ROWS),
     "condition": ("a condition", {
         "sig": (Sig, "name:signal"),
         "not": (Not, "condition"),
@@ -390,19 +388,22 @@ def _digest(cls, *kinds) -> tuple:
     """A _FORMS row as _build reads it: (make, names, op, star, lead, last,
     arity). make is the AST class; names is None when the arguments fill
     its fields in order, else the fields they fill. op is whether the head
-    is the first value. star is the kind of every argument of a "*" row,
-    else None. lead holds each argument before a last one of a form kind:
-    its form kind, or how to read it as an atom; last is that argument's
-    form kind, or None. arity counts the arguments."""
+    is the first value. star is the kind of every argument of a "*" or
+    "+" row, else None. lead holds each argument before a last one of a
+    form kind: its form kind, or how to read it as an atom; last is that
+    argument's form kind, or None. arity counts the arguments; a star row
+    has none fixed, and its arity is the fewest it takes: 1 for "+", else
+    0."""
     make, *names = cls if cls.__class__ is tuple else (cls,)
     op = kinds[:1] == ("op",)
     kinds = kinds[op:]
-    star = kinds[0][:-1] if kinds and kinds[0][-1] == "*" else None
+    if kinds and kinds[0][-1] in "*+":
+        return make, names or None, op, kinds[0][:-1], (), None, int(kinds[0][-1] == "+")
     last = kinds[-1] if kinds and kinds[-1] in _FORMS else None
-    lead = () if star else tuple(
+    lead = tuple(
         kind if kind in _FORMS else _ATOMS.get(kind) or (_read_name, f"expected {kind[5:]} name", str)
         for kind in kinds[:len(kinds) - (last is not None)])
-    return make, names or None, op, star, lead, last, len(kinds)
+    return make, names or None, op, None, lead, last, len(kinds)
 
 
 # The grammar digested once: for each kind of form, its noun and its rows.
@@ -414,8 +415,8 @@ def _build(node, kind: str):
     """Build the AST of one form of the given kind from what a reader
     returned, with one lookup of the form's digested row. A form's last
     argument is built by the same loop, not by a call, so a chain nested
-    through last arguments, such as the merges that render prints for a
-    long par, takes no stack."""
+    through last arguments, such as a long chain of closes, takes no
+    stack."""
     waiting = []  # (make, names, values) of the forms whose last argument is node
     while True:
         noun, rows = _ROWS[kind]
@@ -441,15 +442,11 @@ def _build(node, kind: str):
         if row is None:
             if head[0] == '"':
                 raise ParseError("form head must be a symbol", *_at(node))
-            if head != "par" or kind != "expression":
-                raise UnknownForm(f"unknown {kind} form {head!r}", *_at(node))
-            if len(node) == 1:
-                raise ArityError("(par ...) takes at least 1 argument(s), got 0", *_at(node))
-            waiting += [(MergeExpr, None, [_build(arg, kind)]) for arg in node[1:-1]]
-            node = node[-1]
-            continue
+            raise UnknownForm(f"unknown {kind} form {head!r}", *_at(node))
         make, names, op, star, lead, last, arity = row
         if star:
+            if len(node) <= arity:
+                raise ArityError(f"({head} ...) takes at least {arity} argument(s), got {len(node) - 1}", *_at(node))
             ast = make(tuple([_build(arg, star) for arg in node[1:]]))
             break
         if len(node) - 1 != arity:
@@ -558,18 +555,8 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
             node = initial_resumption(program)
             node.children = tuple(map(compile_expr, node.children, repeat(env)))
             return env.alloc(node)
-        case MergeExpr():
-            # A chain of nested merges, however folded, becomes one n-ary
-            # node over its leaves in left-to-right order.
-            leaves = []
-            pending = [ast]
-            while pending:
-                item = pending.pop()
-                if isinstance(item, MergeExpr):
-                    pending += (item.right, item.left)
-                else:
-                    leaves.append(compile_expr(item, env))
-            return combinators.merge(env, *leaves)
+        case MergeExpr(children=children):
+            return combinators.merge(env, *map(compile_expr, children, repeat(env)))
         case RifExpr(cond=cond, then_expr=a, else_expr=b):
             return combinators.rif(env, cond, compile_expr(a, env), compile_expr(b, env))
         case CloseExpr(child=child):
@@ -579,6 +566,11 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
         case RepeatExpr(count=count, body=body):
             if count < 0:
                 raise NegativeRepeatCount(f"repeat count must be non-negative, got {count}")
+            if count == 0:
+                # The body never runs: it is compiled aside only to report
+                # its errors, and leaves no node in env.
+                compile_expr(body, Environment())
+                return combinators.nothing(env)
             return combinators.repeat(env, count, compile_expr(body, env))
         case InitExpr(action=action, body=body):
             return combinators.init(env, build_action(action), compile_expr(body, env))

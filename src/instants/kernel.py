@@ -221,7 +221,6 @@ class Environment:
         self.statuses: dict[ReactiveId, Status] = {}
         self.world = world if world is not None else World()
         self.limits = limits if limits is not None else Limits()
-        self._next_id = 0
         self._event_reads = 0
         self._reacting = False
 
@@ -233,8 +232,8 @@ class Environment:
         for child in node.children:
             if child not in self.nodes:
                 raise ValueError(f"child id {child} is not allocated")
-        rid = self._next_id
-        self._next_id += 1
+        # No node is ever removed, so the table's size is a fresh id.
+        rid = len(self.nodes)
         self.nodes[rid] = node
         self.statuses[rid] = STOP
         return rid

@@ -194,7 +194,7 @@ def gen_expr(rng: random.Random, depth: int, allow_raise: bool = True):
             return HaltExpr()
         return NothingExpr()
     if roll < 0.40:
-        return MergeExpr(gen_expr(rng, depth - 1, allow_raise), gen_expr(rng, depth - 1, allow_raise))
+        return MergeExpr((gen_expr(rng, depth - 1, allow_raise), gen_expr(rng, depth - 1, allow_raise)))
     if roll < 0.45:
         return gen_wide_merge(rng, depth - 1, allow_raise)
     if roll < 0.55:
@@ -233,18 +233,20 @@ def _fold(rng: random.Random, branches: list, shape: str):
         split = len(branches) - 1
     else:
         split = rng.randint(1, len(branches) - 1)
-    return MergeExpr(_fold(rng, branches[:split], shape), _fold(rng, branches[split:], shape))
+    return MergeExpr((_fold(rng, branches[:split], shape), _fold(rng, branches[split:], shape)))
 
 
 def gen_wide_merge(rng: random.Random, depth: int, allow_raise: bool = True):
-    """3-16 branches in one chain of merges: a right fold as ``(par ...)``
-    writes it, a left fold, or a random tree. Roughly half of the branches
-    suspend, so re-steps within an instant reach a subset of them."""
+    """3-16 branches in one n-ary merge, as ``(par ...)`` parses, or in a
+    chain of binary merges: a right fold, a left fold or a random tree.
+    Roughly half of the branches suspend, so re-steps within an instant
+    reach a subset of them."""
     branches = [
         gen_suspender(rng) if rng.random() < 0.5 else gen_expr(rng, min(depth, 1), allow_raise)
         for _ in range(rng.randint(3, 16))
     ]
-    return _fold(rng, branches, rng.choice(("right", "left", "random")))
+    shape = rng.choice(("flat", "right", "left", "random"))
+    return MergeExpr(tuple(branches)) if shape == "flat" else _fold(rng, branches, shape)
 
 
 def gen_trace(rng: random.Random):

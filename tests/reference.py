@@ -271,7 +271,13 @@ class Oracle:
         if isinstance(ast, RexpExpr):
             return _Basic(self.run_prog(ast.program))
         if isinstance(ast, MergeExpr):
-            return _Merge(self.build(ast.left), self.build(ast.right))
+            # An n-ary merge is checked against the binary rule: its
+            # branches fold right, as star's associativity allows.
+            branches = [self.build(child) for child in ast.children]
+            node = branches.pop()
+            while branches:
+                node = _Merge(branches.pop(), node)
+            return node
         if isinstance(ast, RifExpr):
             return _Rif(ast.cond, self.build(ast.then_expr), self.build(ast.else_expr))
         if isinstance(ast, CloseExpr):

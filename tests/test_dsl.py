@@ -12,6 +12,7 @@ from instants import Environment, parse_program, parse_trace, render, rexp
 from instants.dsl import (
     ArityError,
     DuplicateAssignment,
+    HaltExpr,
     MergeExpr,
     NegativeRepeatCount,
     NothingExpr,
@@ -38,8 +39,9 @@ MERGE_SRC = (
 def test_parse_merge_example():
     ast = parse_program(MERGE_SRC)
     assert isinstance(ast, MergeExpr)
-    assert isinstance(ast.left, RexpExpr)
-    assert ast.left.program == Seq(
+    assert len(ast.children) == 2
+    assert isinstance(ast.children[0], RexpExpr)
+    assert ast.children[0].program == Seq(
         (Print("1"), Stop(), Print("2"))
     )
 
@@ -59,8 +61,11 @@ def test_unknown_form():
 
 
 def test_arity_error():
-    with pytest.raises(ArityError):
-        parse_program("(merge (nothing))")
+    # merge keeps its arity of 2, though it builds the same node as par.
+    for source, got in [("(merge (nothing))", 1), ("(merge (nothing) (halt) (nothing))", 3)]:
+        with pytest.raises(ArityError) as exc:
+            parse_program(source)
+        assert str(exc.value) == f"(merge ...) takes 2 argument(s), got {got} at line 1, column 1"
 
 
 def test_unexpected_close_paren():
@@ -85,11 +90,14 @@ def test_error_carries_position():
     assert exc.value.col == 3
 
 
-def test_par_folds_right_into_merges():
+def test_par_parses_to_one_merge_of_its_branches():
     ast = parse_program("(par (nothing) (halt) (nothing))")
-    assert isinstance(ast, MergeExpr)
-    assert isinstance(ast.right, MergeExpr)
-    assert render(ast) == "(merge (nothing) (merge (halt) (nothing)))"
+    assert ast == MergeExpr((NothingExpr(), HaltExpr(), NothingExpr()))
+    assert render(ast) == "(par (nothing) (halt) (nothing))"
+    # (merge A B) is (par A B), and (par E) is a merge of one branch.
+    assert parse_program("(merge (nothing) (halt))") == parse_program("(par (nothing) (halt))")
+    assert render(parse_program("(merge (nothing) (halt))")) == "(par (nothing) (halt))"
+    assert parse_program("(par (nothing))") == MergeExpr((NothingExpr(),))
 
 
 def test_comments_and_strings():
@@ -149,6 +157,17 @@ def test_negative_repeat_count_rejected_at_compile():
     ast = parse_program("(repeat -1 (halt))")
     with pytest.raises(NegativeRepeatCount):
         compile_expr(ast, env)
+
+
+def test_repeat_zero_leaves_only_a_nothing():
+    branches = " ".join(f'(rexp (seq (print "b{i}") (stop)))' for i in range(64))
+    env = Environment()
+    root = compile_expr(parse_program(f"(repeat 0 (par {branches}))"), env)
+    assert len(env.nodes) == 1
+    assert react_once(env, root) == ([], True)
+    # The body is still compiled, so its errors are still reported.
+    with pytest.raises(NegativeRepeatCount):
+        compile_expr(parse_program("(repeat 0 (repeat -1 (halt)))"), Environment())
 
 
 def test_when_terminate_await_forms_compile():
@@ -286,10 +305,13 @@ def test_render_raises_on_a_literal_past_the_print_limit():
 
 
 def test_render_walks_a_5000_branch_par_without_recursion():
-    ast = parse_program("(par " + "(nothing) " * 5000 + ")")
-    text = render(ast)
-    assert text.count("(merge ") == 4999
-    assert render(parse_program(text)) == text
+    text = "(par " + " ".join(["(nothing)"] * 5000) + ")"
+    ast = parse_program(text)
+    assert render(ast) == text  # one (par ...), not a chain of merges
+    # One flat node: equality and hashing do not recurse per branch.
+    again = parse_program(text)
+    assert again == ast
+    assert hash(again) == hash(ast)
 
 
 @pytest.mark.parametrize(
@@ -302,7 +324,8 @@ def test_render_walks_a_5000_branch_par_without_recursion():
 )
 def test_900_nested_levels_parse(opening, closing):
     ast = parse_program(opening * 900 + "(nothing)" + closing * 900)
-    assert render(ast).count(opening) == 900
+    # render prints every merge as a par.
+    assert render(ast).count(opening.replace("(merge ", "(par ")) == 900
 
 
 def test_200_nested_rexp_levels_parse_and_compile():

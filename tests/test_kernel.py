@@ -174,13 +174,19 @@ def test_compiled_par_is_one_merge_node():
     root = compile_expr(parse_program("(par " + " ".join(branches) + ")"), env)
     assert len(env.nodes) == 65
     assert len(env.nodes[root].children) == 64
-    # Nested merges flatten too, whichever way they are folded.
+    # Nested merges are one node per merge form, and since star is
+    # associative they run as one merge over all the leaves would.
     env = Environment()
     leaves = ['(rexp (print "%s"))' % name for name in "abcd"]
     source = "(merge (merge (merge {} {}) {}) {})".format(*leaves)
     root = compile_expr(parse_program(source), env)
-    assert len(env.nodes) == 5
+    assert len(env.nodes) == 7
     assert react_once(env, root) == (["a", "b", "c", "d"], True)
+    # (par E) is a merge of one branch.
+    env = Environment()
+    root = compile_expr(parse_program("(par (nothing))"), env)
+    assert len(env.nodes[root].children) == 1
+    assert react_once(env, root) == ([], True)
 
 
 def test_close_resolves_suspensions_in_one_instant():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from genprog import gen_case
 from helpers import needs_print_limit
 from instants import parse_program, render
+from instants.dsl import MergeExpr
 from reference import engine_run, oracle_run
 
 LIMITS = dict(max_micro=200, max_restarts=60)
@@ -23,6 +24,26 @@ def test_engine_matches_oracle_over_fixed_seeds():
 def test_engine_matches_oracle_on_arbitrary_seeds(seed):
     ast, trace = gen_case(seed)
     assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS)
+
+
+def _widest_merge(ast) -> int:
+    """The most children of any MergeExpr in an AST."""
+    widest, pending = 0, [ast]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, tuple):
+            pending += item
+        elif hasattr(item, "__dataclass_fields__"):
+            if isinstance(item, MergeExpr):
+                widest = max(widest, len(item.children))
+            pending += [getattr(item, name) for name in item.__dataclass_fields__]
+    return widest
+
+
+def test_generated_cases_reach_merges_of_three_or_more_branches():
+    # (par ...) parses to one flat merge, which the oracle checks by
+    # folding it into binary ones; the fuzzer has to generate that shape.
+    assert any(_widest_merge(gen_case(seed)[0]) >= 3 for seed in range(2000))
 
 
 @needs_print_limit

@@ -30,7 +30,7 @@ from instants.dsl import (
 )
 from instants.combinators import merge
 from instants.program import Seq, Stop
-from instants.world import ActionSeq, Print, SetCell, World, eval_cond, InstantEvents, Sig
+from instants.world import Print, SetCell, World, eval_cond, InstantEvents, Sig
 
 from genprog import SIGNALS, gen_case, gen_cond, gen_expr, gen_trace, gen_trace_text
 from reference import engine_run
@@ -154,8 +154,8 @@ def check_left_before_right(seed: int) -> None:
 def _writes_world(ast) -> bool:
     if isinstance(ast, SetCell):
         return True
-    if isinstance(ast, (ActionSeq, Seq)):
-        return any(_writes_world(item) for item in ast.items)
+    if isinstance(ast, tuple):  # a merge's children, a Seq's items
+        return any(_writes_world(item) for item in ast)
     if hasattr(ast, "__dataclass_fields__"):
         return any(_writes_world(getattr(ast, name)) for name in ast.__dataclass_fields__)
     return False

@@ -8,6 +8,7 @@ import types
 from pathlib import Path
 
 import instants
+from instants import dsl
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -48,3 +49,17 @@ def test_readme_library_example_prints_both_first_outputs():
     with contextlib.redirect_stdout(printed):
         exec(example, {})
     assert printed.getvalue() == "['1', 'A']\n"
+
+
+# The labels of README's "DSL reference" and the _FORMS kinds they list.
+README_KINDS = {"Expressions": "expression", "Programs": "program", "Conditions": "condition",
+                "Integers": "integer", "Actions": "action"}
+
+
+def test_readme_dsl_reference_lists_exactly_the_grammar_heads():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## DSL reference", 1)[1].split("\nSignals ", 1)[0]
+    parts = re.split(r"\b(%s):" % "|".join(README_KINDS), section)[1:]
+    listed = {README_KINDS[label]: set(re.findall(r"`\(([^\s)`]+)", body))
+              for label, body in zip(parts[::2], parts[1::2])}
+    assert listed == {kind: set(rows) for kind, (_, rows) in dsl._FORMS.items()}

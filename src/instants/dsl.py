@@ -31,8 +31,11 @@ Print templates interpolate ``{cell:name}`` and ``{value:name}`` as
 decimal integers. The README lists every form.
 
 The text is first read with no positions: one regular-expression scan,
-then nesting on a stack. Line and column are worked out only when a parse
-fails, by scanning the same token pattern again, this time with positions;
+then nesting on a stack, which makes equal forms one shared tuple. Each
+distinct form is built once, so equal subtrees of the AST are one object;
+that sharing lasts for one parse_program call, and two calls share no AST
+node. Line and column are worked out only when a parse fails, by scanning
+the same token pattern again, this time with positions and no sharing;
 the same builder then raises the error with its position.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
@@ -195,9 +198,13 @@ ExprAst = Union[
 
 # A reader returns a form as a tuple of forms, and an atom or a string
 # literal as a str; a string literal keeps its quotes, and no atom starts
-# with '"'. parse_program reads with no positions first. Only a parse that
-# fails reads the text again with _tokenize, whose tokens, and the forms
-# _nest makes of them, are subclasses that carry their line and column.
+# with '"'. parse_program reads with no positions first: _nest then makes
+# equal forms one tuple, and _build builds each distinct form once for
+# each kind it is read as, so equal subtrees of the AST are one object.
+# Both tables live for that one read. Only a parse that fails reads the
+# text again with _tokenize, whose tokens, and the forms _nest makes of
+# them, are subclasses that carry their line and column; those forms are
+# never shared, so each error names the place of the form at fault.
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
@@ -257,30 +264,41 @@ def _tokenize(text: str) -> list[_Text]:
 
 def _nest(tokens: list[str]):
     """Nest tokens into exactly one s-expression, keeping open lists on a
-    stack; "" tokens (comments) are skipped. A fault raises a ParseError
-    with the position of the token at fault, if tokens carry one."""
-    open_lists: list[tuple[list, str]] = []
+    stack; "" tokens (comments) are skipped. Forms of tokens with no
+    position are shared: within one call, equal forms are one tuple. Each
+    closed form is looked up under a flat key, its atoms and the ids of its
+    subforms, which are shared already, so no nested tuple is hashed.
+    Positioned tokens give each form its own _Form, with its line and
+    column. A fault raises a ParseError with the position of the token at
+    fault, if tokens carry one."""
+    open_lists: list[tuple[list, list, str]] = []
     items: list = []
+    keys: list = []  # items, with each form's id in its place
+    shared: dict[tuple, tuple] = {}  # a form's key -> the one tuple for it
     for token in tokens:
         if token == ")":
             if not open_lists:
                 raise ParseError("trailing content after expression" if items else "unexpected ')'", *_at(token))
-            form = tuple(items)
-            items, opener = open_lists.pop()
+            form, key = tuple(items), tuple(keys)
+            items, keys, opener = open_lists.pop()
             if opener.__class__ is _Text:
                 form = _Form(form)
                 form.line, form.col = opener.line, opener.col
+            else:
+                form = shared.setdefault(key, form)
             items.append(form)
+            keys.append(id(form))
         elif token:
             if items and not open_lists:
                 raise ParseError("trailing content after expression", *_at(token))
             if token == "(":
-                open_lists.append((items, token))
-                items = []
+                open_lists.append((items, keys, token))
+                items, keys = [], []
             else:
                 items.append(token)
+                keys.append(token)
     if open_lists:
-        raise ParseError("unclosed parenthesis", *_at(open_lists[-1][1]))
+        raise ParseError("unclosed parenthesis", *_at(open_lists[-1][2]))
     if not items:
         raise ParseError("empty input")
     return items[0]
@@ -411,13 +429,24 @@ _ROWS = {kind: (noun, {head: _digest(*row) for head, row in rows.items()})
          for kind, (noun, rows) in _FORMS.items()}
 
 
-def _build(node, kind: str):
+def _make(make, names, star, values: list):
+    """The AST of a digested row from the values of its arguments."""
+    if star:
+        return make(tuple(values))
+    return make(*values) if names is None else make(**dict(zip(names, values)))
+
+
+def _build(node, kind: str, built: dict):
     """Build the AST of one form of the given kind from what a reader
     returned, with one lookup of the form's digested row. A form's last
-    argument is built by the same loop, not by a call, so a chain nested
-    through last arguments, such as a long chain of closes, takes no
-    stack."""
-    waiting = []  # (make, names, values) of the forms whose last argument is node
+    argument, a star row's too, is built by the same loop, not by a call,
+    so a chain nested through last arguments, such as a long chain of
+    closes or of right-nested pars, takes no stack. built maps a form's id
+    and kind to the AST built from it, so a form that _nest shared is
+    built once per kind, and every place that holds it gets the same AST.
+    An id names a form only while it lives, so each read passes a fresh
+    dict, which goes with the read."""
+    waiting = []  # (make, names, star, values, key) of the forms whose last argument is node
     while True:
         noun, rows = _ROWS[kind]
         if not isinstance(node, tuple):
@@ -431,11 +460,17 @@ def _build(node, kind: str):
             else:
                 raise ParseError(f"expected {noun}", *_at(node))
             break
+        # The form's id keys it, not the form: hashing a tuple nested
+        # deeply enough crashes the interpreter.
+        key = (id(node), kind)
+        ast = built.get(key)
+        if ast is not None:
+            break
         if not node:
             raise ParseError(f"empty form where {noun} expected", *_at(node))
         head = node[0]
-        # Only a str may key a lookup: hashing a tuple nested deeply enough
-        # crashes the interpreter. No row has a string literal as its head.
+        # Only a str may key a lookup, for the same reason. No row has a
+        # string literal as its head.
         if not isinstance(head, str):
             raise ParseError("form head must be a symbol", *_at(node))
         row = rows.get(head)
@@ -447,9 +482,8 @@ def _build(node, kind: str):
         if star:
             if len(node) <= arity:
                 raise ArityError(f"({head} ...) takes at least {arity} argument(s), got {len(node) - 1}", *_at(node))
-            ast = make(tuple([_build(arg, star) for arg in node[1:]]))
-            break
-        if len(node) - 1 != arity:
+            lead, last = (star,) * (len(node) - 2), star if len(node) > 1 else None
+        elif len(node) - 1 != arity:
             raise ArityError(f"({head} ...) takes {arity} argument(s), got {len(node) - 1}", *_at(node))
         values = [head] if op else []
         at = 0  # the index of arg in node
@@ -457,34 +491,36 @@ def _build(node, kind: str):
             at += 1
             arg = node[at]
             if arg_kind.__class__ is str:
-                values.append(_build(arg, arg_kind))
+                values.append(_build(arg, arg_kind, built))
             elif isinstance(arg, str) and (value := arg_kind[0](arg)) is not None:
                 values.append(value)
             else:
                 raise ParseError(arg_kind[1], *_at(arg))
         if last is None:
-            ast = make(*values) if names is None else make(**dict(zip(names, values)))
+            ast = built[key] = _make(make, names, star, values)
             break
-        waiting.append((make, names, values))
+        waiting.append((make, names, star, values, key))
         node, kind = node[-1], last
     while waiting:
-        make, names, values = waiting.pop()
+        make, names, star, values, key = waiting.pop()
         values.append(ast)
-        ast = make(*values) if names is None else make(**dict(zip(names, values)))
+        ast = built[key] = _make(make, names, star, values)
     return ast
 
 
 def parse_program(text: str) -> ExprAst:
-    """Parse one reactive expression from source text."""
+    """Parse one reactive expression from source text. Within one call,
+    equal forms are read as one tuple and built once per kind, so equal
+    subtrees of the AST are one object; two calls share no AST node."""
     tokens = _TOKEN_RE.findall(text)
     try:
         if '"' not in tokens:
-            return _build(_nest(tokens), "expression")
+            return _build(_nest(tokens), "expression", {})
     except ParseError:
         pass
-    # The same reader and builder again, with positions: this raises the
-    # error, with its line and column.
-    return _build(_nest(_tokenize(text)), "expression")
+    # The same reader and builder again, with positions and no shared
+    # forms: this raises the error, with its line and column.
+    return _build(_nest(_tokenize(text)), "expression", {})
 
 
 # --------------------------------------------------------------------------
@@ -594,26 +630,28 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
 def parse_trace(text: str) -> list[InstantEvents]:
     """Parse a trace file into one InstantEvents per instant.
 
-    Equal lines share one InstantEvents: each distinct text before ``;``
-    is read once per call, and every instant it starts is that same
-    object. The engine only reads an InstantEvents, so sharing is safe; a
-    caller that mutates one, say its ``values``, mutates every instant
-    that shares it."""
-    instants = []
-    read: dict[str, InstantEvents] = {}  # a line's text before ";" -> its events
+    Equal lines share one InstantEvents: within one call, each distinct
+    line is read once, in order of first appearance, with one read per
+    distinct text before ``;``, and every instant it starts is that same
+    object. Nothing is kept between calls. The engine only reads an
+    InstantEvents, so sharing is safe; a caller that mutates one, say its
+    ``values``, mutates every instant that shares it."""
     # Only "\n" ends a line, as in parse_program's positions; str.split()
     # below takes any other line break for whitespace. A final newline
     # starts no instant.
     lines = text.split("\n")
-    for lineno, raw in enumerate(lines[:-1] if lines[-1] == "" else lines, start=1):
-        raw, semicolon, _ = raw.partition(";")
+    if lines[-1] == "":
+        lines.pop()
+    read: dict[str, InstantEvents | None] = dict.fromkeys(lines)  # a line -> its events
+    by_text: dict[str, InstantEvents] = {}  # a line's text before ";" -> its events
+    for line in read:
+        raw, semicolon, _ = line.partition(";")
         if semicolon and not raw.strip():
-            continue  # comment-only lines do not count as instants
+            continue  # comment-only lines do not count as instants, and stay None
         # Looked up only after the check above: a comment-only line's
         # empty text must not match a blank line's.
-        events = read.get(raw)
-        if events is not None:
-            instants.append(events)
+        if raw in by_text:
+            read[line] = by_text[raw]
             continue
         signals: set[str] = set()
         values: dict[str, int] = {}
@@ -633,10 +671,12 @@ def parse_trace(text: str) -> list[InstantEvents]:
                         raise ParseError(f"bad signal name {token!r}")
                     signals.add(token)
         except ParseError as error:
-            # The errors above carry no position: the failing token's
-            # column is worked out here, so valid lines never pay for it.
+            # The errors above carry no position: the failing token's line
+            # and column are worked out here, so valid lines never pay for
+            # them. Lines are read in order of first appearance, so this
+            # line is the first that fails.
             col = [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
-            raise type(error)(str(error), lineno, col) from None
-        read[raw] = events = InstantEvents(frozenset(signals), values)
-        instants.append(events)
-    return instants
+            raise type(error)(str(error), lines.index(line) + 1, col) from None
+        by_text[raw] = read[line] = InstantEvents(frozenset(signals), values)
+    # InstantEvents is always true, so this drops only comment-only lines.
+    return list(filter(None, map(read.__getitem__, lines)))

@@ -19,8 +19,9 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Mapping, Union
-from weakref import WeakValueDictionary
+from weakref import ref
 
 from .core import Abort, IntegerTooLarge
 
@@ -320,18 +321,27 @@ def _compile_action(spec: ActionSpec) -> tuple[Callable[[World], None], bool]:
 
 
 # Specs are frozen and compiled actions keep no state, so identical specs
-# share one HostAction for as long as some program holds it.
-_compiled_actions: WeakValueDictionary[ActionSpec, HostAction] = WeakValueDictionary()
+# share one HostAction for as long as some program holds it. Each spec maps
+# to a weak reference to its action, whose callback drops the entry once
+# the action is collected, unless a newer reference has taken its place.
+_compiled_actions: dict[ActionSpec, ref[HostAction]] = {}
+
+
+def _forget(spec: ActionSpec, entry: ref[HostAction]) -> None:
+    if _compiled_actions.get(spec) is entry:
+        del _compiled_actions[spec]
 
 
 def build_action(spec: ActionSpec) -> HostAction:
     """Compile a declarative action tree into an executable HostAction."""
     try:
-        action = _compiled_actions.get(spec)
+        entry = _compiled_actions.get(spec)
     except RecursionError:
         # Hashing a spec recurses about twice as deep as compiling it, so
         # a spec too deep to hash is compiled unshared.
         return HostAction(*_compile_action(spec))
+    action = None if entry is None else entry()
     if action is None:
-        action = _compiled_actions[spec] = HostAction(*_compile_action(spec))
+        action = HostAction(*_compile_action(spec))
+        _compiled_actions[spec] = ref(action, partial(_forget, spec))
     return action

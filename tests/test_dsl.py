@@ -4,6 +4,7 @@ from __future__ import annotations
 import gc
 import random
 import weakref
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,43 @@ def test_render_parse_round_trip():
     )
     ast = parse_program(src)
     assert parse_program(render(ast)) == ast
+
+
+def _ast_nodes(ast) -> list:
+    """Every AST node reachable from ast, once per place that holds it."""
+    nodes, pending = [], [ast]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, tuple):
+            pending += item
+        elif is_dataclass(item):
+            nodes.append(item)
+            pending += (getattr(item, f.name) for f in fields(item))
+    return nodes
+
+
+STEP = '(set c (+ (cell c) (value v))) (print "c={cell:c}") (stop)'
+REPEATED_SRC = f"(par (rexp (seq {STEP} {STEP})) (rexp (seq {STEP} {STEP})))"
+
+
+def test_equal_subforms_of_one_parse_are_one_object():
+    ast = parse_program(REPEATED_SRC)
+    first, second = ast.children
+    assert first is second
+    items = first.program.items
+    assert len(items) == 6 and items[:3] == items[3:]
+    assert all(a is b for a, b in zip(items[:3], items[3:]))
+    # Each place that holds a shared expression compiles to its own node.
+    env = Environment()
+    root = compile_expr(ast, env)
+    assert len(env.nodes) == 3
+    assert react_once(env, root) == (["c=0", "c=0"], False)
+
+
+def test_two_parses_share_no_ast_node():
+    first, second = parse_program(REPEATED_SRC), parse_program(REPEATED_SRC)
+    assert first == second
+    assert not {id(node) for node in _ast_nodes(first)} & {id(node) for node in _ast_nodes(second)}
 
 
 def test_compile_and_run_merge_example():
@@ -288,6 +326,8 @@ def test_trace_error_class_message_and_position(text, error, message, line, col)
         # Gaps with several newlines, CRLF line ends and a comment.
         ("(merge (nothing)\r\n\r\n; c )\n\t(wat))", UnknownForm, "unknown expression form 'wat'", 4, 2),
         ('(rexp\r\n\r\n  (seq (print "ok")\n\n (print "a\\q")))', ParseError, "unknown escape \\q", 5, 11),
+        # A form that also appears where it is valid keeps its own position.
+        ('(rexp (seq (print "x")\n  (activate (print "x"))))', UnknownForm, "unknown expression form 'print'", 2, 13),
     ],
 )
 def test_parse_error_class_message_and_position(src, error, message, line, col):
@@ -328,6 +368,14 @@ def test_900_nested_levels_parse(opening, closing):
     assert render(ast).count(opening.replace("(merge ", "(par ")) == 900
 
 
+@pytest.mark.parametrize("opening, closing", [("(par (nothing) ", ")"), ('(rexp (seq (print "a") (activate ', ")))")])
+def test_5000_levels_nested_through_a_star_row_parse_and_render_back(opening, closing):
+    # A star row's last argument is built by the builder's loop.
+    depth = 5000
+    text = opening * depth + "(nothing)" + closing * depth
+    assert render(parse_program(text)) == text
+
+
 def test_200_nested_rexp_levels_parse_and_compile():
     depth = 200
     env = Environment()
@@ -336,8 +384,7 @@ def test_200_nested_rexp_levels_parse_and_compile():
 
 
 def test_900_nested_rexp_levels_built_as_an_ast_compile():
-    # Built directly: parsing this shape nests the builder through seq's
-    # arguments.
+    # Built directly, so only compile_expr is tested here.
     depth = 900
     ast = NothingExpr()
     for _ in range(depth):
@@ -431,7 +478,7 @@ def test_fast_and_positional_reads_agree():
     outcomes = set()
     for text in texts:
         fast = _read_outcome(lambda: parse_program(text))
-        positional = _read_outcome(lambda: _build(_nest(_tokenize(text)), "expression"))
+        positional = _read_outcome(lambda: _build(_nest(_tokenize(text)), "expression", {}))
         assert fast == positional, text
         outcomes.add(fast[0] if isinstance(fast, tuple) else "ok")
     # Both kinds of outcome, and every error class the reader raises.

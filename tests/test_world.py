@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 
 import pytest
 
@@ -31,6 +32,7 @@ from instants.world import (
     Sig,
     ValueRef,
     World,
+    _compiled_actions,
     compile_cond,
     compile_int,
     eval_cond,
@@ -153,6 +155,16 @@ def test_event_read_detection():
     assert build_action(ActionSeq((SetCell("x", ValueRef("v")),))).reads_events
     assert not build_action(ActionSeq((Print("a"), ActionSeq((SetCell("x", CellRef("v")),))))).reads_events
     assert build_action(ActionSeq((Print("a"), ActionSeq((Raise("T"), Print("{value:v}")))))).reads_events
+
+
+def test_a_shared_action_entry_goes_with_its_action():
+    spec = Print("only here {cell:entry}")
+    action = build_action(spec)
+    assert build_action(Print("only here {cell:entry}")) is action
+    assert _compiled_actions[spec]() is action
+    del action
+    gc.collect()
+    assert spec not in _compiled_actions
 
 
 def test_an_action_too_deep_to_hash_still_compiles():

@@ -40,8 +40,11 @@ def merge(env: Environment, *children: ReactiveId) -> ReactiveId:
 
 def rif(env: Environment, cond: Cond, then_branch: ReactiveId, else_branch: ReactiveId) -> ReactiveId:
     """Conditional activation; the condition is compiled once, here, and
-    re-evaluated every instant."""
-    return env.alloc(RifNode(*compile_cond(cond), (then_branch, else_branch)))
+    re-evaluated every instant. When the else branch is a halt, a false
+    condition stops the rif without stepping the halt."""
+    node = env.nodes.get(else_branch)
+    else_halts = isinstance(node, AwaitNode) and node.test is _NEVER[0] and not node.latched
+    return env.alloc(RifNode(*compile_cond(cond), (then_branch, else_branch), else_halts))
 
 
 def close(env: Environment, child: ReactiveId) -> ReactiveId:
@@ -60,7 +63,8 @@ _NEVER = compile_cond(BoolConst(False))
 
 def halt(env: Environment) -> ReactiveId:
     """Stops at every instant, forever: an await whose condition never
-    holds, so a waiting halt is one step per instant."""
+    holds, so a waiting halt is one step per instant, and none as the else
+    branch of a rif (so of a when), which does not step it."""
     return env.alloc(AwaitNode(*_NEVER, (nothing(env),)))
 
 

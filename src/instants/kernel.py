@@ -9,9 +9,13 @@ dup copies every kind the same way: the same fields, with the children
 renamed. Activation is a recursive walk: Environment.step checks for END,
 lets the node step itself, writes the resulting status back, and returns
 it. A terminated expression is inert; stepping it returns END and changes
-nothing. A merge holds all its branches in one node, so the walk is as
-deep as the program's nesting, not its width. Copying (dup) and snapshots
-find a node's region by an iterative walk, so they work at any depth.
+nothing. A basic node's step is the interpreter of its flat code, so a
+basic activation is that one call under Environment.step. A rif whose
+else branch is a halt returns STOP for a false test without stepping the
+halt, so a waiting when costs one step. A merge holds all its branches in
+one node, so the walk is as deep as the program's nesting, not its width.
+Copying (dup) and snapshots find a node's region by an iterative walk, so
+they work at any depth.
 
 Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
@@ -91,10 +95,16 @@ Predicate = Callable[[World], bool]
 
 @dataclass
 class RifNode(_Stateless):
+    """Steps the then branch when the test holds and the else branch
+    otherwise. When the else branch is a halt (else_halts), a false test
+    returns STOP without stepping it: a halt is STOP from allocation on,
+    and its step reads no events, has no effect and cannot raise."""
+
     # The condition as compiled once by rif; copies share it.
     test: Predicate
     reads_events: bool
     children: tuple[ReactiveId, ReactiveId]  # then, else
+    else_halts: bool = False
 
     def step(self, env: Environment) -> Status:
         # A suspended branch resumes without re-evaluating the condition;
@@ -106,7 +116,7 @@ class RifNode(_Stateless):
             return env.step(else_branch)
         if env._eval_cond(self.test, self.reads_events):
             return env.step(then_branch)
-        return env.step(else_branch)
+        return STOP if self.else_halts else env.step(else_branch)
 
 
 @dataclass

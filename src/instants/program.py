@@ -24,7 +24,9 @@ its body, and a caught abort jumps forward to the handler's code, so pc
 only moves forward.
 
 A BasicNode is the kernel's node for a basic expression, and this module
-is the only one that knows the code's layout. The node holds the code and
+is the only one that knows the code's layout. Its step is the interpreter:
+it runs the code from pc, runs each ATOM's action itself, and steps an
+Activate's target through Environment.step. The node holds the code and
 handle table, which copies share, its children, and the expression's own
 state: pc alone, which is also what a loop saves. The children are the
 targets of all the Activate instructions in code order. They do not
@@ -107,7 +109,52 @@ class BasicNode:
     pc: int = 0
 
     def step(self, env: Environment) -> Status:
-        return run_resumption(env, self)
+        """Execute one activation of a basic reactive expression: this is
+        the interpreter of the flat code, which Environment.step calls.
+
+        Runs instructions until the program is exhausted (END), a Stop or
+        Suspend is executed, or an activated child pauses. An ATOM counts
+        an event read, when its action reads events, before it runs the
+        action. pc advances past an ATOM or ACTIVATE only once it
+        succeeds, so when one fails pc names it. An abort from either
+        jumps to the handler code of the innermost Handle whose body holds
+        pc and whose tag matches, and runs on there within this
+        activation; with no such Handle the node is finished and the abort
+        propagates to the caller.
+        """
+        ops, children = self.ops, self.children
+        pc = self.pc
+        end = len(ops)
+        while True:
+            try:
+                while pc < end:
+                    op, arg = ops[pc]
+                    if op == ATOM:
+                        if arg.reads_events:
+                            env._event_reads += 1
+                        arg.run(env.world)
+                        pc += 1
+                    elif op == PAUSE:
+                        pc += 1
+                        return arg
+                    elif op == ACTIVATE:
+                        status = env.step(children[arg])
+                        if status is not END:
+                            return status
+                        pc += 1
+                    else:
+                        pc = arg
+                return END
+            except Abort as abort:
+                for start, stop, tag in self.handles:
+                    if start <= pc < stop and tag == abort.tag:
+                        pc = stop + 1
+                        break
+                else:
+                    pc = end
+                    raise
+            finally:
+                self.pc = pc
 
     def save(self) -> int:
         return self.pc
@@ -131,10 +178,12 @@ def initial_resumption(program: Program) -> BasicNode:
     """Compile program to flat code in a node positioned at its first
     instruction. A Print, SetCell, Raise or ActionSeq item becomes an ATOM
     of its compiled action; any item that is neither that nor an
-    instruction raises TypeError."""
+    instruction raises TypeError. Each spec object is compiled once: the
+    program holds every spec for the call, so its id names it."""
     ops: list = []
     handles: list = []
     targets: list[ReactiveId] = []
+    actions: dict[int, HostAction] = {}  # id(spec) -> its compiled action
     pending: list = [program]
     while pending:
         item = pending.pop()
@@ -143,7 +192,9 @@ def initial_resumption(program: Program) -> BasicNode:
         elif isinstance(item, Atom):
             ops.append((ATOM, item.action))
         elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
-            ops.append((ATOM, build_action(item)))
+            if id(item) not in actions:
+                actions[id(item)] = build_action(item)
+            ops.append((ATOM, actions[id(item)]))
         elif isinstance(item, Stop):
             ops.append((PAUSE, STOP))
         elif isinstance(item, Suspend):
@@ -168,44 +219,8 @@ def initial_resumption(program: Program) -> BasicNode:
 
 
 def run_resumption(env: Environment, node: BasicNode) -> Status:
-    """Execute one activation of a basic reactive expression.
-
-    Runs instructions until the program is exhausted (END), a Stop or
-    Suspend is executed, or an activated child pauses. pc advances past an
-    ATOM or ACTIVATE only once it succeeds, so when one fails pc names it.
-    An abort from either jumps to the handler code of the innermost Handle
-    whose body holds pc and whose tag matches, and runs on there within
-    this activation; with no such Handle the node is finished and the
-    abort propagates to the caller.
-    """
-    ops, children = node.ops, node.children
-    pc = node.pc
-    end = len(ops)
-    while True:
-        try:
-            while pc < end:
-                op, arg = ops[pc]
-                if op == ATOM:
-                    env.run_action(arg)
-                    pc += 1
-                elif op == PAUSE:
-                    pc += 1
-                    return arg
-                elif op == ACTIVATE:
-                    status = env.step(children[arg])
-                    if status is not END:
-                        return status
-                    pc += 1
-                else:
-                    pc = arg
-            return END
-        except Abort as abort:
-            for start, stop, tag in node.handles:
-                if start <= pc < stop and tag == abort.tag:
-                    pc = stop + 1
-                    break
-            else:
-                pc = end
-                raise
-        finally:
-            node.pc = pc
+    """Execute one activation of a basic reactive expression. The
+    interpreter is node.step, which Environment.step calls directly; this
+    is the same call for callers that hold a node outside an
+    environment's table."""
+    return node.step(env)

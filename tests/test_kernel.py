@@ -1,6 +1,7 @@
 """Kernel behavior: allocation, stepping, duplication, guard rails."""
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -42,10 +43,11 @@ from instants import (
     seq,
     star,
     terminate,
+    when,
 )
-from instants.kernel import BasicNode, LoopNode, MergeNode
-from instants.program import initial_resumption
-from instants.world import InstantEvents, Sig
+from instants.kernel import BasicNode, LoopNode, MergeNode, RifNode
+from instants.program import initial_resumption, run_resumption
+from instants.world import BoolConst, InstantEvents, Sig
 
 from helpers import react_once
 
@@ -688,3 +690,108 @@ def test_basic_children_are_all_targets_in_code_order():
     # fresh status and stay children.
     assert env.nodes[r].children == (a, f, b, c, d)
     assert (env.statuses[a], env.statuses[f], env.statuses[b]) == (STOP, STOP, END)
+
+
+# --------------------------------------------------------------------------
+# The step path
+
+
+class CountingEnvironment(Environment):
+    """Counts the activations that go through Environment.step, by node
+    kind."""
+
+    def __init__(self):
+        super().__init__()
+        self.steps = Counter()
+
+    def step(self, r):
+        self.steps[type(self.nodes[r]).__name__] += 1
+        return super().step(r)
+
+
+S_PRESENT = InstantEvents(frozenset({"s"}))
+WAITING_SOURCES = (
+    '(rif (sig s) (rexp (seq (print "x") (stop) (print "y"))) (halt))',
+    '(when (sig s) (rexp (seq (print "x") (stop) (print "y"))))',
+    '(loop (when (sig s) (rexp (seq (print "x")))))',
+    '(par (when (sig s) (rexp (seq (print "x") (suspend) (print "y")))) (rexp (seq (stop) (print "z"))))',
+)
+
+
+def _run_recording(env, root, events):
+    """Per instant: the outputs, and every node's status and state."""
+    rows = []
+    for instant in events:
+        outputs, _ = react_once(env, root, instant)
+        rows.append((outputs, {rid: (env.statuses[rid], node.save()) for rid, node in env.nodes.items()}))
+    return rows
+
+
+@pytest.mark.parametrize("source", WAITING_SOURCES)
+def test_a_waiting_rif_or_when_steps_no_halt_and_runs_as_before(source):
+    events = [None, None, S_PRESENT, None, S_PRESENT, S_PRESENT, None, None]
+    env = CountingEnvironment()
+    root = compile_expr(parse_program(source), env)
+    rifs = [node for node in env.nodes.values() if isinstance(node, RifNode)]
+    assert rifs and all(node.else_halts for node in rifs)
+    react_once(env, root)
+    assert env.steps["AwaitNode"] == 0
+    assert env.steps["RifNode"] == 1
+    rows = _run_recording(env, root, events)
+    assert env.steps["AwaitNode"] == 0
+    # The same program with every halt stepped, as a rif did before.
+    before = CountingEnvironment()
+    before_root = compile_expr(parse_program(source), before)
+    for node in before.nodes.values():
+        if isinstance(node, RifNode):
+            node.else_halts = False
+    react_once(before, before_root)
+    assert _run_recording(before, before_root, events) == rows
+    assert before.steps["AwaitNode"] > 0
+    assert before.steps["RifNode"] == env.steps["RifNode"]
+
+
+def test_the_halt_flag_survives_dup_and_loop_restarts():
+    env = CountingEnvironment()
+    body = when(env, Sig("s"), rexp(env, seq(printer("x"))))
+    copy = env.dup(body)
+    assert env.nodes[copy].else_halts is True
+    assert env.nodes[copy].children != env.nodes[body].children
+    root = loop(env, copy)
+    outputs = [react_once(env, root, instant)[0] for instant in (None, S_PRESENT, None, S_PRESENT, None)]
+    assert outputs == [[], ["x"], [], ["x"], []]
+    # The body terminated twice, so the loop restored it twice, flag and all.
+    assert env.nodes[copy].else_halts is True
+    assert env.steps["AwaitNode"] == 0
+
+
+def test_a_library_await_that_never_holds_is_still_stepped():
+    env = CountingEnvironment()
+    waiting = await_(env, BoolConst(False), nothing(env))
+    r = rif(env, Sig("s"), nothing(env), waiting)
+    assert env.nodes[r].else_halts is False
+    assert react_once(env, r) == ([], False)
+    assert env.steps["AwaitNode"] == 1
+
+
+def test_only_an_unlatched_halt_in_the_else_branch_is_skipped():
+    env = Environment()
+    assert env.nodes[rif(env, Sig("s"), halt(env), nothing(env))].else_halts is False
+    assert env.nodes[terminate(env, Sig("s"), halt(env))].else_halts is True
+    latched = halt(env)
+    env.nodes[latched].latched = True
+    assert env.nodes[rif(env, Sig("s"), nothing(env), latched)].else_halts is False
+
+
+def test_run_resumption_runs_one_activation_and_counts_an_event_read_once():
+    env = Environment()
+    reads = []
+    reader = Atom(HostAction(run=lambda world: reads.append("s" in world.signals), reads_events=True))
+    node = initial_resumption(seq(reader, printer("a"), Stop(), printer("b")))
+    env.world.apply_instant(S_PRESENT)
+    assert run_resumption(env, node) is STOP
+    assert (reads, env.world.output, node.pc) == ([True], ["a"], 3)
+    assert env._event_reads == 1
+    assert run_resumption(env, node) is END
+    assert env.world.output == ["a", "b"]
+    assert env._event_reads == 1

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from genprog import gen_case
 from helpers import needs_print_limit
-from instants import parse_program, render
-from instants.dsl import MergeExpr
+from instants import Environment, compile_expr, parse_program, render
+from instants.dsl import HaltExpr, MergeExpr, RifExpr, WhenExpr
 from reference import engine_run, oracle_run
 
 LIMITS = dict(max_micro=200, max_restarts=60)
@@ -26,24 +26,44 @@ def test_engine_matches_oracle_on_arbitrary_seeds(seed):
     assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS)
 
 
-def _widest_merge(ast) -> int:
-    """The most children of any MergeExpr in an AST."""
-    widest, pending = 0, [ast]
+def _nodes(ast):
+    """Every dataclass instance in an AST: expressions, program items,
+    conditions and actions."""
+    pending = [ast]
     while pending:
         item = pending.pop()
         if isinstance(item, tuple):
             pending += item
         elif hasattr(item, "__dataclass_fields__"):
-            if isinstance(item, MergeExpr):
-                widest = max(widest, len(item.children))
+            yield item
             pending += [getattr(item, name) for name in item.__dataclass_fields__]
-    return widest
+
+
+def _widest_merge(ast) -> int:
+    """The most children of any MergeExpr in an AST."""
+    return max((len(item.children) for item in _nodes(ast) if isinstance(item, MergeExpr)), default=0)
 
 
 def test_generated_cases_reach_merges_of_three_or_more_branches():
     # (par ...) parses to one flat merge, which the oracle checks by
     # folding it into binary ones; the fuzzer has to generate that shape.
     assert any(_widest_merge(gen_case(seed)[0]) >= 3 for seed in range(2000))
+
+
+def _waits_on_a_halt(item) -> bool:
+    return isinstance(item, WhenExpr) or isinstance(item, RifExpr) and isinstance(item.else_expr, HaltExpr)
+
+
+def test_generated_cases_reach_a_rif_that_skips_its_halt():
+    # A rif does not step a halt in its else branch; the fuzzer has to
+    # generate that shape, written both as a rif and as a when, and the
+    # compiled rif has to take the skip.
+    found = [item for seed in range(2000) for item in _nodes(gen_case(seed)[0]) if _waits_on_a_halt(item)]
+    assert any(isinstance(item, RifExpr) for item in found)
+    assert any(isinstance(item, WhenExpr) for item in found)
+    for item in found:
+        env = Environment()
+        assert env.nodes[compile_expr(item, env)].else_halts
 
 
 @needs_print_limit

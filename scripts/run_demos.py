@@ -2,10 +2,14 @@
 """Run every shipped demo program through the CLI and show the results.
 
 Demos with a golden file (named after the trace, or after the program when
-there is no trace) are compared with it; any difference exits 1.
+there is no trace) are compared with it; any difference exits 1. When the
+reader of standard output closes it early, as ``| head -1`` does, the script
+stops without a traceback and exits 141, what a shell reports for a writer
+ended by SIGPIPE.
 """
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 
@@ -13,6 +17,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from instants.cli import RunConfig, format_trace, run  # noqa: E402
+
+EXIT_OUTPUT_CLOSED = 141
 
 DEMOS = [
     ("merge_pair.rx", None),
@@ -47,4 +53,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Nothing more can be shown. Standard output goes to the null
+        # device, so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_OUTPUT_CLOSED
+    raise SystemExit(code)

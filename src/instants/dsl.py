@@ -30,13 +30,18 @@ MergeExpr as ``(par ...)``.
 Print templates interpolate ``{cell:name}`` and ``{value:name}`` as
 decimal integers. The README lists every form.
 
-The text is first read with no positions: one regular-expression scan,
-then nesting on a stack, which makes equal forms one shared tuple. Each
-distinct form is built once, so equal subtrees of the AST are one object;
-that sharing lasts for one parse_program call, and two calls share no AST
-node. Line and column are worked out only when a parse fails, by scanning
-the same token pattern again, this time with positions and no sharing;
-the same builder then raises the error with its position.
+The text is first read with no positions, line by line, where only
+``\\n`` ends a line: each distinct line is scanned once by one regular
+expression, and its tokens are nested on a stack, which makes equal forms
+one shared tuple. A line that closes every form it opens, repeated inside
+a form, appends what its first repeat appended, with no scan and no
+nesting; a text in which no line repeats is read whole, as one line.
+Each distinct form is built once, so equal subtrees of the AST are one
+object; that sharing, and what is kept of each line, lasts for one
+parse_program call, and two calls share no AST node. Line and column are
+worked out only when a parse fails, by scanning the whole text with the
+same token pattern again, this time with positions and no sharing; the
+same builder then raises the error with its position.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
@@ -198,13 +203,14 @@ ExprAst = Union[
 
 # A reader returns a form as a tuple of forms, and an atom or a string
 # literal as a str; a string literal keeps its quotes, and no atom starts
-# with '"'. parse_program reads with no positions first: _nest then makes
-# equal forms one tuple, and _build builds each distinct form once for
-# each kind it is read as, so equal subtrees of the AST are one object.
-# Both tables live for that one read. Only a parse that fails reads the
-# text again with _tokenize, whose tokens, and the forms _nest makes of
-# them, are subclasses that carry their line and column; those forms are
-# never shared, so each error names the place of the form at fault.
+# with '"'. parse_program reads with no positions first: _nest reads each
+# distinct line once and makes equal forms one tuple, and _build builds
+# each distinct form once for each kind it is read as, so equal subtrees
+# of the AST are one object. Their tables live for that one read. Only a
+# parse that fails reads the text again with _tokenize, whose tokens, and
+# the forms _nest makes of them, are subclasses that carry their line and
+# column; those forms are never shared, so each error names the place of
+# the form at fault.
 
 _INT_RE = re.compile(r"[+-]?[0-9]+\Z")
 _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
@@ -262,41 +268,71 @@ def _tokenize(text: str) -> list[_Text]:
     return tokens
 
 
-def _nest(tokens: list[str]):
-    """Nest tokens into exactly one s-expression, keeping open lists on a
-    stack; "" tokens (comments) are skipped. Forms of tokens with no
-    position are shared: within one call, equal forms are one tuple. Each
-    closed form is looked up under a flat key, its atoms and the ids of its
-    subforms, which are shared already, so no nested tuple is hashed.
+def _nest(lines: list[str], read=_TOKEN_RE.findall):
+    """Nest the tokens of lines into exactly one s-expression, keeping open
+    lists on a stack; read gives a line's tokens, and "" tokens (comments)
+    are skipped. Forms of tokens with no position are shared: within one
+    call, equal forms are one tuple. Each closed form is looked up under a
+    flat key, its atoms and the ids of its subforms, which are shared
+    already, so no nested tuple is hashed.
+    Each distinct line is read once, and its tokens are kept; when no line
+    repeats, the lines are read as one. Read inside an open form, a line
+    that closes every form it opens appends the same items wherever it is,
+    and cannot fail. So its first repeat keeps what it appends, and every
+    later repeat inside an open form appends that again with no token
+    loop. A line read once keeps nothing, and a line at top level always
+    runs the loop, for its checks.
     Positioned tokens give each form its own _Form, with its line and
-    column. A fault raises a ParseError with the position of the token at
-    fault, if tokens carry one."""
+    column; the positioned read passes the whole text as one line. A fault
+    raises a ParseError with the position of the token at fault, if tokens
+    carry one."""
     open_lists: list[tuple[list, list, str]] = []
     items: list = []
     keys: list = []  # items, with each form's id in its place
     shared: dict[tuple, tuple] = {}  # a form's key -> the one tuple for it
-    for token in tokens:
-        if token == ")":
-            if not open_lists:
-                raise ParseError("trailing content after expression" if items else "unexpected ')'", *_at(token))
-            form, key = tuple(items), tuple(keys)
-            items, keys, opener = open_lists.pop()
-            if opener.__class__ is _Text:
-                form = _Form(form)
-                form.line, form.col = opener.line, opener.col
-            else:
-                form = shared.setdefault(key, form)
-            items.append(form)
-            keys.append(id(form))
-        elif token:
-            if items and not open_lists:
-                raise ParseError("trailing content after expression", *_at(token))
-            if token == "(":
-                open_lists.append((items, keys, token))
-                items, keys = [], []
-            else:
-                items.append(token)
-                keys.append(token)
+    # A line -> None until it is read, then [its tokens], then also the
+    # items and keys it appends.
+    seen: dict = dict.fromkeys(lines)
+    if len(seen) == len(lines):
+        # No line repeats, so nothing kept of one could serve.
+        lines = ["\n".join(lines)]
+    for line in lines:
+        entry = seen.get(line)
+        if entry is None:
+            entry = seen[line] = [read(line)]
+            if '"' in entry[0]:
+                raise ParseError("unterminated string")
+            current = None  # a line read once keeps nothing
+        elif len(entry) > 1 and open_lists:
+            items += entry[1]
+            keys += entry[2]
+            continue
+        else:
+            current, start = items, len(items)
+        for token in entry[0]:
+            if token == ")":
+                if not open_lists:
+                    raise ParseError("trailing content after expression" if items else "unexpected ')'", *_at(token))
+                form, key = tuple(items), tuple(keys)
+                items, keys, opener = open_lists.pop()
+                if opener.__class__ is _Text:
+                    form = _Form(form)
+                    form.line, form.col = opener.line, opener.col
+                else:
+                    form = shared.setdefault(key, form)
+                items.append(form)
+                keys.append(id(form))
+            elif token:
+                if not open_lists and items:
+                    raise ParseError("trailing content after expression", *_at(token))
+                if token == "(":
+                    open_lists.append((items, keys, token))
+                    items, keys = [], []
+                else:
+                    items.append(token)
+                    keys.append(token)
+        if items is current and len(entry) == 1:
+            entry += items[start:], keys[start:]
     if open_lists:
         raise ParseError("unclosed parenthesis", *_at(open_lists[-1][2]))
     if not items:
@@ -510,17 +546,18 @@ def _build(node, kind: str, built: dict):
 
 def parse_program(text: str) -> ExprAst:
     """Parse one reactive expression from source text. Within one call,
-    equal forms are read as one tuple and built once per kind, so equal
-    subtrees of the AST are one object; two calls share no AST node."""
-    tokens = _TOKEN_RE.findall(text)
+    each distinct line is read once, and equal forms are read as one tuple
+    and built once per kind, so equal subtrees of the AST are one object;
+    two calls share no AST node."""
+    # Only "\n" ends a line: no token spans one, and str.splitlines would
+    # also split at characters that an atom may hold.
     try:
-        if '"' not in tokens:
-            return _build(_nest(tokens), "expression", {})
+        return _build(_nest(text.split("\n")), "expression", {})
     except ParseError:
         pass
     # The same reader and builder again, with positions and no shared
     # forms: this raises the error, with its line and column.
-    return _build(_nest(_tokenize(text)), "expression", {})
+    return _build(_nest([text], _tokenize), "expression", {})
 
 
 # --------------------------------------------------------------------------

@@ -272,12 +272,14 @@ class Oracle:
             return _Basic(self.run_prog(ast.program))
         if isinstance(ast, MergeExpr):
             # An n-ary merge is checked against the binary rule: its
-            # branches fold right, as star's associativity allows.
-            branches = [self.build(child) for child in ast.children]
-            node = branches.pop()
-            while branches:
-                node = _Merge(branches.pop(), node)
-            return node
+            # branches fold into a balanced tree of binary merges, in
+            # order, as star's associativity allows, so stepping it
+            # recurses as deep as the log of its width.
+            nodes = [self.build(child) for child in ast.children]
+            while len(nodes) > 1:
+                pairs = [_Merge(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+                nodes = pairs + nodes[2 * len(pairs):]
+            return nodes[0]
         if isinstance(ast, RifExpr):
             return _Rif(ast.cond, self.build(ast.then_expr), self.build(ast.else_expr))
         if isinstance(ast, CloseExpr):

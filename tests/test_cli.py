@@ -269,6 +269,18 @@ def test_a_form_head_nested_200000_deep_is_a_parse_error(tmp_path):
     assert proc.stderr == "instants: form head must be a symbol at line 1, column 12\n"
 
 
+def test_run_demos_stops_quietly_when_its_reader_closes_early():
+    # As `python scripts/run_demos.py | head -1` does, but with the reader
+    # gone before the first write, so the write always fails.
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_demos.py"
+    proc = subprocess.Popen([sys.executable, str(script)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 @needs_print_limit
 def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):
     digits = "9" * 5000

@@ -20,6 +20,7 @@ from instants.dsl import (
     ParseError,
     RexpExpr,
     UnknownForm,
+    _TOKEN_RE,
     _build,
     _nest,
     _tokenize,
@@ -328,6 +329,12 @@ def test_trace_error_class_message_and_position(text, error, message, line, col)
         ('(rexp\r\n\r\n  (seq (print "ok")\n\n (print "a\\q")))', ParseError, "unknown escape \\q", 5, 11),
         # A form that also appears where it is valid keeps its own position.
         ('(rexp (seq (print "x")\n  (activate (print "x"))))', UnknownForm, "unknown expression form 'print'", 2, 13),
+        # A line repeated at top level; a repeated line that closes one form
+        # too many; a line kept from its repeats inside a form, then at top
+        # level.
+        ("(nothing)\n(nothing)\n", ParseError, "trailing content after expression", 2, 1),
+        ("(par (par\n  (halt))\n  (halt))\n  (halt))\n", ParseError, "trailing content after expression", 4, 3),
+        ("(par\n (halt)\n (halt)\n (halt)\n)\n (halt)\n", ParseError, "trailing content after expression", 6, 2),
     ],
 )
 def test_parse_error_class_message_and_position(src, error, message, line, col):
@@ -454,6 +461,35 @@ def _mutate(rng: random.Random, text: str) -> str:
     return text[:quote + 1] + text[text.find('"', quote + 1) + 1:]
 
 
+# Characters that str.splitlines takes for line ends, and the reader for
+# text: in an atom, a string literal or a comment.
+_NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028"]
+
+
+def _over_lines(rng: random.Random, source: str) -> str:
+    """source spread over lines that repeat: some forms start a line, the
+    whole text may be repeated as the branches of a (par ...), and some
+    lines are copied elsewhere. Lines may end in CRLF, or in a comment that
+    holds '"' and '('; strings may hold ';'; and characters that
+    str.splitlines takes for line ends go into atoms, strings and
+    comments."""
+    text = "".join("\n  " if c == " " and rng.random() < 0.3 else c for c in source)
+    text = text.replace('(print "', '(print "' + rng.choice([";", "a;b", rng.choice(_NOT_LINE_ENDS), ""]))
+    if rng.random() < 0.6:
+        text = "(par\n  " + "\n  ".join([text] * rng.randint(2, 4)) + ")"
+    lines = text.split("\n")
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(lines))
+    for at in rng.sample(range(len(lines)), min(len(lines), rng.randrange(3))):
+        lines[at] += ' ; "q" ' + rng.choice(_NOT_LINE_ENDS) + ' ( '
+    if rng.random() < 0.2:
+        at = rng.randrange(len(lines))
+        column = rng.randrange(len(lines[at]) + 1)
+        lines[at] = lines[at][:column] + rng.choice(_NOT_LINE_ENDS) + lines[at][column:]
+    ends = rng.choice(["\n", "\r\n", None])
+    return "".join(line + (ends or rng.choice(["\n", "\r\n"])) for line in lines)
+
+
 def _read_outcome(parse):
     try:
         return render(parse())
@@ -462,9 +498,10 @@ def _read_outcome(parse):
 
 
 def test_fast_and_positional_reads_agree():
-    """parse_program reads without positions first; the positional reader
-    with the same builder must give the same AST, or the same error with
-    the same line and column."""
+    """parse_program reads without positions first, each distinct line
+    once; the positional reader with the same builder must give the same
+    AST, or the same error with the same line and column, also on texts
+    whose lines repeat."""
     rng = random.Random(11)
     keypad = (Path(__file__).resolve().parent.parent / "demos" / "keypad.rx").read_text()
     sources = [keypad] + [render(gen_case(seed)[0]) for seed in range(250)]
@@ -475,11 +512,33 @@ def test_fast_and_positional_reads_agree():
                          for c in source)
         texts += [source] + [_mutate(rng, source) for _ in range(8)]
     texts.append(f"(rexp\n  (set x {'9' * 5000}))")
+    for seed in range(250, 450):
+        text = _over_lines(rng, render(gen_case(seed)[0]))
+        texts += [text] + [_mutate(rng, text) for _ in range(4)]
     outcomes = set()
     for text in texts:
         fast = _read_outcome(lambda: parse_program(text))
-        positional = _read_outcome(lambda: _build(_nest(_tokenize(text)), "expression", {}))
+        positional = _read_outcome(lambda: _build(_nest([text], _tokenize), "expression", {}))
         assert fast == positional, text
         outcomes.add(fast[0] if isinstance(fast, tuple) else "ok")
     # Both kinds of outcome, and every error class the reader raises.
     assert outcomes == {"ok", ParseError, UnknownForm, ArityError}
+
+
+def test_each_distinct_line_is_read_once_and_a_repeat_shares_its_forms():
+    line = '  (rexp (seq (print "a") (stop))) (halt)'
+    lines = ["(par", line, line, "  (nothing)", line, line + ")"]
+    read = []
+    form = _nest(lines, lambda text: read.append(text) or _TOKEN_RE.findall(text))
+    assert sorted(read) == sorted(set(lines))
+    # The forms of each repeat are those of the first occurrence.
+    assert len(form) == 10
+    assert form[1] is form[3] is form[6] is form[8]
+    assert form[2] is form[4] is form[7] is form[9]
+    ast = parse_program("\n".join(lines))
+    assert ast.children[0] is ast.children[2] is ast.children[5]
+    # When no line repeats, the lines are read as one.
+    read.clear()
+    distinct = ["(par", line, "  (nothing))"]
+    assert _nest(distinct, lambda text: read.append(text) or _TOKEN_RE.findall(text)) == form[:3] + form[5:6]
+    assert read == ["\n".join(distinct)]

@@ -26,6 +26,17 @@ def test_engine_matches_oracle_on_arbitrary_seeds(seed):
     assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS)
 
 
+def test_engine_matches_oracle_on_a_5000_branch_par():
+    # The oracle folds a (par ...) into a balanced tree of binary merges,
+    # so stepping 5,000 branches recurses through 13 levels of them.
+    branches = [f'(rexp (seq (print "a{i}") (suspend) (print "b{i}") (stop)))' for i in range(5000)]
+    ast = parse_program("(par\n" + "\n".join(branches) + ")")
+    trace = [None] * 3
+    result = engine_run(ast, trace, **LIMITS)
+    assert result == oracle_run(ast, trace, **LIMITS)
+    assert len(result[0][0][0]) == 10_000
+
+
 def _nodes(ast):
     """Every dataclass instance in an AST: expressions, program items,
     conditions and actions."""

@@ -7,13 +7,17 @@ program or trace could not be read as UTF-8 text (a leading byte-order mark
 is skipped), or failed to parse or compile (including programs nested too
 deeply for the host's recursion limit), 5 a runtime failure (uncaught
 abort, micro-step limit, instantaneous loop, an integer too large to print,
-or an activation nested too deeply, labelled RecursionError).
+or an activation nested too deeply, labelled RecursionError), 141 the
+reader of standard output closed it before the whole trace was written,
+as ``| head -1`` does (what a shell reports for a writer ended by SIGPIPE);
+nothing more is written then, and no traceback.
 """
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +30,7 @@ EXIT_TERMINATED = 0
 EXIT_ALIVE = 3
 EXIT_INPUT_ERROR = 4
 EXIT_RUNTIME_ERROR = 5
+EXIT_OUTPUT_CLOSED = 141
 
 
 @dataclass
@@ -155,7 +160,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, CompileError, OSError) as error:
         print(f"instants: {error}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    sys.stdout.write(format_trace(trace, config.format))
+    try:
+        print(format_trace(trace, config.format), end="", flush=True)
+    except BrokenPipeError:
+        # Nothing more can be shown. Standard output goes to the null
+        # device, so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
     if trace.error is not None:
         print(f"instants: runtime error: {trace.error}", file=sys.stderr)
     return code

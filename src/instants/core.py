@@ -1,9 +1,10 @@
-"""Status algebra, engine limits, run traces, and error types.
+"""Status algebra, the node base, engine limits, run traces, and error
+types.
 
 Everything in this module is shared plumbing: the three-valued activation
-outcome, the combination function used by parallel composition, the limits
-that guard against divergence, and the record types describing an observed
-run.
+outcome, the combination function used by parallel composition, what every
+node kind holds, the limits that guard against divergence, and the record
+types describing an observed run.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ SUSP = Status.SUSP
 STOP = Status.STOP
 END = Status.END
 
-# Opaque handle into an Environment's node and status stores.
+# Opaque handle into an Environment's node table.
 ReactiveId = int
 
 
@@ -43,6 +44,23 @@ def star(*outcomes: Status) -> Status:
     if SUSP in outcomes:
         return SUSP
     return STOP if STOP in outcomes else END
+
+
+@dataclass(slots=True)
+class Node:
+    """What every node kind holds besides its own fields: the outcome of
+    its last activation, STOP until its first, and its child nodes, which
+    Environment.alloc resolves from the kind's children ids. A kind with no
+    state of its own saves and loads nothing."""
+
+    status: Status = field(default=STOP, kw_only=True)
+    child_nodes: tuple[Node, ...] = field(default=(), kw_only=True, repr=False, compare=False)
+
+    def save(self) -> object:
+        return None
+
+    def load(self, state: object) -> None:
+        pass
 
 
 @dataclass

@@ -1,21 +1,29 @@
 """Node store and the single-step activation engine.
 
 An Environment owns every reactive expression it allocated: a node table
-describing structure, a status table holding each expression's last outcome,
-the event world, and the divergence limits. Each node kind is one class
-that defines its step and the save/load pair for its state. Every kind
-holds the ids of its children in its children field and nowhere else, so
-dup copies every kind the same way: the same fields, with the children
-renamed. Activation is a recursive walk: Environment.step checks for END,
-lets the node step itself, writes the resulting status back, and returns
-it. A terminated expression is inert; stepping it returns END and changes
-nothing. A basic node's step is the interpreter of its flat code, so a
-basic activation is that one call under Environment.step. A rif whose
-else branch is a halt returns STOP for a false test without stepping the
-halt, so a waiting when costs one step. A merge holds all its branches in
-one node, so the walk is as deep as the program's nesting, not its width.
-Copying (dup) and snapshots find a node's region by an iterative walk, so
-they work at any depth.
+from id to node, the event world, and the divergence limits. Each node kind
+is one class that defines its step and the save/load pair for its state.
+Every node also holds its status, the outcome of its last activation, and
+its child nodes. The ids of a node's children are in its children field:
+alloc checks them and resolves them, once, to the child nodes, dup renames
+them, snapshots walk them, and no step reads them. So dup copies every kind
+the same way: the same fields and status, with the children renamed, and
+alloc gives the copy its own child nodes. Environment.statuses is a
+read-only view of every node's status, by id.
+
+Activation is a recursive walk by reference: Environment.activate(node)
+checks for END, lets the node step itself, stores the resulting status on
+the node, and returns it. Every activation goes through activate, and a
+node activates its children directly, so the step path reads neither the
+node table nor an id; Environment.step(r) is the entry by id, which react
+uses for the root. A terminated expression is inert; activating it returns
+END and changes nothing. A basic node's step is the interpreter of its
+flat code, so a basic activation is that one call under activate. A rif
+whose else branch is a halt returns STOP for a false test without stepping
+the halt, so a waiting when costs one step. A merge holds all its branches
+in one node, so the walk is as deep as the program's nesting, not its
+width. Copying (dup) and snapshots find a node's region by an iterative
+walk over ids, so they work at any depth.
 
 Preemption unwinds as an Abort exception. Every node whose in-progress step
 is unwound is marked END on the way out; a basic expression with a matching
@@ -28,7 +36,8 @@ A loop records its body's whole region when it is built: the id of every
 node reachable from the body, as its children, and the status of each and
 what its save returns, which holds no ids: the pc of each basic
 expression, and the latch or count of every await and nested loop.
-A restart restores that snapshot in place, so the region keeps its ids and
+A restart sets each node of the region, which are the loop's child nodes,
+back to that status and state in place, so the region keeps its nodes and
 the node table stays the same size over a run. A body that terminated
 after reading this instant's events would see the same events again if it
 restarted now, so the restart waits for the next activation; bodies that
@@ -38,9 +47,9 @@ divergence is caught.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, replace
-from typing import Callable, Union
+from typing import Any, Callable
 
 from .core import (
     Abort,
@@ -50,6 +59,7 @@ from .core import (
     InstantTrace,
     Limits,
     MicroStepLimitExceeded,
+    Node,
     ReactiveError,
     ReactiveId,
     Status,
@@ -62,39 +72,28 @@ from .program import BasicNode
 from .world import HostAction, InstantEvents, World
 
 
-class _Stateless:
-    """The save/load pair of a node kind whose only state is its status."""
-
-    def save(self) -> None:
-        return None
-
-    def load(self, state: None) -> None:
-        pass
-
-
-@dataclass
-class MergeNode(_Stateless):
+@dataclass(slots=True)
+class MergeNode(Node):
     children: tuple[ReactiveId, ...]
 
     def step(self, env: Environment) -> Status:
         # Mid-instant re-step: only the suspended children run, and the
         # others contribute their stored outcomes. star is associative, so
         # this is the binary merge rule applied along a fold of the children.
-        statuses = env.statuses
-        children = self.children
-        suspended = [child for child in children if statuses[child] is SUSP]
+        activate, children = env.activate, self.child_nodes
+        suspended = [child for child in children if child.status is SUSP]
         if not suspended:
-            return star(*[env.step(child) for child in children])
+            return star(*[activate(child) for child in children])
         for child in suspended:
-            env.step(child)
-        return star(*[statuses[child] for child in children])
+            activate(child)
+        return star(*[child.status for child in children])
 
 
 Predicate = Callable[[World], bool]
 
 
-@dataclass
-class RifNode(_Stateless):
+@dataclass(slots=True)
+class RifNode(Node):
     """Steps the then branch when the test holds and the else branch
     otherwise. When the else branch is a halt (else_halts), a false test
     returns STOP without stepping it: a halt is STOP from allocation on,
@@ -109,22 +108,22 @@ class RifNode(_Stateless):
     def step(self, env: Environment) -> Status:
         # A suspended branch resumes without re-evaluating the condition;
         # otherwise the condition is evaluated anew every instant.
-        then_branch, else_branch = self.children
-        if env.statuses[then_branch] is SUSP:
-            return env.step(then_branch)
-        if env.statuses[else_branch] is SUSP:
-            return env.step(else_branch)
+        then_branch, else_branch = self.child_nodes
+        if then_branch.status is SUSP:
+            return env.activate(then_branch)
+        if else_branch.status is SUSP:
+            return env.activate(else_branch)
         if env._eval_cond(self.test, self.reads_events):
-            return env.step(then_branch)
-        return STOP if self.else_halts else env.step(else_branch)
+            return env.activate(then_branch)
+        return STOP if self.else_halts else env.activate(else_branch)
 
 
-@dataclass
-class CloseNode(_Stateless):
+@dataclass(slots=True)
+class CloseNode(Node):
     children: tuple[ReactiveId]
 
     def step(self, env: Environment) -> Status:
-        return env._close_steps(self.children[0])
+        return env._close_steps(env.activate, self.child_nodes[0])
 
 
 # One entry per node of a region: (status, state), where the state is what
@@ -132,8 +131,8 @@ class CloseNode(_Stateless):
 States = tuple[tuple[Status, object], ...]
 
 
-@dataclass
-class LoopNode:
+@dataclass(slots=True)
+class LoopNode(Node):
     """Runs the body, its first child, to termination ``remaining`` more
     times (forever when None), restoring it from the snapshot before each
     restart."""
@@ -144,28 +143,20 @@ class LoopNode:
     snapshot: States
     remaining: int | None = None
 
-    def __post_init__(self) -> None:
-        # A restart walks this flat tuple, which costs less per restart than
-        # zipping the two fields. dup builds a copy through __init__, so the
-        # copy gets its own, over its own ids.
-        self._restore = tuple((rid, status, state)
-                              for rid, (status, state) in zip(self.children, self.snapshot))
-
     def step(self, env: Environment) -> Status:
         restarts = 0
-        body = self.children[0]
+        body = self.child_nodes[0]
         before = env._event_reads
-        status = env.step(body)
+        status = env.activate(body)
         while status is END:
             if self.remaining is not None:
                 self.remaining -= 1
                 if self.remaining <= 0:
                     return END
             observed = env._event_reads > before
-            statuses, nodes = env.statuses, env.nodes
-            for rid, saved, state in self._restore:
-                statuses[rid] = saved
-                nodes[rid].load(state)
+            for node, (saved, state) in zip(self.child_nodes, self.snapshot):
+                node.status = saved
+                node.load(state)
             if observed:
                 # The finished body read this instant's events; its
                 # restart waits for the next activation.
@@ -174,7 +165,7 @@ class LoopNode:
             if restarts > env.limits.max_loop_restarts:
                 raise InstantaneousLoop(env.limits.max_loop_restarts)
             before = env._event_reads
-            status = env.step(body)
+            status = env.activate(body)
         return status
 
     def save(self) -> int | None:
@@ -184,18 +175,18 @@ class LoopNode:
         self.remaining = state
 
 
-@dataclass
-class InitNode(_Stateless):
+@dataclass(slots=True)
+class InitNode(Node):
     action: HostAction
     children: tuple[ReactiveId]
 
     def step(self, env: Environment) -> Status:
         env.run_action(self.action)
-        return env.step(self.children[0])
+        return env.activate(self.child_nodes[0])
 
 
-@dataclass
-class AwaitNode:
+@dataclass(slots=True)
+class AwaitNode(Node):
     # The condition as compiled once by await_; copies share it.
     test: Predicate
     reads_events: bool
@@ -207,7 +198,7 @@ class AwaitNode:
             if not env._eval_cond(self.test, self.reads_events):
                 return STOP
             self.latched = True
-        return env.step(self.children[0])
+        return env.activate(self.child_nodes[0])
 
     def save(self) -> bool:
         return self.latched
@@ -216,7 +207,20 @@ class AwaitNode:
         self.latched = state
 
 
-Node = Union[BasicNode, MergeNode, RifNode, CloseNode, LoopNode, InitNode, AwaitNode]
+class StatusView(Mapping[ReactiveId, Status]):
+    """A read-only view of every node's status, by id."""
+
+    def __init__(self, nodes: dict[ReactiveId, Node]):
+        self._nodes = nodes
+
+    def __getitem__(self, r: ReactiveId) -> Status:
+        return self._nodes[r].status
+
+    def __iter__(self) -> Iterator[ReactiveId]:
+        return iter(self._nodes)
+
+    def __len__(self) -> int:
+        return len(self._nodes)
 
 
 class Environment:
@@ -228,7 +232,7 @@ class Environment:
 
     def __init__(self, world: World | None = None, limits: Limits | None = None):
         self.nodes: dict[ReactiveId, Node] = {}
-        self.statuses: dict[ReactiveId, Status] = {}
+        self.statuses = StatusView(self.nodes)
         self.world = world if world is not None else World()
         self.limits = limits if limits is not None else Limits()
         self._event_reads = 0
@@ -238,14 +242,16 @@ class Environment:
     # Allocation and duplication
 
     def alloc(self, node: Node) -> ReactiveId:
-        """Register a node under a fresh id; fresh expressions start STOP."""
-        for child in node.children:
-            if child not in self.nodes:
-                raise ValueError(f"child id {child} is not allocated")
+        """Register a node under a fresh id and give it its child nodes. A
+        node keeps the status it was built with: STOP for a fresh one, the
+        original's for a copy made by dup."""
+        try:
+            node.child_nodes = tuple(map(self.nodes.__getitem__, node.children))
+        except KeyError as error:
+            raise ValueError(f"child id {error.args[0]} is not allocated") from None
         # No node is ever removed, so the table's size is a fresh id.
         rid = len(self.nodes)
         self.nodes[rid] = node
-        self.statuses[rid] = STOP
         return rid
 
     def _region(self, r: ReactiveId) -> list[ReactiveId]:
@@ -268,18 +274,18 @@ class Environment:
         memo: dict[ReactiveId, ReactiveId] = {}
         # alloc accepts only allocated children, so a child's id is lower
         # than its parent's and ascending order copies children first.
+        # replace copies every field, the status too; alloc then gives the
+        # copy its own child nodes.
         for old in sorted(self._region(r)):
             node = self.nodes[old]
-            new = self.alloc(replace(node, children=tuple(map(memo.__getitem__, node.children))))
-            self.statuses[new] = self.statuses[old]
-            memo[old] = new
+            memo[old] = self.alloc(replace(node, children=tuple(map(memo.__getitem__, node.children))))
         return memo[r]
 
     def snapshot(self, r: ReactiveId) -> tuple[tuple[ReactiveId, ...], States]:
         """The region of r, r first, and the status and state of each of
         its nodes in the same order."""
         region = tuple(self._region(r))
-        return region, tuple((self.statuses[rid], self.nodes[rid].save()) for rid in region)
+        return region, tuple((self.nodes[rid].status, self.nodes[rid].save()) for rid in region)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -295,33 +301,41 @@ class Environment:
         return test(self.world)
 
     def step(self, r: ReactiveId) -> Status:
-        """Activate the expression r once and return the outcome.
-
-        Terminated expressions short-circuit: the activation is not
-        propagated and nothing changes. An abort unwinding through r marks
-        it END before re-raising.
-        """
+        """Activate the expression r once and return the outcome: the
+        entry by id, for callers outside the step path."""
         try:
-            if self.statuses[r] is END:
-                return END
+            node = self.nodes[r]
         except KeyError:
             raise ValueError(f"unknown reactive id {r}") from None
+        return self.activate(node)
+
+    def activate(self, node: Node) -> Status:
+        """Activate node once, record the outcome as its status, and return
+        it. Every activation goes through here.
+
+        Terminated expressions short-circuit: the activation is not
+        propagated and nothing changes. An abort unwinding through the node
+        marks it END before re-raising.
+        """
+        if node.status is END:
+            return END
         try:
-            status = self.nodes[r].step(self)
+            status = node.step(self)
         except Abort:
-            self.statuses[r] = END
+            node.status = END
             raise
-        self.statuses[r] = status
+        node.status = status
         return status
 
-    def _close_steps(self, r: ReactiveId) -> Status:
-        """Re-activate r until it leaves suspension, within one instant."""
-        status = self.step(r)
+    def _close_steps(self, activate: Callable[[Any], Status], target: Any) -> Status:
+        """Re-activate target until it leaves suspension, within one
+        instant: a node through activate, or a root id through step."""
+        status = activate(target)
         steps = 1
         while status is SUSP:
             if steps >= self.limits.max_micro_steps:
                 raise MicroStepLimitExceeded(self.limits.max_micro_steps)
-            status = self.step(r)
+            status = activate(target)
             steps += 1
         return status
 
@@ -336,7 +350,7 @@ class Environment:
         self._reacting = True
         try:
             try:
-                status = self._close_steps(r)
+                status = self._close_steps(self.step, r)
             except Abort as abort:
                 raise UncaughtAbort(abort.tag) from None
             return status is END

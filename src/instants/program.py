@@ -25,13 +25,14 @@ only moves forward.
 
 A BasicNode is the kernel's node for a basic expression, and this module
 is the only one that knows the code's layout. Its step is the interpreter:
-it runs the code from pc, runs each ATOM's action itself, and steps an
-Activate's target through Environment.step. The node holds the code and
-handle table, which copies share, its children, and the expression's own
-state: pc alone, which is also what a loop saves. The children are the
-targets of all the Activate instructions in code order. They do not
-change as pc moves, so a copy also keeps the targets pc has passed, with
-their statuses, and never steps them.
+it runs the code from pc, runs each ATOM's action itself, and activates
+an Activate's target node through Environment.activate. The node holds
+the code and handle table, which copies share, its children, and the
+expression's own state: pc alone, which is also what a loop saves. The
+children are the targets of all the Activate instructions in code order,
+and an ACTIVATE's argument indexes them, as ids and as the child nodes
+alloc resolves. They do not change as pc moves, so a copy also keeps the
+targets pc has passed, with their statuses, and never steps them.
 
 Besides the instructions, a program may hold the action specs Print,
 SetCell, Raise and ActionSeq, each laid out as an ATOM of its compiled
@@ -46,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
-from .core import Abort, END, ReactiveId, Status, STOP, SUSP
+from .core import Abort, END, Node, ReactiveId, Status, STOP, SUSP
 from .world import ActionSeq, HostAction, Print, Raise, SetCell, build_action
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,7 +103,7 @@ Handles = tuple[tuple[int, int, str], ...]
 
 
 @dataclass(slots=True)
-class BasicNode:
+class BasicNode(Node):
     ops: tuple[tuple[int, object], ...]
     handles: Handles
     children: tuple[ReactiveId, ...]
@@ -110,7 +111,7 @@ class BasicNode:
 
     def step(self, env: Environment) -> Status:
         """Execute one activation of a basic reactive expression: this is
-        the interpreter of the flat code, which Environment.step calls.
+        the interpreter of the flat code, which Environment.activate calls.
 
         Runs instructions until the program is exhausted (END), a Stop or
         Suspend is executed, or an activated child pauses. An ATOM counts
@@ -122,7 +123,7 @@ class BasicNode:
         activation; with no such Handle the node is finished and the abort
         propagates to the caller.
         """
-        ops, children = self.ops, self.children
+        ops, children = self.ops, self.child_nodes
         pc = self.pc
         end = len(ops)
         while True:
@@ -138,7 +139,7 @@ class BasicNode:
                         pc += 1
                         return arg
                     elif op == ACTIVATE:
-                        status = env.step(children[arg])
+                        status = env.activate(children[arg])
                         if status is not END:
                             return status
                         pc += 1
@@ -220,7 +221,7 @@ def initial_resumption(program: Program) -> BasicNode:
 
 def run_resumption(env: Environment, node: BasicNode) -> Status:
     """Execute one activation of a basic reactive expression. The
-    interpreter is node.step, which Environment.step calls directly; this
-    is the same call for callers that hold a node outside an
+    interpreter is node.step, which Environment.activate calls directly;
+    this is the same call for callers that hold a node outside an
     environment's table."""
     return node.step(env)

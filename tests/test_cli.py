@@ -13,6 +13,7 @@ from instants import Environment, compile_expr, parse_program, parse_trace
 from instants.cli import (
     EXIT_ALIVE,
     EXIT_INPUT_ERROR,
+    EXIT_OUTPUT_CLOSED,
     EXIT_RUNTIME_ERROR,
     EXIT_TERMINATED,
     RunConfig,
@@ -267,6 +268,21 @@ def test_a_form_head_nested_200000_deep_is_a_parse_error(tmp_path):
     )
     assert proc.returncode == EXIT_INPUT_ERROR
     assert proc.stderr == "instants: form head must be a symbol at line 1, column 12\n"
+
+
+def test_the_cli_stops_quietly_when_its_reader_closes_early(tmp_path):
+    # As `instants --program P | true` does, with the reader gone before
+    # the first write, so the write or the flush always fails.
+    branches = '  (rexp (seq (print "b") (stop) (print "c")))\n' * 5000
+    program = write(tmp_path, "wide.rx", f"(par\n{branches})\n")
+    proc = subprocess.Popen([sys.executable, "-m", "instants", "--program", program],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": str(SRC_DIR)})
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OUTPUT_CLOSED == 141
+    assert err == b""
 
 
 def test_run_demos_stops_quietly_when_its_reader_closes_early():

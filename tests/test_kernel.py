@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import fields
 from pathlib import Path
 
@@ -45,7 +46,7 @@ from instants import (
     terminate,
     when,
 )
-from instants.kernel import BasicNode, LoopNode, MergeNode, RifNode
+from instants.kernel import BasicNode, MergeNode, RifNode
 from instants.program import initial_resumption, run_resumption
 from instants.world import BoolConst, InstantEvents, Sig
 
@@ -586,6 +587,43 @@ def test_dup_of_running_loop_restarts_its_own_body():
     assert react_once(env, l) == (["x"], False)
 
 
+def test_restarting_a_loop_copy_resets_only_the_copys_region():
+    env = Environment()
+    body = merge(env, rexp(env, seq(printer("a"), Stop(), printer("b"))),
+                 await_(env, Sig("go"), rexp(env, seq(printer("g"), Stop(), Stop()))))
+    l = loop(env, body)
+    go = InstantEvents(frozenset({"go"}))
+    assert react_once(env, l, go) == (["a", "g"], False)
+    copy = env.dup(l)
+    region = env.nodes[l].children
+    before = [(env.statuses[rid], env.nodes[rid].save()) for rid in region]
+    # The copy's body ends and restarts in the copy's second instant; the
+    # original, not stepped, keeps every status, pc and latch.
+    assert react_once(env, copy) == (["b"], False)
+    assert react_once(env, copy) == (["a"], False)
+    assert [(env.statuses[rid], env.nodes[rid].save()) for rid in region] == before
+    assert react_once(env, l) == (["b"], False)
+    # The copy's await was reset with its body, so it waits for go again.
+    assert react_once(env, copy, go) == (["b", "g"], False)
+
+
+def test_the_status_view_follows_the_nodes_and_is_read_only():
+    env = Environment()
+    root = compile_expr(parse_program(
+        '(loop (par (rexp (seq (print "a") (suspend) (stop))) (when (sig s) (nothing)) (halt)))'), env)
+    for instant in (None, S_PRESENT, None):
+        react_once(env, root, instant)
+        assert env.statuses == {rid: node.status for rid, node in env.nodes.items()}
+        assert len(env.statuses) == len(env.nodes)
+        assert list(env.statuses) == list(env.nodes)
+    assert {env.statuses[rid] for rid in env.nodes} == {STOP, END}
+    with pytest.raises(TypeError):
+        env.statuses[root] = END
+    assert env.statuses[root] is STOP
+    with pytest.raises(KeyError):
+        env.statuses[len(env.nodes)]
+
+
 def test_dup_of_loop_renames_targets_in_its_snapshot():
     env = Environment()
     child = rexp(env, seq(printer("c")))
@@ -622,22 +660,25 @@ def test_dup_copies_every_node_kind():
     region, copy_region = env.snapshot(root)[0], env.snapshot(copy)[0]
     assert set(region).isdisjoint(copy_region)
     ids = dict(zip(region, copy_region))
+    originals = {id(env.nodes[rid]) for rid in region}
     kinds = set()
     for old, new in ids.items():
         original, copied = env.nodes[old], env.nodes[new]
         kinds.add(type(original).__name__)
         assert type(copied) is type(original)
-        assert env.statuses[new] is env.statuses[old]
+        assert copied.status is original.status
         for field in fields(original):
-            if field.name != "children":
+            if field.name not in ("children", "child_nodes"):
                 assert getattr(copied, field.name) == getattr(original, field.name)
         for shared in ("test", "action", "ops"):
             if hasattr(original, shared):
                 assert getattr(copied, shared) is getattr(original, shared)
         assert copied.children == tuple(ids[child] for child in original.children)
-        if isinstance(original, LoopNode):
-            # A restart of the copy resets the copy's own region.
-            assert copied._restore == tuple((ids[rid], status, state) for rid, status, state in original._restore)
+        # The copy steps, and a loop copy restores, only its own nodes:
+        # replace carried the original's child nodes over, and alloc
+        # replaced them.
+        assert all(node is env.nodes[child] for node, child in zip(copied.child_nodes, copied.children, strict=True))
+        assert originals.isdisjoint(map(id, copied.child_nodes))
     assert kinds == {"BasicNode", "MergeNode", "RifNode", "CloseNode", "LoopNode", "InitNode", "AwaitNode"}
 
     # Running the copy leaves the original as it was, and the copy prints
@@ -697,16 +738,57 @@ def test_basic_children_are_all_targets_in_code_order():
 
 
 class CountingEnvironment(Environment):
-    """Counts the activations that go through Environment.step, by node
-    kind."""
+    """Counts activations by node kind. Every activation goes through
+    Environment.activate, so counting there sees them all."""
 
     def __init__(self):
         super().__init__()
         self.steps = Counter()
 
-    def step(self, r):
-        self.steps[type(self.nodes[r]).__name__] += 1
-        return super().step(r)
+    def activate(self, node):
+        self.steps[type(node).__name__] += 1
+        return super().activate(node)
+
+
+class RecordingReads(Mapping):
+    """A mapping that records the key of every lookup made through it."""
+
+    def __init__(self, table):
+        self.table = table
+        self.reads = []
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return self.table[key]
+
+    def __contains__(self, key):
+        self.reads.append(key)
+        return key in self.table
+
+    def __iter__(self):
+        self.reads.append("iteration")
+        return iter(self.table)
+
+    def __len__(self):
+        return len(self.table)
+
+
+def test_the_step_path_reads_neither_the_node_table_nor_the_statuses():
+    source = ('(loop (par (when (sig s) (rexp (seq (print "x") (suspend) (print "y"))))'
+              ' (await (sig s) (close (rexp (seq (print "a") (suspend) (print "b") (stop)))))'
+              ' (rif (sig s) (nothing) (rexp (seq (activate (nothing)) (stop))))))')
+    env = CountingEnvironment()
+    root = compile_expr(parse_program(source), env)
+    env.nodes, env.statuses = RecordingReads(env.nodes), RecordingReads(env.statuses)
+    outputs = [react_once(env, root, instant)[0] for instant in (None, S_PRESENT, S_PRESENT, None)]
+    # The third instant's body ends without reading an event and restarts
+    # in place.
+    assert outputs == [[], ["x", "a", "b", "y"], ["x", "a", "b", "y"], []]
+    assert set(env.steps) == {"LoopNode", "MergeNode", "RifNode", "AwaitNode", "CloseNode", "BasicNode"}
+    # Only react's entry by id reads the node table, once for each
+    # activation of the root.
+    assert env.nodes.reads == [root] * env.steps["LoopNode"]
+    assert env.statuses.reads == []
 
 
 S_PRESENT = InstantEvents(frozenset({"s"}))

@@ -36,7 +36,8 @@ expression, and its tokens are nested on a stack, which makes equal forms
 one shared tuple. A line that closes every form it opens, repeated inside
 a form, appends what its first repeat appended, with no scan and no
 nesting; a text in which no line repeats is read whole, as one line.
-Each distinct form is built once, so equal subtrees of the AST are one
+Each distinct form is built once, and each further place that holds it
+costs one lookup and one append, so equal subtrees of the AST are one
 object; that sharing, and what is kept of each line, lasts for one
 parse_program call, and two calls share no AST node. Line and column are
 worked out only when a parse fails, by scanning the whole text with the
@@ -480,8 +481,11 @@ def _build(node, kind: str, built: dict):
     closes or of right-nested pars, takes no stack. built maps a form's id
     and kind to the AST built from it, so a form that _nest shared is
     built once per kind, and every place that holds it gets the same AST.
-    An id names a form only while it lives, so each read passes a fresh
-    dict, which goes with the read."""
+    An argument is looked up there before it is built, so a repeat costs
+    one lookup and one append and never enters _build; _build's own lookup
+    serves the root and the chain through last arguments. An id names a
+    form only while it lives, so each read passes a fresh dict, which goes
+    with the read."""
     waiting = []  # (make, names, star, values, key) of the forms whose last argument is node
     while True:
         noun, rows = _ROWS[kind]
@@ -527,7 +531,9 @@ def _build(node, kind: str, built: dict):
             at += 1
             arg = node[at]
             if arg_kind.__class__ is str:
-                values.append(_build(arg, arg_kind, built))
+                # A shared argument built already costs this one lookup.
+                value = built.get((id(arg), arg_kind))
+                values.append(_build(arg, arg_kind, built) if value is None else value)
             elif isinstance(arg, str) and (value := arg_kind[0](arg)) is not None:
                 values.append(value)
             else:

@@ -37,7 +37,12 @@ targets pc has passed, with their statuses, and never steps them.
 Besides the instructions, a program may hold the action specs Print,
 SetCell, Raise and ActionSeq, each laid out as an ATOM of its compiled
 action, so a Raise aborts as its action runs. So a rexp body the DSL
-parses is a program as it stands. Layout never looks inside an Activate:
+parses is a program as it stands. Layout pays for each distinct leaf
+once: an action spec, Stop or Suspend is laid out where its object first
+appears, and each further occurrence of that object costs one lookup and
+one append of the same op. An Activate, Handle or Seq is laid out at each
+occurrence, as its code depends on its place: the target index, the scope
+and the pc. Layout never looks inside an Activate:
 the DSL puts an expression's AST there, lays the body out, then compiles
 the node's children, the targets in code order, to ids before it
 allocates the node.
@@ -179,27 +184,31 @@ def initial_resumption(program: Program) -> BasicNode:
     """Compile program to flat code in a node positioned at its first
     instruction. A Print, SetCell, Raise or ActionSeq item becomes an ATOM
     of its compiled action; any item that is neither that nor an
-    instruction raises TypeError. Each spec object is compiled once: the
-    program holds every spec for the call, so its id names it."""
+    instruction raises TypeError. Each leaf object, a spec, Stop or
+    Suspend, is laid out once and its op kept under its id, which names it
+    as the program holds it for the whole call; each repeat of it costs one
+    lookup and one append. An Activate, Handle or Seq is laid out at each
+    occurrence, as its ops depend on its place."""
     ops: list = []
     handles: list = []
     targets: list[ReactiveId] = []
-    actions: dict[int, HostAction] = {}  # id(spec) -> its compiled action
+    leaves: dict[int, tuple] = {}  # id(leaf item) -> the op it lays out as
     pending: list = [program]
     while pending:
         item = pending.pop()
-        if isinstance(item, Seq):
+        op = leaves.get(id(item))
+        if op is not None:
+            ops.append(op)
+        elif isinstance(item, Seq):
             pending.extend(reversed(item.items))
         elif isinstance(item, Atom):
             ops.append((ATOM, item.action))
         elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
-            if id(item) not in actions:
-                actions[id(item)] = build_action(item)
-            ops.append((ATOM, actions[id(item)]))
+            ops.append(leaves.setdefault(id(item), (ATOM, build_action(item))))
         elif isinstance(item, Stop):
-            ops.append((PAUSE, STOP))
+            ops.append(leaves.setdefault(id(item), (PAUSE, STOP)))
         elif isinstance(item, Suspend):
-            ops.append((PAUSE, SUSP))
+            ops.append(leaves.setdefault(id(item), (PAUSE, SUSP)))
         elif isinstance(item, Activate):
             ops.append((ACTIVATE, len(targets)))
             targets.append(item.child)

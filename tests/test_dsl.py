@@ -9,9 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from instants import Environment, parse_program, parse_trace, render, rexp
+from instants import Environment, dsl, parse_program, parse_trace, render, rexp
+from instants import program as program_module
 from instants.dsl import (
     ArityError,
+    CompileError,
     DuplicateAssignment,
     HaltExpr,
     MergeExpr,
@@ -497,6 +499,19 @@ def _read_outcome(parse):
         return type(error), str(error), error.line, error.col
 
 
+def _layout(ast):
+    """Each node that compile_expr allocates for ast, in id order: its kind,
+    its code and handle table if it is a basic node, and its children; or
+    the compile error."""
+    env = Environment()
+    try:
+        compile_expr(ast, env)
+    except CompileError as error:
+        return type(error), str(error)
+    return [(type(node), getattr(node, "ops", None), getattr(node, "handles", None), node.children)
+            for node in env.nodes.values()]
+
+
 def test_fast_and_positional_reads_agree():
     """parse_program reads without positions first, each distinct line
     once; the positional reader with the same builder must give the same
@@ -521,6 +536,10 @@ def test_fast_and_positional_reads_agree():
         positional = _read_outcome(lambda: _build(_nest([text], _tokenize), "expression", {}))
         assert fast == positional, text
         outcomes.add(fast[0] if isinstance(fast, tuple) else "ok")
+        if not isinstance(fast, tuple):
+            # The positional read shares no form, so it lays out every
+            # leaf on its own; the shared read must lay out the same code.
+            assert _layout(parse_program(text)) == _layout(_build(_nest([text], _tokenize), "expression", {})), text
     # Both kinds of outcome, and every error class the reader raises.
     assert outcomes == {"ok", ParseError, UnknownForm, ArityError}
 
@@ -542,3 +561,54 @@ def test_each_distinct_line_is_read_once_and_a_repeat_shares_its_forms():
     distinct = ["(par", line, "  (nothing))"]
     assert _nest(distinct, lambda text: read.append(text) or _TOKEN_RE.findall(text)) == form[:3] + form[5:6]
     assert read == ["\n".join(distinct)]
+
+
+def _distinct_forms(form) -> int:
+    seen = set()
+    pending = [form]
+    while pending:
+        form = pending.pop()
+        if isinstance(form, tuple) and id(form) not in seen:
+            seen.add(id(form))
+            pending += form
+    return len(seen)
+
+
+def _repeated_bodies(steps: int) -> str:
+    """A (par ...) of rexp bodies, each a seq of one step line repeated;
+    the last body is the first one again."""
+    bodies = []
+    for cell in ("a", "b", "c", "a"):
+        step = f'    (set {cell} (+ (cell {cell}) (value v))) (print "{cell}={{cell:{cell}}}") (stop)'
+        bodies.append("  (rexp (seq\n" + "\n".join([step] * steps) + "))")
+    return "(par\n" + "\n".join(bodies) + ")"
+
+
+def test_a_repeated_form_is_built_once_and_a_repeated_spec_compiled_once_per_body(monkeypatch):
+    """A repeat of a form already built costs a lookup: parse_program
+    enters _build at most once per distinct (form, kind) pair, plus the
+    root, however often the form repeats; and compile_expr compiles each
+    distinct spec object once per rexp body it lays out."""
+    entered = []
+    build = dsl._build
+    monkeypatch.setattr(dsl, "_build", lambda node, kind, built: entered.append((id(node), kind))
+                        or build(node, kind, built))
+    counts = []
+    for steps in (10, 40):
+        text = _repeated_bodies(steps)
+        entered.clear()
+        ast = parse_program(text)
+        assert len(entered) == len(set(entered)) <= _distinct_forms(_nest(text.split("\n"))) + 1
+        counts.append(len(entered))
+    assert counts[0] == counts[1]
+    assert ast.children[0] is ast.children[3]
+
+    compiled = []
+    monkeypatch.setattr(program_module, "build_action", lambda spec: compiled.append(spec) or build_action(spec))
+    env = Environment()
+    root = compile_expr(ast, env)
+    per_body = [{id(item): item for item in body.program.items if isinstance(item, (Print, SetCell))}
+                for body in ast.children]
+    assert [len(specs) for specs in per_body] == [2, 2, 2, 2]
+    assert sorted(map(id, compiled)) == sorted(key for specs in per_body for key in specs)
+    assert react_once(env, root) == (["a=0", "b=0", "c=0", "a=0"], False)

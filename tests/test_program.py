@@ -1,6 +1,8 @@
 """Basic-program execution: sequencing, control points, handlers."""
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from instants import (
@@ -23,7 +25,7 @@ from instants import (
     rexp,
     seq,
 )
-from instants.program import initial_resumption, run_resumption
+from instants.program import ACTIVATE, initial_resumption, run_resumption
 from instants.world import ActionSeq, IntConst, SetCell
 
 from helpers import react_once, run_instants
@@ -233,3 +235,18 @@ def test_library_programs_take_action_specs_directly():
     program = parse_program('(rexp (seq (print "a") (activate (nothing))))').program
     with pytest.raises(ValueError, match="is not allocated"):
         rexp(Environment(), program)
+
+
+def test_a_repeated_leaf_lays_out_as_distinct_objects_would():
+    """Layout reuses the op of a leaf it has laid out already. A program
+    that holds one Print, one Handle and one Activate object twice each
+    must lay out as if each occurrence were its own object: a Handle's
+    scope and an Activate's target index depend on where it stands."""
+    say, catch, call = Print("x"), Handle(seq(Suspend(), Raise("T")), "T", seq()), Activate(0)
+    items = (say, catch, call, Stop(), say, catch, call)
+    shared = initial_resumption(seq(*items))
+    distinct = initial_resumption(seq(*map(copy.deepcopy, items)))
+    assert shared.ops == distinct.ops
+    assert shared.handles == distinct.handles == ((1, 3, "T"), (7, 9, "T"))
+    assert shared.children == distinct.children == (0, 0)
+    assert [arg for op, arg in shared.ops if op == ACTIVATE] == [0, 1]

@@ -481,11 +481,11 @@ def _build(node, kind: str, built: dict):
     closes or of right-nested pars, takes no stack. built maps a form's id
     and kind to the AST built from it, so a form that _nest shared is
     built once per kind, and every place that holds it gets the same AST.
-    An argument is looked up there before it is built, so a repeat costs
-    one lookup and one append and never enters _build; _build's own lookup
-    serves the root and the chain through last arguments. An id names a
-    form only while it lives, so each read passes a fresh dict, which goes
-    with the read."""
+    Each form is looked up there once, before it is built: an argument in
+    the loop, so a repeat costs one lookup and one append and never enters
+    _build, and a last argument as the chain reaches it. An id names a form
+    only while it lives, so each read passes a fresh dict, which goes with
+    the read, and the root, built first, needs no lookup."""
     waiting = []  # (make, names, star, values, key) of the forms whose last argument is node
     while True:
         noun, rows = _ROWS[kind]
@@ -503,9 +503,6 @@ def _build(node, kind: str, built: dict):
         # The form's id keys it, not the form: hashing a tuple nested
         # deeply enough crashes the interpreter.
         key = (id(node), kind)
-        ast = built.get(key)
-        if ast is not None:
-            break
         if not node:
             raise ParseError(f"empty form where {noun} expected", *_at(node))
         head = node[0]
@@ -543,6 +540,9 @@ def _build(node, kind: str, built: dict):
             break
         waiting.append((make, names, star, values, key))
         node, kind = node[-1], last
+        ast = built.get((id(node), kind))
+        if ast is not None:
+            break
     while waiting:
         make, names, star, values, key = waiting.pop()
         values.append(ast)

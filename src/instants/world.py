@@ -10,8 +10,14 @@ compiled once, by one walk, into Python closures that take the world:
 compile_cond when rif or await_ builds the node that tests it,
 compile_int inside those and inside actions, and an action when
 build_action makes its HostAction. A print template is split into text and
-fields at that point too. Conditions and integer expressions only read the
-world; actions are the only way to mutate it.
+fields at that point too: the texts become one %-format, each field a
+compile_int read of its cell or payload, and a print formats the reads
+in one %. Only when that raises, because a field is too long to print, are
+the fields read again, to report the first such field as IntegerTooLarge.
+Arithmetic returns a result of at most 1,920 bits at once, since it prints
+under any limit the host accepts, and asks the limit only above that.
+Conditions and integer expressions only read the world; actions are the
+only way to mutate it.
 """
 from __future__ import annotations
 
@@ -146,11 +152,20 @@ IntExpr = Union[IntConst, CellRef, ValueRef, BinOp, Negate]
 
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
+# CPython rejects any nonzero int-to-str limit below
+# sys.int_info.str_digits_check_threshold (640) digits, and 10**limit has
+# more than 3 * limit bits, so a value of at most this many bits prints
+# under every limit the host can have. A Python before 3.10.7 has neither
+# the attribute nor a limit.
+_ALWAYS_PRINTS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
+
 
 def _printable(value: int, op: str) -> int:
     """Return value, or raise IntegerTooLarge if it has more digits than
     the host can print (sys.get_int_max_str_digits; 0, or a Python before
-    3.10.7 without that limit, means no limit)."""
+    3.10.7 without that limit, means no limit). Arithmetic calls it only
+    for a result longer than _ALWAYS_PRINTS bits: a shorter one prints
+    under every limit, so skipping the call for it changes no outcome."""
     limit = _max_str_digits()
     # 10**limit has more than 3 * limit bits, so any shorter value fits.
     if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
@@ -179,7 +194,12 @@ def compile_int(expr: IntExpr) -> tuple[Callable[[World], int], bool]:
             if fn is None:
                 raise ValueError(f"unknown integer operator {op!r}")
             (a, a_reads), (b, b_reads) = compile_int(left), compile_int(right)
-            return (lambda world: _printable(fn(a(world), b(world)), op)), a_reads or b_reads
+
+            def arithmetic(world: World) -> int:
+                value = fn(a(world), b(world))
+                return value if value.bit_length() <= _ALWAYS_PRINTS else _printable(value, op)
+
+            return arithmetic, a_reads or b_reads
         case Negate(item=item):
             a, reads = compile_int(item)
             return (lambda world: -a(world)), reads
@@ -263,30 +283,50 @@ class HostAction:
     reads_events: bool = False
 
 
-def _compile_field(kind: str, name: str) -> Callable[[World], str]:
-    value, _ = compile_int(CellRef(name) if kind == "cell" else ValueRef(name))
-
-    def run(world: World) -> str:
+def _raise_unprintable(world: World, fields: tuple) -> None:
+    """Raise IntegerTooLarge naming the first (kind, name, read) field
+    whose value the host cannot print (sys.get_int_max_str_digits caps
+    int-to-str conversion)."""
+    for kind, name, read in fields:
         try:
-            return str(value(world))
+            str(read(world))
         except ValueError:
-            # The host caps int-to-str conversion (sys.get_int_max_str_digits).
             raise IntegerTooLarge(f"{kind} {name}") from None
-
-    return run
 
 
 def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
     # Split once: [text, kind, name, text, ..., text]. The texts become a
-    # %-format with one %s per {cell:name} or {value:name} field.
+    # %-format with one %s per {cell:name} or {value:name} field, and %
+    # formats the fields' integer reads as they are. %s of an integer too
+    # long to print raises ValueError; only then are the fields read again,
+    # to name the first one that cannot be printed.
     parts = _FIELD_RE.split(template)
     if len(parts) == 1:
         return (lambda world: world.output.append(template)), False
     fmt = "%s".join(text.replace("%", "%%") for text in parts[::3])
-    fields = tuple(map(_compile_field, parts[1::3], parts[2::3]))
+    fields = tuple(
+        (kind, name, compile_int(CellRef(name) if kind == "cell" else ValueRef(name))[0])
+        for kind, name in zip(parts[1::3], parts[2::3]))
+    if len(fields) == 1:
+        # No list: before Python 3.12 a comprehension runs in a frame of
+        # its own.
+        ((_, _, read),) = fields
 
-    def run(world: World) -> None:
-        world.output.append(fmt % tuple([get(world) for get in fields]))
+        def run(world: World) -> None:
+            try:
+                world.output.append(fmt % (read(world),))
+            except ValueError:
+                _raise_unprintable(world, fields)
+                raise
+
+    else:
+
+        def run(world: World) -> None:
+            try:
+                world.output.append(fmt % tuple([read(world) for _, _, read in fields]))
+            except ValueError:
+                _raise_unprintable(world, fields)
+                raise
 
     return run, "value" in parts[1::3]
 

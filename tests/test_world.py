@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import sys
 
 import pytest
 
@@ -124,6 +125,7 @@ def test_template_interpolation():
     assert render("x{cell:num}y{cell:num}", world) == "x-4y-4"
     assert render("{cell:} {x:num} {{cell:num}} {cell:num", world) == "{cell:} {x:num} {-4} {cell:num"
     assert render("100% %s {cell:num}%d", world) == "100% %s -4%d"
+    assert render("%{value:d}%%{cell:u}%s{cell:num}%", world) == "%9%%0%s-4%"
     assert render("", world) == ""
 
 
@@ -207,6 +209,30 @@ def test_arithmetic_results_stop_at_the_print_limit():
 
 
 @needs_print_limit
+def test_arithmetic_at_the_lowest_print_limit():
+    # 640 digits is the lowest limit the host accepts, where a result of
+    # up to 3 * 640 bits, returned without asking the limit, comes closest
+    # to the digits it allows.
+    limit = print_limit()
+    sys.set_int_max_str_digits(640)
+    try:
+        world = World()
+        for value in (2**1920 - 1, 2**1920, 10**640 - 1, 10**640):
+            for result in (value, -value):
+                for op, left, right in (("+", result - 1, 1), ("-", result + 1, 1), ("*", result, 1)):
+                    run, _ = compile_int(BinOp(op, IntConst(left), IntConst(right)))
+                    if value < 10**640:
+                        assert run(world) == result
+                        assert len(str(abs(result))) <= 640
+                    else:
+                        with pytest.raises(IntegerTooLarge, match=f"^result of \\{op} has too many"):
+                            run(world)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert print_limit() == limit
+
+
+@needs_print_limit
 def test_unprinted_squaring_cell_raises_before_it_outgrows_the_print_limit():
     env = Environment()
     source = (
@@ -229,7 +255,11 @@ def test_compiled_actions_raise_integer_too_large():
     world = World()
     world.cells["big"] = 10**limit
     world.instant_values["v"] = -(10**limit)
-    for template, name in (("n={cell:big}!", "cell big"), ("{cell:x}{value:v}", "value v")):
+    for template, name in (
+        ("n={cell:big}!", "cell big"),
+        ("{cell:x}{value:v}", "value v"),
+        ("%{cell:x}%{cell:big}%{value:v}%", "cell big"),
+    ):
         with pytest.raises(IntegerTooLarge, match=f"^{name} has too many digits to print$") as exc:
             build_action(Print(template)).run(world)
         assert exc.value.name == name

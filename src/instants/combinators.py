@@ -31,7 +31,9 @@ def merge(env: Environment, *children: ReactiveId) -> ReactiveId:
     Steps the children left to right: only the suspended ones when any is
     suspended (a re-step within the instant), otherwise all of them. The
     outcome is star over the children's stored statuses, so nesting merges
-    behaves the same as one merge over all the leaves.
+    behaves the same as one merge over all the leaves. The node's step is
+    Environment.activate_branches, which applies activate's rules to every
+    child in one frame.
     """
     if not children:
         raise ValueError("merge needs at least one child")

@@ -13,11 +13,13 @@ read-only view of every node's status, by id.
 
 Activation is a recursive walk by reference: Environment.activate(node)
 checks for END, lets the node step itself, stores the resulting status on
-the node, and returns it. Every activation goes through activate, and a
-node activates its children directly, so the step path reads neither the
-node table nor an id; Environment.step(r) is the entry by id, which react
-uses for the root. A terminated expression is inert; activating it returns
-END and changes nothing. A basic node's step is the interpreter of its
+the node, and returns it. Every activation goes through activate, except a
+merge's branches: Environment.activate_branches applies activate's rules
+to each of them in its own frame. A node activates its children directly,
+so the step path reads neither the node table nor an id;
+Environment.step(r) is the entry by id, which react uses for the root. A
+terminated expression is inert; activating it returns END and changes
+nothing. A basic node's step is the interpreter of its
 flat code, so a basic activation is that one call under activate. A rif
 whose else branch is a halt returns STOP for a false test without stepping
 the halt, so a waiting when costs one step. A merge holds all its branches
@@ -66,7 +68,6 @@ from .core import (
     STOP,
     SUSP,
     UncaughtAbort,
-    star,
 )
 from .program import BasicNode
 from .world import HostAction, InstantEvents, World
@@ -77,16 +78,7 @@ class MergeNode(Node):
     children: tuple[ReactiveId, ...]
 
     def step(self, env: Environment) -> Status:
-        # Mid-instant re-step: only the suspended children run, and the
-        # others contribute their stored outcomes. star is associative, so
-        # this is the binary merge rule applied along a fold of the children.
-        activate, children = env.activate, self.child_nodes
-        suspended = [child for child in children if child.status is SUSP]
-        if not suspended:
-            return star(*[activate(child) for child in children])
-        for child in suspended:
-            activate(child)
-        return star(*[child.status for child in children])
+        return env.activate_branches(self.child_nodes)
 
 
 Predicate = Callable[[World], bool]
@@ -311,7 +303,8 @@ class Environment:
 
     def activate(self, node: Node) -> Status:
         """Activate node once, record the outcome as its status, and return
-        it. Every activation goes through here.
+        it. Every activation goes through here but a merge branch's, which
+        activate_branches makes by the same rules.
 
         Terminated expressions short-circuit: the activation is not
         propagated and nothing changes. An abort unwinding through the node
@@ -326,6 +319,46 @@ class Environment:
             raise
         node.status = status
         return status
+
+    def activate_branches(self, nodes: tuple[Node, ...]) -> Status:
+        """Activate a merge's branches left to right and return the star of
+        their outcomes. Each branch is activated by activate's rules, in
+        this one frame: an END branch is skipped, the others step, each
+        outcome is stored on its branch, and an abort marks the branch END
+        before it propagates.
+
+        When any branch is suspended, this is a re-step within the instant:
+        only the branches that were suspended before it run, and the outcome
+        is the star of every branch's stored status. star is associative, so
+        this is the binary merge rule applied along a fold of the branches.
+        """
+        # A branch listed twice, or activated by a sibling, can change
+        # status within the loop, so the suspended ones are listed first.
+        suspended = []
+        for node in nodes:
+            if node.status is SUSP:
+                suspended.append(node)
+        outcome = END
+        for node in suspended or nodes:
+            if node.status is not END:
+                try:
+                    status = node.step(self)
+                except Abort:
+                    node.status = END
+                    raise
+                node.status = status
+                if status is SUSP or outcome is END:
+                    outcome = status
+        if not suspended:
+            return outcome
+        outcome = END
+        for node in nodes:
+            status = node.status
+            if status is SUSP:
+                return SUSP
+            if status is STOP:
+                outcome = STOP
+        return outcome
 
     def _close_steps(self, activate: Callable[[Any], Status], target: Any) -> Status:
         """Re-activate target until it leaves suspension, within one

@@ -20,6 +20,7 @@ from instants import (
     MicroStepLimitExceeded,
     Print,
     Raise,
+    ReactiveError,
     Seq,
     STOP,
     Status,
@@ -46,10 +47,11 @@ from instants import (
     terminate,
     when,
 )
-from instants.kernel import BasicNode, MergeNode, RifNode
+from instants.kernel import AwaitNode, BasicNode, CloseNode, InitNode, LoopNode, MergeNode, RifNode
 from instants.program import initial_resumption, run_resumption
 from instants.world import BoolConst, InstantEvents, Sig
 
+from genprog import gen_case
 from helpers import react_once
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -164,6 +166,25 @@ def test_nary_merge_abort_marks_merge_end_and_spares_siblings():
     assert (env.statuses[first], env.statuses[finished]) == (STOP, END)
     # The child after the aborting one was not stepped in that activation.
     assert env.statuses[last] is STOP
+
+
+def test_nary_merge_abort_in_a_re_step_marks_merge_end_and_spares_siblings():
+    env = Environment()
+    stopped = rexp(env, seq(printer("s1"), Stop(), printer("s2")))
+    finished = nothing(env)
+    early = rexp(env, seq(printer("e1"), Suspend(), printer("e2"), Stop(), printer("e3")))
+    cutter = rexp(env, seq(printer("c1"), Suspend(), Raise("Cut")))
+    late = rexp(env, seq(printer("l1"), Suspend(), printer("l2"), Stop()))
+    m = merge(env, stopped, finished, early, cutter, late)
+    outer = rexp(env, Handle(Activate(m), "Cut", Seq((printer("caught"),))))
+    # The first micro-step suspends early, cutter and late; the re-step
+    # runs early, then cutter raises, so late is not stepped again.
+    assert react_once(env, outer) == (["s1", "e1", "c1", "l1", "e2", "caught"], True)
+    assert env.statuses[cutter] is END
+    assert env.statuses[m] is END
+    assert (env.statuses[stopped], env.statuses[finished], env.statuses[early]) == (STOP, END, STOP)
+    assert env.statuses[late] is SUSP
+    assert env.nodes[late].pc == 2
 
 
 def test_merge_needs_a_child():
@@ -738,16 +759,26 @@ def test_basic_children_are_all_targets_in_code_order():
 
 
 class CountingEnvironment(Environment):
-    """Counts activations by node kind. Every activation goes through
-    Environment.activate, so counting there sees them all."""
+    """Counts activations by node kind. Its activate_branches is the merge
+    rule written through activate, so counting in activate sees every
+    activation. It is also the reference that Environment.activate_branches
+    is checked against."""
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, world=None, limits=None):
+        super().__init__(world, limits)
         self.steps = Counter()
 
     def activate(self, node):
         self.steps[type(node).__name__] += 1
         return super().activate(node)
+
+    def activate_branches(self, nodes):
+        suspended = [node for node in nodes if node.status is SUSP]
+        if not suspended:
+            return star(*[self.activate(node) for node in nodes])
+        for node in suspended:
+            self.activate(node)
+        return star(*[node.status for node in nodes])
 
 
 class RecordingReads(Mapping):
@@ -777,18 +808,95 @@ def test_the_step_path_reads_neither_the_node_table_nor_the_statuses():
     source = ('(loop (par (when (sig s) (rexp (seq (print "x") (suspend) (print "y"))))'
               ' (await (sig s) (close (rexp (seq (print "a") (suspend) (print "b") (stop)))))'
               ' (rif (sig s) (nothing) (rexp (seq (activate (nothing)) (stop))))))')
-    env = CountingEnvironment()
-    root = compile_expr(parse_program(source), env)
-    env.nodes, env.statuses = RecordingReads(env.nodes), RecordingReads(env.statuses)
-    outputs = [react_once(env, root, instant)[0] for instant in (None, S_PRESENT, S_PRESENT, None)]
-    # The third instant's body ends without reading an event and restarts
-    # in place.
-    assert outputs == [[], ["x", "a", "b", "y"], ["x", "a", "b", "y"], []]
+    # The plain engine steps merge branches in activate_branches, the
+    # counting one through activate, where it counts them.
+    for env in (Environment(), CountingEnvironment()):
+        root = compile_expr(parse_program(source), env)
+        env.nodes, env.statuses = RecordingReads(env.nodes), RecordingReads(env.statuses)
+        outputs = [react_once(env, root, instant)[0] for instant in (None, S_PRESENT, S_PRESENT, None)]
+        # The third instant's body ends without reading an event and
+        # restarts in place.
+        assert outputs == [[], ["x", "a", "b", "y"], ["x", "a", "b", "y"], []]
+        assert env.statuses.reads == []
+        # Only react's entry by id reads the node table, once for each
+        # activation of the root.
+        assert set(env.nodes.reads) == {root}
     assert set(env.steps) == {"LoopNode", "MergeNode", "RifNode", "AwaitNode", "CloseNode", "BasicNode"}
-    # Only react's entry by id reads the node table, once for each
-    # activation of the root.
-    assert env.nodes.reads == [root] * env.steps["LoopNode"]
-    assert env.statuses.reads == []
+    assert len(env.nodes.reads) == env.steps["LoopNode"]
+
+
+NODE_KINDS = (AwaitNode, BasicNode, CloseNode, InitNode, LoopNode, MergeNode, RifNode)
+
+
+def _differential_rows(env, build, trace, steps):
+    """Per instant: the outputs, the error label, the steps taken so far
+    by kind and every node's status and state."""
+    root = build(env)
+    rows = []
+    for instant in trace:
+        env.world.apply_instant(instant)
+        error, done = None, False
+        try:
+            done = env.react(root)
+        except ReactiveError as failure:
+            error = failure.label
+        except RecursionError:
+            error = "RecursionError"
+        rows.append((env.world.drain_output(), error, dict(steps[env]),
+                     [(node.status, node.save()) for node in env.nodes.values()]))
+        if error or done:
+            break
+    return rows
+
+
+def _merge_listing_one_branch_twice(program):
+    """The shape of test_dup_of_nary_merge_copies_statuses_and_keeps_sharing:
+    a merge that lists one branch twice, run one instant and copied."""
+    def build(env):
+        shared = rexp(env, program)
+        m = merge(env, shared, nothing(env), shared)
+        react_once(env, m)
+        return env.dup(m)
+    return build
+
+
+def _merge_whose_branch_activates_a_sibling(env):
+    """A re-step that suspends a stopped sibling: only the branches that
+    were suspended before the micro-step run in it."""
+    inner = rexp(env, seq(Stop(), printer("y1"), Suspend(), printer("y2"), Stop()))
+    outer = rexp(env, seq(printer("x1"), Suspend(), printer("x2"), Activate(inner), printer("x3")))
+    return merge(env, outer, inner)
+
+
+LIBRARY_MERGES = (
+    _merge_listing_one_branch_twice(seq(Stop(), Stop(), Stop())),
+    _merge_listing_one_branch_twice(seq(printer("a"), Suspend(), printer("b"), Suspend(),
+                                        printer("c"), Stop(), printer("d"), Suspend(), printer("e"))),
+    _merge_whose_branch_activates_a_sibling,
+)
+
+
+def test_activate_branches_steps_as_the_counting_reference(monkeypatch):
+    # Every node kind's step counts itself on its environment, so both
+    # engines are counted the same way, merge branches included.
+    steps = {}
+    for kind in NODE_KINDS:
+        def counted(node, env, step=kind.step):
+            steps[env][type(node).__name__] += 1
+            return step(node, env)
+        monkeypatch.setattr(kind, "step", counted)
+    cases = [(lambda env, ast=ast: compile_expr(ast, env), trace)
+             for ast, trace in map(gen_case, range(300))]
+    cases += [(build, [None, S_PRESENT, None, None, None, None]) for build in LIBRARY_MERGES]
+    limits = Limits(max_micro_steps=200, max_loop_restarts=60)
+    stepped = Counter()
+    for build, trace in cases:
+        fast, reference = Environment(limits=limits), CountingEnvironment(limits=limits)
+        steps[fast], steps[reference] = Counter(), Counter()
+        assert _differential_rows(fast, build, trace, steps) == _differential_rows(reference, build, trace, steps)
+        stepped += steps[reference]
+    # The cases step every node kind.
+    assert set(stepped) == {kind.__name__ for kind in NODE_KINDS}
 
 
 S_PRESENT = InstantEvents(frozenset({"s"}))

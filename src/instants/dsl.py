@@ -80,6 +80,7 @@ from .world import (
     SetCell,
     Sig,
     ValueRef,
+    _max_str_digits,
     build_action,
 )
 
@@ -412,11 +413,12 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
 
 
 def _to_int(literal: str) -> int:
-    try:
-        return int(literal)
-    except ValueError:
-        # The host caps str-to-int conversion (sys.get_int_max_str_digits).
-        raise ParseError("integer literal has too many digits", *_at(literal)) from None
+    # The host caps str-to-int conversion (sys.get_int_max_str_digits) at
+    # the digits after the sign, leading zeros included; _max_str_digits
+    # holds a host without a cap to CPython's default one.
+    if len(literal.lstrip("+-")) > _max_str_digits():
+        raise ParseError("integer literal has too many digits", *_at(literal))
+    return int(literal)
 
 
 def _escape(text: str) -> str:

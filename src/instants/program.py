@@ -11,6 +11,7 @@ rexp compiles the tree once, without recursion, into flat code: a tuple of
 it. The opcodes are:
 
 - ``ATOM action``: run a host action.
+- ``TEXT text``: append text to the world's output, with no host action.
 - ``PAUSE status``: end the activation with STOP or SUSP, pc past it.
 - ``ACTIVATE k``: step child k. When the child ends, run on; otherwise
   end the activation with its status and leave pc on this instruction, so
@@ -25,18 +26,22 @@ only moves forward.
 
 A BasicNode is the kernel's node for a basic expression, and this module
 is the only one that knows the code's layout. Its step is the interpreter:
-it runs the code from pc, runs each ATOM's action itself, and activates
-an Activate's target node through Environment.activate. The node holds
-the code and handle table, which copies share, its children, and the
-expression's own state: pc alone, which is also what a loop saves. The
-children are the targets of all the Activate instructions in code order,
-and an ACTIVATE's argument indexes them, as ids and as the child nodes
-alloc resolves. They do not change as pc moves, so a copy also keeps the
-targets pc has passed, with their statuses, and never steps them.
+it runs the code from pc, runs each ATOM's action and appends each
+TEXT's text itself, and activates an Activate's target node through
+Environment.activate. The node holds the code and handle table, which
+copies share, its children, and the expression's own state: pc alone,
+which is also what a loop saves. The children are the targets of all the
+Activate instructions in code order, and an ACTIVATE's argument indexes
+them, as ids and as the child nodes alloc resolves. They do not change as
+pc moves, so a copy also keeps the targets pc has passed, with their
+statuses, and never steps them.
 
 Besides the instructions, a program may hold the action specs Print,
 SetCell, Raise and ActionSeq, each laid out as an ATOM of its compiled
-action, so a Raise aborts as its action runs. So a rexp body the DSL
+action, so a Raise aborts as its action runs. A Print whose template has
+no field, as world.print_text decides, is laid out as a TEXT of its
+template instead: such a print reads no events and cannot raise, so the
+interpreter appends its text with no call. So a rexp body the DSL
 parses is a program as it stands. Layout pays for each distinct leaf
 once: an action spec, Stop or Suspend is laid out where its object first
 appears, and each further occurrence of that object costs one lookup and
@@ -53,7 +58,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from .core import Abort, END, Node, ReactiveId, Status, STOP, SUSP
-from .world import ActionSeq, HostAction, Print, Raise, SetCell, build_action
+from .world import ActionSeq, HostAction, Print, Raise, SetCell, build_action, print_text
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Environment
@@ -100,7 +105,7 @@ def seq(*items: Program) -> Seq:
 
 EMPTY_PROGRAM = Seq(())
 
-ATOM, PAUSE, ACTIVATE, JUMP = range(4)
+ATOM, PAUSE, ACTIVATE, TEXT, JUMP = range(5)
 
 # Each Handle's scope, inner before outer: its body's start and end pc and
 # its tag. The handler's code starts one past the body's end.
@@ -121,12 +126,13 @@ class BasicNode(Node):
         Runs instructions until the program is exhausted (END), a Stop or
         Suspend is executed, or an activated child pauses. An ATOM counts
         an event read, when its action reads events, before it runs the
-        action. pc advances past an ATOM or ACTIVATE only once it
-        succeeds, so when one fails pc names it. An abort from either
-        jumps to the handler code of the innermost Handle whose body holds
-        pc and whose tag matches, and runs on there within this
-        activation; with no such Handle the node is finished and the abort
-        propagates to the caller.
+        action, and a TEXT appends its text to the output without a call.
+        pc advances past an ATOM or ACTIVATE only once it succeeds, so
+        when one fails pc names it. An abort from either jumps to the
+        handler code of the innermost Handle whose body holds pc and whose
+        tag matches, and runs on there within this activation; with no
+        such Handle the node is finished and the abort propagates to the
+        caller.
         """
         ops, children = self.ops, self.child_nodes
         pc = self.pc
@@ -147,6 +153,11 @@ class BasicNode(Node):
                         status = env.activate(children[arg])
                         if status is not END:
                             return status
+                        pc += 1
+                    # Tested after ATOM, PAUSE and ACTIVATE, so of the
+                    # other ops only a JUMP pays for this test.
+                    elif op == TEXT:
+                        env.world.output.append(arg)
                         pc += 1
                     else:
                         pc = arg
@@ -183,12 +194,13 @@ class _Scope:
 def initial_resumption(program: Program) -> BasicNode:
     """Compile program to flat code in a node positioned at its first
     instruction. A Print, SetCell, Raise or ActionSeq item becomes an ATOM
-    of its compiled action; any item that is neither that nor an
-    instruction raises TypeError. Each leaf object, a spec, Stop or
-    Suspend, is laid out once and its op kept under its id, which names it
-    as the program holds it for the whole call; each repeat of it costs one
-    lookup and one append. An Activate, Handle or Seq is laid out at each
-    occurrence, as its ops depend on its place."""
+    of its compiled action, except a field-free Print, which becomes a TEXT
+    of its template; any item that is neither that nor an instruction
+    raises TypeError. Each leaf object, a spec, Stop or Suspend, is laid
+    out once and its op kept under its id, which names it as the program
+    holds it for the whole call; each repeat of it costs one lookup and
+    one append. An Activate, Handle or Seq is laid out at each occurrence,
+    as its ops depend on its place."""
     ops: list = []
     handles: list = []
     targets: list[ReactiveId] = []
@@ -204,7 +216,9 @@ def initial_resumption(program: Program) -> BasicNode:
         elif isinstance(item, Atom):
             ops.append((ATOM, item.action))
         elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
-            ops.append(leaves.setdefault(id(item), (ATOM, build_action(item))))
+            text = print_text(item)
+            op = (ATOM, build_action(item)) if text is None else (TEXT, text)
+            ops.append(leaves.setdefault(id(item), op))
         elif isinstance(item, Stop):
             ops.append(leaves.setdefault(id(item), (PAUSE, STOP)))
         elif isinstance(item, Suspend):

@@ -15,9 +15,15 @@ compile_int read of its cell or payload, and a print formats the reads
 in one %. Only when that raises, because a field is too long to print, are
 the fields read again, to report the first such field as IntegerTooLarge.
 Arithmetic returns a result of at most 1,920 bits at once, since it prints
-under any limit the host accepts, and asks the limit only above that.
-Conditions and integer expressions only read the world; actions are the
-only way to mutate it.
+under any limit the host accepts, and asks the limit only above that. A
+host with no limit is held to CPython's default one, so a result too long
+to print under that default raises everywhere.
+
+Conditions and integer expressions only read the world. Actions mutate
+it, and so does one more thing: a basic expression appends the text of a
+print with no field to the output directly, with no action (program.py's
+TEXT op). Which prints those are is decided here, by print_text, as this
+module alone knows the template syntax.
 """
 from __future__ import annotations
 
@@ -150,7 +156,15 @@ class Negate:
 IntExpr = Union[IntConst, CellRef, ValueRef, BinOp, Negate]
 
 
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+_host_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _max_str_digits() -> int:
+    """The host's int-to-str digit limit, or CPython's default of 4,300
+    when the host has none: it reports 0, or it is a Python before 3.10.7
+    without the limit."""
+    return _host_max_str_digits() or 4300
+
 
 # CPython rejects any nonzero int-to-str limit below
 # sys.int_info.str_digits_check_threshold (640) digits, and 10**limit has
@@ -162,13 +176,12 @@ _ALWAYS_PRINTS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 640)
 
 def _printable(value: int, op: str) -> int:
     """Return value, or raise IntegerTooLarge if it has more digits than
-    the host can print (sys.get_int_max_str_digits; 0, or a Python before
-    3.10.7 without that limit, means no limit). Arithmetic calls it only
-    for a result longer than _ALWAYS_PRINTS bits: a shorter one prints
-    under every limit, so skipping the call for it changes no outcome."""
+    _max_str_digits allows. Arithmetic calls it only for a result longer
+    than _ALWAYS_PRINTS bits: a shorter one prints under every limit, so
+    skipping the call for it changes no outcome."""
     limit = _max_str_digits()
     # 10**limit has more than 3 * limit bits, so any shorter value fits.
-    if limit and value.bit_length() > 3 * limit and abs(value) >= 10**limit:
+    if value.bit_length() > 3 * limit and abs(value) >= 10**limit:
         raise IntegerTooLarge(f"result of {op}")
     return value
 
@@ -268,6 +281,14 @@ class ActionSeq:
 
 
 ActionSpec = Union[Print, SetCell, Raise, ActionSeq]
+
+
+def print_text(spec: ActionSpec) -> str | None:
+    """The template of a Print that has no {cell:...} or {value:...}
+    field, which prints as it stands; None for any other spec."""
+    if isinstance(spec, Print) and _FIELD_RE.search(spec.template) is None:
+        return spec.template
+    return None
 
 
 @dataclass(frozen=True)

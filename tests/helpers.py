@@ -19,10 +19,22 @@ def print_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
-# Programs that grow an integer until it cannot be printed never stop on a
-# host without the limit, so tests that rely on it skip there.
+def digit_bound() -> int:
+    """The most digits the engine lets an integer literal or arithmetic
+    result have: the host's limit, or CPython's default of 4,300 digits
+    on a host without one."""
+    return print_limit() or 4300
+
+
+# Tests of what the host's limit itself does, such as a print of a cell
+# too long for it, skip on a host without the limit.
 needs_print_limit = pytest.mark.skipif(
     print_limit() == 0, reason="the host prints integers of any length"
+)
+
+# Tests that set the host's limit need a Python of 3.10.7 or later.
+can_set_print_limit = pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="the host has no int-to-str limit to set"
 )
 
 

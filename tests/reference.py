@@ -16,6 +16,7 @@ body from its tree, which is what makes the generator representation viable.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from instants.core import Limits
@@ -135,11 +136,16 @@ def _ev_int(e, w):
             result = a * b
         else:
             raise ValueError(e.op)
-        # A result with more decimal digits than the host prints is an error.
+        # A result with more decimal digits than the host prints is an
+        # error. A host that prints any length is held to CPython's
+        # default limit.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
         try:
-            str(result)
+            too_long = len(str(abs(result))) > limit
         except ValueError:
-            raise OracleError("IntegerTooLarge") from None
+            too_long = True
+        if too_long:
+            raise OracleError("IntegerTooLarge")
         return result
     if isinstance(e, Negate):
         return -_ev_int(e.item, w)

@@ -23,7 +23,6 @@ from instants.cli import (
 )
 from instants.core import InstantTrace, STOP
 
-from helpers import needs_print_limit
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
 MERGE_SRC = (
@@ -229,15 +228,14 @@ def _outputs(count):
             "squared_cell",
             '(rexp (seq (set x 2) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))'
             ' (print "{cell:x}") (stop)))))))',
-            ["--max-instants", "100"], EXIT_RUNTIME_ERROR, "runtime error: IntegerTooLarge",
-            marks=needs_print_limit),
-        # Unprinted, the square still stops at the host's print limit.
+            ["--max-instants", "100"], EXIT_RUNTIME_ERROR, "runtime error: IntegerTooLarge"),
+        # Unprinted, the square still stops at the print limit.
         pytest.param(
             "squared_cell_unprinted",
             '(rexp (seq (set x 2) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))'
             ' (stop)))))))',
             ["--max-instants", "100"], EXIT_RUNTIME_ERROR, "runtime error: IntegerTooLarge",
-            id="squared_cell_unprinted", marks=needs_print_limit),
+            id="squared_cell_unprinted"),
     ],
 )
 def test_host_limits_exit_with_a_label_and_no_traceback(
@@ -297,7 +295,6 @@ def test_run_demos_stops_quietly_when_its_reader_closes_early():
     assert err == b""
 
 
-@needs_print_limit
 def test_oversized_integer_literals_are_parse_errors(tmp_path, capsys):
     digits = "9" * 5000
     program = write(tmp_path, "big.rx", f"(rexp (set x {digits}))")

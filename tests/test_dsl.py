@@ -28,7 +28,7 @@ from instants.dsl import (
     _tokenize,
     compile_expr,
 )
-from instants.program import ACTIVATE, ATOM, JUMP, Activate, Atom, Handle, Raise, Seq, Stop, Suspend
+from instants.program import ACTIVATE, ATOM, JUMP, TEXT, Activate, Atom, Handle, Raise, Seq, Stop, Suspend
 from instants.world import InstantEvents, IntConst, Print, SetCell, build_action
 
 from genprog import gen_case
@@ -180,12 +180,14 @@ def test_compile_nothing_reacts_true():
 
 def test_identical_actions_share_one_compiled_action():
     env = Environment()
-    src = '(rexp (seq (print "shared x") (stop) (print "shared x") (print "other x")))'
+    # Templated prints: a field-free one lays out as TEXT, with no action.
+    src = ('(rexp (seq (print "shared {cell:x}") (stop) (print "shared {cell:x}")'
+           ' (print "other {cell:x}")))')
     root = compile_expr(parse_program(src), env)
     first, second, other = [arg for op, arg in env.nodes[root].ops if op == ATOM]
     assert first is second and first is not other
-    assert react_once(env, root) == (["shared x"], False)
-    assert react_once(env, root) == (["shared x", "other x"], True)
+    assert react_once(env, root) == (["shared 0"], False)
+    assert react_once(env, root) == (["shared 0", "other 0"], True)
     # The shared action lives only as long as a program holds it.
     action = weakref.ref(first)
     del env, root, first, second, other
@@ -422,20 +424,20 @@ def test_compile_allocates_in_program_order():
         for text in ('(rexp (seq (print "b") (stop)))', "(nothing)", "(halt)", "(loop (rexp (stop)))")
     )
     program = Seq((
-        Atom(build_action(Print("a"))),
+        Print("a"),
         Activate(first),
         Handle(
             Seq((Atom(build_action(SetCell("x", IntConst(1)))), Activate(second), Raise("T"))),
             "T",
-            Seq((Activate(third), Atom(build_action(Print("c"))))),
+            Seq((Activate(third), Print("c"))),
         ),
         Activate(fourth),
     ))
     assert root == rexp(by_hand, program)
     assert env.nodes == by_hand.nodes
     assert env.statuses == by_hand.statuses
-    assert [op for op, _ in env.nodes[root].ops] == [ATOM, ACTIVATE, ATOM, ACTIVATE, ATOM, JUMP,
-                                                    ACTIVATE, ATOM, ACTIVATE]
+    assert [op for op, _ in env.nodes[root].ops] == [TEXT, ACTIVATE, ATOM, ACTIVATE, ATOM, JUMP,
+                                                    ACTIVATE, TEXT, ACTIVATE]
     assert env.nodes[root].children == (first, second, third, fourth)
 
 

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from genprog import gen_case
-from helpers import needs_print_limit
 from instants import Environment, compile_expr, parse_program, render
 from instants.dsl import HaltExpr, MergeExpr, RifExpr, WhenExpr
 from reference import engine_run, oracle_run
@@ -77,7 +76,6 @@ def test_generated_cases_reach_a_rif_that_skips_its_halt():
         assert env.nodes[compile_expr(item, env)].else_halts
 
 
-@needs_print_limit
 def test_engine_and_oracle_stop_a_growing_cell_at_the_same_instant():
     source = (
         "(rexp (seq (set x 3) (activate (loop (rexp (seq (set x (* (cell x) (cell x)))"

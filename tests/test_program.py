@@ -21,12 +21,13 @@ from instants import (
     Stop,
     Suspend,
     build_action,
+    loop,
     parse_program,
     rexp,
     seq,
 )
-from instants.program import ACTIVATE, initial_resumption, run_resumption
-from instants.world import ActionSeq, IntConst, SetCell
+from instants.program import ACTIVATE, ATOM, TEXT, initial_resumption, run_resumption
+from instants.world import ActionSeq, InstantEvents, IntConst, SetCell
 
 from helpers import react_once, run_instants
 
@@ -221,8 +222,11 @@ def test_library_programs_take_action_specs_directly():
     direct = rexp(env, seq(*specs))
     atoms = rexp(by_hand, seq(*(item if item == Stop() else Atom(build_action(item)) for item in specs)))
     ops, hand_ops = env.nodes[direct].ops, by_hand.nodes[atoms].ops
-    assert ops == hand_ops
-    assert all(arg is hand_arg for (_, arg), (_, hand_arg) in zip(ops, hand_ops))
+    # A field-free print is laid out as TEXT; every other spec as the ATOM
+    # of the one action that build_action gives it.
+    assert ops[0] == (TEXT, "a") and hand_ops[0][0] == ATOM
+    assert ops[1:] == hand_ops[1:]
+    assert all(arg is hand_arg for (_, arg), (_, hand_arg) in zip(ops[1:], hand_ops[1:]))
     rows = [(["a"], "STOP", False), (["1"], "END", True)]
     assert run_instants(env, direct, [], pad_empty=2) == run_instants(by_hand, atoms, [], pad_empty=2) == rows
 
@@ -250,3 +254,102 @@ def test_a_repeated_leaf_lays_out_as_distinct_objects_would():
     assert shared.handles == distinct.handles == ((1, 3, "T"), (7, 9, "T"))
     assert shared.children == distinct.children == (0, 0)
     assert [arg for op, arg in shared.ops if op == ACTIVATE] == [0, 1]
+
+
+# Templates with no {cell:name} or {value:name} field, and with one.
+FIELD_FREE = ("100%", "%s", "{cell:}", "{x:a}", "{cell:a")
+TEMPLATED = ("{{cell:a}}", "{cell:x}")
+
+
+@pytest.mark.parametrize("template", FIELD_FREE + TEMPLATED)
+def test_a_print_lays_out_as_text_exactly_when_it_has_no_field(template):
+    op = (TEXT, template) if template in FIELD_FREE else (ATOM, build_action(Print(template)))
+    assert initial_resumption(Print(template)).ops == (op,)
+
+
+def test_an_action_sequence_of_field_free_prints_stays_one_atom():
+    (item,) = parse_program('(rexp (seq (do (print "a") (print "b"))))').program.items
+    assert isinstance(item, ActionSeq)
+    assert initial_resumption(item).ops == ((ATOM, build_action(item)),)
+
+
+def test_a_repeated_field_free_print_lays_out_as_one_shared_op():
+    say = Print("x")
+    ops = initial_resumption(seq(say, Stop(), say, Print("x"))).ops
+    assert ops[0] == ops[3] == (TEXT, "x")
+    assert ops[0] is ops[2] and ops[0] is not ops[3]
+
+
+def _as_atoms(program):
+    """program with every action spec in it laid out by hand as the ATOM
+    of its compiled action, so no TEXT op is left."""
+    if isinstance(program, Seq):
+        return Seq(tuple(map(_as_atoms, program.items)))
+    if isinstance(program, Handle):
+        return Handle(_as_atoms(program.body), program.tag, _as_atoms(program.handler))
+    if isinstance(program, (Print, SetCell, Raise, ActionSeq)):
+        return Atom(build_action(program))
+    return program
+
+
+def _prints_and_stops(env, layout):
+    program = seq(SetCell("a", IntConst(5)), *map(Print, FIELD_FREE + TEMPLATED), Stop(),
+                  ActionSeq((Print("a"), Print("{cell:a}"))), Print("end"))
+    return rexp(env, layout(program))
+
+
+def _handler_prints(env, layout):
+    body = seq(Print("a"), Raise("T"), Print("never"))
+    return rexp(env, layout(Handle(body, "T", seq(Print("h"), Stop(), Print("{{cell:a}}")))))
+
+
+def _abort_after_text(env, layout):
+    # The child prints and aborts in one activation; its parent catches.
+    child = rexp(env, layout(seq(Print("a"), Stop(), Print("b"), Raise("T"), Print("never"))))
+    return rexp(env, layout(Handle(seq(Activate(child), Print("never")), "T", Print("caught"))))
+
+
+def _loop_restarts_in_place(env, layout):
+    return loop(env, rexp(env, layout(seq(Print("a"), Stop(), Print("b")))))
+
+
+def _loop_restart_waits_for_a_read(env, layout):
+    return loop(env, rexp(env, layout(seq(Print("a"), Print("{value:v}"), Print("b")))))
+
+
+def _loop_without_a_pause(env, layout):
+    return loop(env, rexp(env, layout(seq(Print("a"), Print("b")))))
+
+
+def _dup_after_an_instant(env, layout):
+    original = rexp(env, layout(seq(Print("a"), Stop(), Print("b"), Stop(), Print("c"))))
+    env.world.apply_instant(None)
+    env.react(original)
+    return env.dup(original)
+
+
+@pytest.mark.parametrize("build, rows, error", [
+    (_prints_and_stops, [[*FIELD_FREE, "{5}", "0"], ["a", "5", "end"]], None),
+    (_handler_prints, [["a", "h"], ["{5}"]], None),
+    (_abort_after_text, [["a"], ["b", "caught"]], None),
+    (_loop_restarts_in_place, [["a"], ["b", "a"], ["b", "a"]], None),
+    (_loop_restart_waits_for_a_read, [["a", "1", "b"], ["a", "2", "b"], ["a", "3", "b"]], None),
+    (_loop_without_a_pause, [], "InstantaneousLoop"),
+    (_dup_after_an_instant, [["b"], ["c"]], None),
+], ids=lambda value: getattr(value, "__name__", None))
+def test_text_ops_run_as_their_all_atom_layout_does(build, rows, error):
+    """Each program runs laid out as it stands, with its field-free prints
+    as TEXT, and laid out by hand with every print an ATOM: the outputs,
+    the statuses of every node and the error must be the same."""
+    runs = []
+    for layout in (lambda program: program, _as_atoms):
+        env = Environment()
+        env.world.cells["a"] = 5
+        root = build(env, layout)
+        events = [InstantEvents(values={"v": i}) for i in range(1, 4)]
+        trace = env.react_t(root, 3, events)
+        texts = [op for node in env.nodes.values() for op, _ in getattr(node, "ops", ()) if op == TEXT]
+        runs.append(([record.outputs for record in trace.instants], trace.error, dict(env.statuses)))
+        assert bool(texts) == (layout is not _as_atoms)
+    assert runs[0] == runs[1]
+    assert runs[0][:2] == (rows, error)

@@ -39,7 +39,9 @@ from instants.world import (
     eval_cond,
 )
 
-from helpers import needs_print_limit, print_limit
+from instants.dsl import ParseError
+
+from helpers import can_set_print_limit, digit_bound, needs_print_limit, print_limit
 
 
 def test_accumulator_arithmetic():
@@ -208,7 +210,7 @@ def test_arithmetic_results_stop_at_the_print_limit():
         eval_cond(Compare("<", BinOp("*", IntConst(largest), IntConst(largest)), IntConst(0)), world)
 
 
-@needs_print_limit
+@can_set_print_limit
 def test_arithmetic_at_the_lowest_print_limit():
     # 640 digits is the lowest limit the host accepts, where a result of
     # up to 3 * 640 bits, returned without asking the limit, comes closest
@@ -232,7 +234,25 @@ def test_arithmetic_at_the_lowest_print_limit():
     assert print_limit() == limit
 
 
-@needs_print_limit
+@can_set_print_limit
+def test_a_host_without_the_limit_is_held_to_the_default_one():
+    # PYTHONINTMAXSTRDIGITS=0 turns the limit off, as this does; a result
+    # or a literal past 4,300 digits must fail as at the default limit.
+    limit = print_limit()
+    sys.set_int_max_str_digits(0)
+    try:
+        largest = 10**4300 - 1
+        assert compile_int(BinOp("+", IntConst(largest - 1), IntConst(1)))[0](World()) == largest
+        with pytest.raises(IntegerTooLarge, match=r"^result of \+ has too many"):
+            compile_int(BinOp("+", IntConst(largest), IntConst(1)))[0](World())
+        assert parse_program(f"(rexp (set x -{'0' * 4299}1))").program == SetCell("x", IntConst(-1))
+        with pytest.raises(ParseError, match="^integer literal has too many digits at line 1, column 14$"):
+            parse_program(f"(rexp (set x -{'0' * 4300}1))")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert print_limit() == limit
+
+
 def test_unprinted_squaring_cell_raises_before_it_outgrows_the_print_limit():
     env = Environment()
     source = (
@@ -246,7 +266,7 @@ def test_unprinted_squaring_cell_raises_before_it_outgrows_the_print_limit():
             env.react(root)
     # The last square stored is the last one that could still be printed.
     x = env.world.cells["x"]
-    assert x < 10 ** print_limit() <= x * x
+    assert x < 10 ** digit_bound() <= x * x
 
 
 @needs_print_limit
@@ -264,8 +284,12 @@ def test_compiled_actions_raise_integer_too_large():
             build_action(Print(template)).run(world)
         assert exc.value.name == name
     assert world.output == []
-    world.cells["x"] = 10 ** (limit // 2 + 1)
+
+
+def test_a_compiled_square_raises_integer_too_large():
+    world = World()
+    world.cells["x"] = 10 ** (digit_bound() // 2 + 1)
     square = build_action(SetCell("x", BinOp("*", CellRef("x"), CellRef("x"))))
     with pytest.raises(IntegerTooLarge, match=r"^result of \* has too many digits to print$"):
         square.run(world)
-    assert world.cells["x"] == 10 ** (limit // 2 + 1)
+    assert world.cells["x"] == 10 ** (digit_bound() // 2 + 1)

@@ -36,9 +36,10 @@ expression, and its tokens are nested on a stack, which makes equal forms
 one shared tuple. A line that closes every form it opens, repeated inside
 a form, appends what its first repeat appended, with no scan and no
 nesting; a text in which no line repeats is read whole, as one line.
-Each distinct form is built once, and each further place that holds it
-costs one lookup and one append, so equal subtrees of the AST are one
-object; that sharing, and what is kept of each line, lasts for one
+Each distinct form is built once for each kind it is read as, and each
+further place that holds it costs one lookup by its id, in the one table
+of its kind, and one append, so equal subtrees of the AST are one object;
+that sharing, and what is kept of each line, lasts for one
 parse_program call, and two calls share no AST node. Line and column are
 worked out only when a parse fails, by scanning the whole text with the
 same token pattern again, this time with positions and no sharing; the
@@ -480,15 +481,18 @@ def _build(node, kind: str, built: dict):
     returned, with one lookup of the form's digested row. A form's last
     argument, a star row's too, is built by the same loop, not by a call,
     so a chain nested through last arguments, such as a long chain of
-    closes or of right-nested pars, takes no stack. built maps a form's id
-    and kind to the AST built from it, so a form that _nest shared is
-    built once per kind, and every place that holds it gets the same AST.
-    Each form is looked up there once, before it is built: an argument in
-    the loop, so a repeat costs one lookup and one append and never enters
-    _build, and a last argument as the chain reaches it. An id names a form
-    only while it lives, so each read passes a fresh dict, which goes with
-    the read, and the root, built first, needs no lookup."""
-    waiting = []  # (make, names, star, values, key) of the forms whose last argument is node
+    closes or of right-nested pars, takes no stack. built holds one table
+    per form kind, which maps a form's id to the AST built from it as that
+    kind, so a form that _nest shared is built once per kind, and every
+    place that holds it gets the same AST. Each form is looked up by its id
+    in its kind's table once, before it is built: an argument in the loop,
+    so a repeat costs one lookup and one append and never enters _build,
+    and a last argument as the chain reaches it. A star row looks up every
+    argument but its last in one loop against its kind's one table. An id
+    names a form only while it lives, so each read passes fresh tables
+    (_tables()), which go with the read, and the root, built first, needs
+    no lookup."""
+    waiting = []  # (make, names, star, values, table, id) of the forms whose last argument is node
     while True:
         noun, rows = _ROWS[kind]
         if not isinstance(node, tuple):
@@ -502,14 +506,12 @@ def _build(node, kind: str, built: dict):
             else:
                 raise ParseError(f"expected {noun}", *_at(node))
             break
-        # The form's id keys it, not the form: hashing a tuple nested
-        # deeply enough crashes the interpreter.
-        key = (id(node), kind)
         if not node:
             raise ParseError(f"empty form where {noun} expected", *_at(node))
         head = node[0]
-        # Only a str may key a lookup, for the same reason. No row has a
-        # string literal as its head.
+        # Only a str may key a lookup: hashing a tuple nested deeply enough
+        # crashes the interpreter, which is also why a form's id keys it.
+        # No row has a string literal as its head.
         if not isinstance(head, str):
             raise ParseError("form head must be a symbol", *_at(node))
         row = rows.get(head)
@@ -518,38 +520,48 @@ def _build(node, kind: str, built: dict):
                 raise ParseError("form head must be a symbol", *_at(node))
             raise UnknownForm(f"unknown {kind} form {head!r}", *_at(node))
         make, names, op, star, lead, last, arity = row
+        values = [head] if op else []
         if star:
             if len(node) <= arity:
                 raise ArityError(f"({head} ...) takes at least {arity} argument(s), got {len(node) - 1}", *_at(node))
-            lead, last = (star,) * (len(node) - 2), star if len(node) > 1 else None
+            table = built[star]
+            for arg in node[1:-1]:
+                # A shared argument built already costs this one lookup.
+                value = table.get(id(arg))
+                values.append(_build(arg, star, built) if value is None else value)
+            last = star if len(node) > 1 else None
         elif len(node) - 1 != arity:
             raise ArityError(f"({head} ...) takes {arity} argument(s), got {len(node) - 1}", *_at(node))
-        values = [head] if op else []
         at = 0  # the index of arg in node
         for arg_kind in lead:
             at += 1
             arg = node[at]
             if arg_kind.__class__ is str:
-                # A shared argument built already costs this one lookup.
-                value = built.get((id(arg), arg_kind))
+                value = built[arg_kind].get(id(arg))
                 values.append(_build(arg, arg_kind, built) if value is None else value)
             elif isinstance(arg, str) and (value := arg_kind[0](arg)) is not None:
                 values.append(value)
             else:
                 raise ParseError(arg_kind[1], *_at(arg))
         if last is None:
-            ast = built[key] = _make(make, names, star, values)
+            ast = built[kind][id(node)] = _make(make, names, star, values)
             break
-        waiting.append((make, names, star, values, key))
+        waiting.append((make, names, star, values, built[kind], id(node)))
         node, kind = node[-1], last
-        ast = built.get((id(node), kind))
+        ast = built[kind].get(id(node))
         if ast is not None:
             break
     while waiting:
-        make, names, star, values, key = waiting.pop()
+        make, names, star, values, table, key = waiting.pop()
         values.append(ast)
-        ast = built[key] = _make(make, names, star, values)
+        ast = table[key] = _make(make, names, star, values)
     return ast
+
+
+def _tables() -> dict[str, dict]:
+    """Fresh tables for one read by _build: for each form kind, an empty
+    map from a form's id to its AST."""
+    return {kind: {} for kind in _ROWS}
 
 
 def parse_program(text: str) -> ExprAst:
@@ -560,12 +572,12 @@ def parse_program(text: str) -> ExprAst:
     # Only "\n" ends a line: no token spans one, and str.splitlines would
     # also split at characters that an atom may hold.
     try:
-        return _build(_nest(text.split("\n")), "expression", {})
+        return _build(_nest(text.split("\n")), "expression", _tables())
     except ParseError:
         pass
     # The same reader and builder again, with positions and no shared
     # forms: this raises the error, with its line and column.
-    return _build(_nest([text], _tokenize), "expression", {})
+    return _build(_nest([text], _tokenize), "expression", _tables())
 
 
 # --------------------------------------------------------------------------

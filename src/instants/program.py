@@ -42,12 +42,13 @@ action, so a Raise aborts as its action runs. A Print whose template has
 no field, as world.print_text decides, is laid out as a TEXT of its
 template instead: such a print reads no events and cannot raise, so the
 interpreter appends its text with no call. So a rexp body the DSL
-parses is a program as it stands. Layout pays for each distinct leaf
-once: an action spec, Stop or Suspend is laid out where its object first
-appears, and each further occurrence of that object costs one lookup and
-one append of the same op. An Activate, Handle or Seq is laid out at each
-occurrence, as its code depends on its place: the target index, the scope
-and the pc. Layout never looks inside an Activate:
+parses is a program as it stands. Layout walks each Seq's items, and a
+Handle's body and handler, in place, with no recursion, and pays for each
+distinct leaf once: an action spec, Stop or Suspend is laid out where its
+object first appears, and each further occurrence of that object costs one
+lookup and one append of the same op. An Activate, Handle or Seq is laid
+out at each occurrence, as its code depends on its place: the target
+index, the scope and the pc. Layout never looks inside an Activate:
 the DSL puts an expression's AST there, lays the body out, then compiles
 the node's children, the targets in code order, to ids before it
 allocates the node.
@@ -182,7 +183,7 @@ class BasicNode(Node):
 
 @dataclass(slots=True)
 class _Scope:
-    """A Handle being laid out. It is stacked after the body, where it
+    """A Handle being laid out. Its walk takes it after the body, where it
     records the scope and leaves room for the JUMP, and again after the
     handler, where it fills that JUMP in."""
 
@@ -196,7 +197,9 @@ def initial_resumption(program: Program) -> BasicNode:
     instruction. A Print, SetCell, Raise or ActionSeq item becomes an ATOM
     of its compiled action, except a field-free Print, which becomes a TEXT
     of its template; any item that is neither that nor an instruction
-    raises TypeError. Each leaf object, a spec, Stop or Suspend, is laid
+    raises TypeError. The walk keeps a stack of iterators, one over what is
+    left of each Seq and Handle it is inside, and takes each item from the
+    innermost in place. Each leaf object, a spec, Stop or Suspend, is laid
     out once and its op kept under its id, which names it as the program
     holds it for the whole call; each repeat of it costs one lookup and
     one append. An Activate, Handle or Seq is laid out at each occurrence,
@@ -205,40 +208,47 @@ def initial_resumption(program: Program) -> BasicNode:
     handles: list = []
     targets: list[ReactiveId] = []
     leaves: dict[int, tuple] = {}  # id(leaf item) -> the op it lays out as
-    pending: list = [program]
-    while pending:
-        item = pending.pop()
-        op = leaves.get(id(item))
-        if op is not None:
-            ops.append(op)
-        elif isinstance(item, Seq):
-            pending.extend(reversed(item.items))
-        elif isinstance(item, Atom):
-            ops.append((ATOM, item.action))
-        elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
-            text = print_text(item)
-            op = (ATOM, build_action(item)) if text is None else (TEXT, text)
-            ops.append(leaves.setdefault(id(item), op))
-        elif isinstance(item, Stop):
-            ops.append(leaves.setdefault(id(item), (PAUSE, STOP)))
-        elif isinstance(item, Suspend):
-            ops.append(leaves.setdefault(id(item), (PAUSE, SUSP)))
-        elif isinstance(item, Activate):
-            ops.append((ACTIVATE, len(targets)))
-            targets.append(item.child)
-        elif isinstance(item, Handle):
-            scope = _Scope(len(ops), item.tag)
-            pending += (scope, item.handler, scope, item.body)
-        elif not isinstance(item, _Scope):
-            raise TypeError(f"not an instruction: {item!r}")
-        elif item.end < 0:
-            # A body ends before every body around it, so inner scopes
-            # come first.
-            item.end = len(ops)
-            handles.append((item.start, item.end, item.tag))
-            ops.append(None)
+    # What is left of each Seq and Handle being laid out, innermost last: a
+    # Handle's is its body, its scope, its handler and its scope again.
+    walks: list = [iter((program,))]
+    while walks:
+        for item in walks[-1]:
+            op = leaves.get(id(item))
+            if op is not None:
+                ops.append(op)
+            elif isinstance(item, Seq):
+                # The next item comes from the walk pushed here.
+                walks.append(iter(item.items))
+                break
+            elif isinstance(item, Atom):
+                ops.append((ATOM, item.action))
+            elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
+                text = print_text(item)
+                op = (ATOM, build_action(item)) if text is None else (TEXT, text)
+                ops.append(leaves.setdefault(id(item), op))
+            elif isinstance(item, Stop):
+                ops.append(leaves.setdefault(id(item), (PAUSE, STOP)))
+            elif isinstance(item, Suspend):
+                ops.append(leaves.setdefault(id(item), (PAUSE, SUSP)))
+            elif isinstance(item, Activate):
+                ops.append((ACTIVATE, len(targets)))
+                targets.append(item.child)
+            elif isinstance(item, Handle):
+                scope = _Scope(len(ops), item.tag)
+                walks.append(iter((item.body, scope, item.handler, scope)))
+                break
+            elif not isinstance(item, _Scope):
+                raise TypeError(f"not an instruction: {item!r}")
+            elif item.end < 0:
+                # A body ends before every body around it, so inner scopes
+                # come first.
+                item.end = len(ops)
+                handles.append((item.start, item.end, item.tag))
+                ops.append(None)
+            else:
+                ops[item.end] = (JUMP, len(ops))
         else:
-            ops[item.end] = (JUMP, len(ops))
+            walks.pop()  # done, so the walk around it goes on
     return BasicNode(tuple(ops), tuple(handles), tuple(targets))
 
 

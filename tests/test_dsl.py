@@ -25,6 +25,7 @@ from instants.dsl import (
     _TOKEN_RE,
     _build,
     _nest,
+    _tables,
     _tokenize,
     compile_expr,
 )
@@ -535,13 +536,13 @@ def test_fast_and_positional_reads_agree():
     outcomes = set()
     for text in texts:
         fast = _read_outcome(lambda: parse_program(text))
-        positional = _read_outcome(lambda: _build(_nest([text], _tokenize), "expression", {}))
+        positional = _read_outcome(lambda: _build(_nest([text], _tokenize), "expression", _tables()))
         assert fast == positional, text
         outcomes.add(fast[0] if isinstance(fast, tuple) else "ok")
         if not isinstance(fast, tuple):
             # The positional read shares no form, so it lays out every
             # leaf on its own; the shared read must lay out the same code.
-            assert _layout(parse_program(text)) == _layout(_build(_nest([text], _tokenize), "expression", {})), text
+            assert _layout(parse_program(text)) == _layout(_build(_nest([text], _tokenize), "expression", _tables())), text
     # Both kinds of outcome, and every error class the reader raises.
     assert outcomes == {"ok", ParseError, UnknownForm, ArityError}
 
@@ -563,6 +564,25 @@ def test_each_distinct_line_is_read_once_and_a_repeat_shares_its_forms():
     distinct = ["(par", line, "  (nothing))"]
     assert _nest(distinct, lambda text: read.append(text) or _TOKEN_RE.findall(text)) == form[:3] + form[5:6]
     assert read == ["\n".join(distinct)]
+
+
+def test_a_form_read_under_two_kinds_is_built_once_per_kind(monkeypatch):
+    """_build keeps one table per form kind. A form read as a program form
+    in a seq, and again as an action inside (do ...) and as the action of
+    two inits, is entered once per kind, and every place of one kind holds
+    that kind's one AST object."""
+    entered = []
+    build = dsl._build
+    monkeypatch.setattr(dsl, "_build", lambda node, kind, built: entered.append((node, kind))
+                        or build(node, kind, built))
+    ast = parse_program('(par (rexp (seq (print "x") (do (print "x") (print "x")) (print "x") (print "x")))\n'
+                        ' (init (print "x") (halt)) (init (print "x") (nothing)))')
+    assert sorted(kind for node, kind in entered if node == ("print", '"x"')) == ["action", "program"]
+    body, first_init, last_init = ast.children
+    first, actions, *rest = body.program.items
+    assert first == Print("x") and all(item is first for item in rest)
+    assert actions.items[0] == Print("x") and actions.items[0] is not first
+    assert actions.items[1] is first_init.action is last_init.action is actions.items[0]
 
 
 def _distinct_forms(form) -> int:

@@ -26,7 +26,7 @@ from instants import (
     rexp,
     seq,
 )
-from instants.program import ACTIVATE, ATOM, TEXT, initial_resumption, run_resumption
+from instants.program import ACTIVATE, ATOM, JUMP, PAUSE, TEXT, initial_resumption, run_resumption
 from instants.world import ActionSeq, InstantEvents, IntConst, SetCell
 
 from helpers import react_once, run_instants
@@ -245,7 +245,9 @@ def test_a_repeated_leaf_lays_out_as_distinct_objects_would():
     """Layout reuses the op of a leaf it has laid out already. A program
     that holds one Print, one Handle and one Activate object twice each
     must lay out as if each occurrence were its own object: a Handle's
-    scope and an Activate's target index depend on where it stands."""
+    scope and an Activate's target index depend on where it stands. So
+    must repeated leaves inside nested Seqs and inside a Handle's body and
+    its handler, which layout takes in place from each one's items."""
     say, catch, call = Print("x"), Handle(seq(Suspend(), Raise("T")), "T", seq()), Activate(0)
     items = (say, catch, call, Stop(), say, catch, call)
     shared = initial_resumption(seq(*items))
@@ -254,6 +256,45 @@ def test_a_repeated_leaf_lays_out_as_distinct_objects_would():
     assert shared.handles == distinct.handles == ((1, 3, "T"), (7, 9, "T"))
     assert shared.children == distinct.children == (0, 0)
     assert [arg for op, arg in shared.ops if op == ACTIVATE] == [0, 1]
+
+    stop = Stop()
+    inner = seq(say, seq(stop, seq(say, call)), stop)
+    guarded = Handle(seq(say, inner, Raise("U"), say), "U", seq(stop, inner, say))
+    items = (inner, guarded, seq(seq(guarded), say), call, inner)
+    shared = initial_resumption(seq(*items))
+    distinct = initial_resumption(seq(*map(copy.deepcopy, items)))
+    assert shared.ops == distinct.ops
+    assert shared.handles == distinct.handles == ((5, 13, "U"), (21, 29, "U"))
+    assert shared.children == distinct.children == (0,) * 7
+    assert [arg for op, arg in shared.ops if op == ACTIVATE] == list(range(7))
+    # The first Handle: its body, the JUMP over its handler, then the
+    # handler, each repeated leaf in its place.
+    text, pause, raise_u = (TEXT, "x"), (PAUSE, STOP), (ATOM, build_action(Raise("U")))
+    assert shared.ops[5:21] == (
+        text, text, pause, text, (ACTIVATE, 1), pause, raise_u, text, (JUMP, 21),
+        pause, text, pause, text, (ACTIVATE, 2), pause, text)
+
+
+def test_a_body_nested_ten_thousand_levels_deep_lays_out_and_runs():
+    """Layout walks each Seq and Handle in place, with no recursion, so a
+    library body nested 10,000 levels through Seqs and Handle bodies lays
+    out and runs. Its op count and outputs are checked, not the AST, whose
+    comparison recurses."""
+    say, levels = Print("a"), 10_000
+    body = seq(Print("in"), Stop(), Raise("T"))
+    for level in range(levels):
+        # A Seq level prints before it goes deeper; a Handle level lays
+        # out its body, a JUMP and its one-op handler.
+        body = seq(say, body) if level % 2 else Handle(body, "T", seq(Print("caught")))
+    node = initial_resumption(body)
+    assert len(node.ops) == 3 + levels // 2 * 3
+    assert len(node.handles) == levels // 2
+    env = Environment()
+    r = rexp(env, body)
+    assert react_once(env, r) == (["a"] * (levels // 2) + ["in"], False)
+    # The innermost Handle catches, and every enclosing one jumps over
+    # its handler.
+    assert react_once(env, r) == (["caught"], True)
 
 
 # Templates with no {cell:name} or {value:name} field, and with one.

@@ -7,17 +7,20 @@ payloads read as 0, so evaluation is total.
 
 Conditions, integer expressions and actions are frozen trees, and each is
 compiled once, by one walk, into Python closures that take the world:
-compile_cond when rif or await_ builds the node that tests it,
-compile_int inside those and inside actions, and an action when
-build_action makes its HostAction. A print template is split into text and
-fields at that point too: the texts become one %-format, each field a
-compile_int read of its cell or payload, and a print formats the reads
-in one %. Only when that raises, because a field is too long to print, are
-the fields read again, to report the first such field as IntegerTooLarge.
-Arithmetic returns a result of at most 1,920 bits at once, since it prints
-under any limit the host accepts, and asks the limit only above that. A
-host with no limit is held to CPython's default one, so a result too long
-to print under that default raises everywhere.
+compile_cond when rif or await_ builds the node that tests it, an action
+when build_action makes its HostAction, and the integer expressions inside
+those. _operand compiles an integer operand to a closure only when it is
+arithmetic or a negation: a literal, cell or payload is read by the
+closure that consumes it, with no call, so a set of arithmetic over such
+leaves, or a templated print, runs in one Python frame. A print template
+is split into text and fields when its action is built: the texts become
+one %-format and each field a cell or payload, and a print formats the
+fields' values in one %. Only when that raises, because a field is too
+long to print, are the fields read again, to report the first such field
+as IntegerTooLarge. Arithmetic returns a result of at most 1,920 bits at
+once, since it prints under any limit the host accepts, and asks the limit
+only above that. A host with no limit is held to CPython's default one, so
+a result too long to print under that default raises everywhere.
 
 Conditions and integer expressions only read the world. Actions mutate
 it, and so does one more thing: a basic expression appends the text of a
@@ -190,33 +193,73 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 _COMPARISONS = {"=": operator.eq, "<": operator.lt, "<=": operator.le}
 
 
+# A closure reads each leaf operand it consumes inline, with no call:
+# _operand sorts an integer expression into one of these kinds, and a
+# consumer reads an operand (kind, arg) as
+#     world.cells.get(arg, 0) if kind is _CELL
+#     else world.instant_values.get(arg, 0) if kind is _VALUE
+#     else arg if kind is _CONST else arg(world)
+# so only an operand that is itself arithmetic or a negation costs a call.
+# Cells and payloads are tested first: theirs are the most frequent reads.
+_CELL, _VALUE, _CONST, _CALL = range(4)
+
+
+def _arithmetic(op: str) -> Callable[[int, int], int]:
+    """The function of an integer operator, checked when compiled."""
+    fn = _ARITHMETIC.get(op)
+    if fn is None:
+        raise ValueError(f"unknown integer operator {op!r}")
+    return fn
+
+
+def _operand(expr: IntExpr) -> tuple[int, object, bool]:
+    """Classify an integer expression as (kind, arg, reads_events): a cell
+    or a payload with its name, a literal with its value, or arithmetic or
+    a negation with its compiled closure."""
+    match expr:
+        case CellRef(name=name):
+            return _CELL, name, False
+        case ValueRef(name=name):
+            return _VALUE, name, True
+        case IntConst(value=v):
+            return _CONST, v, False
+        case BinOp(op=op, left=left, right=right):
+            fn = _arithmetic(op)
+            (ka, a, a_reads), (kb, b, b_reads) = _operand(left), _operand(right)
+
+            def arithmetic(world: World) -> int:
+                value = fn(
+                    world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
+                    else a if ka is _CONST else a(world),
+                    world.cells.get(b, 0) if kb is _CELL else world.instant_values.get(b, 0) if kb is _VALUE
+                    else b if kb is _CONST else b(world))
+                return value if value.bit_length() <= _ALWAYS_PRINTS else _printable(value, op)
+
+            return _CALL, arithmetic, a_reads or b_reads
+        case Negate(item=item):
+            ka, a, reads = _operand(item)
+
+            def negate(world: World) -> int:
+                return -(world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
+                         else a if ka is _CONST else a(world))
+
+            return _CALL, negate, reads
+    raise TypeError(f"not an integer expression: {expr!r}")
+
+
 def compile_int(expr: IntExpr) -> tuple[Callable[[World], int], bool]:
     """Compile an integer expression into ``(run, reads_events)``: run(world)
     evaluates it, and reads_events tells whether it reads this instant's
     payloads. An arithmetic result too long to print raises
-    IntegerTooLarge, so cells cannot grow without bound."""
-    match expr:
-        case IntConst(value=v):
-            return (lambda world: v), False
-        case CellRef(name=name):
-            return (lambda world: world.cells.get(name, 0)), False
-        case ValueRef(name=name):
-            return (lambda world: world.instant_values.get(name, 0)), True
-        case BinOp(op=op, left=left, right=right):
-            fn = _ARITHMETIC.get(op)
-            if fn is None:
-                raise ValueError(f"unknown integer operator {op!r}")
-            (a, a_reads), (b, b_reads) = compile_int(left), compile_int(right)
-
-            def arithmetic(world: World) -> int:
-                value = fn(a(world), b(world))
-                return value if value.bit_length() <= _ALWAYS_PRINTS else _printable(value, op)
-
-            return arithmetic, a_reads or b_reads
-        case Negate(item=item):
-            a, reads = compile_int(item)
-            return (lambda world: -a(world)), reads
-    raise TypeError(f"not an integer expression: {expr!r}")
+    IntegerTooLarge, so cells cannot grow without bound. A literal, cell
+    or payload alone compiles to a closure of its own; as an operand of
+    arithmetic, a negation, a comparison, a set or a print field, it is
+    read inline by the closure that consumes it (_operand)."""
+    kind, arg, reads = _operand(expr)
+    if kind is _CALL:
+        return arg, reads
+    return (lambda world: world.cells.get(arg, 0) if kind is _CELL
+            else world.instant_values.get(arg, 0) if kind is _VALUE else arg), reads
 
 
 def compile_cond(cond: Cond) -> tuple[Callable[[World], bool], bool]:
@@ -240,8 +283,16 @@ def compile_cond(cond: Cond) -> tuple[Callable[[World], bool], bool]:
             fn = _COMPARISONS.get(op)
             if fn is None:
                 raise ValueError(f"unknown comparison {op!r}")
-            (a, a_reads), (b, b_reads) = compile_int(left), compile_int(right)
-            return (lambda world: fn(a(world), b(world))), a_reads or b_reads
+            (ka, a, a_reads), (kb, b, b_reads) = _operand(left), _operand(right)
+
+            def compare(world: World) -> bool:
+                return fn(
+                    world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
+                    else a if ka is _CONST else a(world),
+                    world.cells.get(b, 0) if kb is _CELL else world.instant_values.get(b, 0) if kb is _VALUE
+                    else b if kb is _CONST else b(world))
+
+            return compare, a_reads or b_reads
     raise TypeError(f"not a condition: {cond!r}")
 
 
@@ -305,37 +356,37 @@ class HostAction:
 
 
 def _raise_unprintable(world: World, fields: tuple) -> None:
-    """Raise IntegerTooLarge naming the first (kind, name, read) field
-    whose value the host cannot print (sys.get_int_max_str_digits caps
+    """Raise IntegerTooLarge naming the first (kind, name) field whose
+    value the host cannot print (sys.get_int_max_str_digits caps
     int-to-str conversion)."""
-    for kind, name, read in fields:
+    for kind, name in fields:
         try:
-            str(read(world))
+            str(world.cells.get(name, 0) if kind is _CELL else world.instant_values.get(name, 0))
         except ValueError:
-            raise IntegerTooLarge(f"{kind} {name}") from None
+            raise IntegerTooLarge(f"{'cell' if kind is _CELL else 'value'} {name}") from None
 
 
 def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
     # Split once: [text, kind, name, text, ..., text]. The texts become a
     # %-format with one %s per {cell:name} or {value:name} field, and %
-    # formats the fields' integer reads as they are. %s of an integer too
-    # long to print raises ValueError; only then are the fields read again,
-    # to name the first one that cannot be printed.
+    # formats the fields' values as they are, read inline: a field is a
+    # cell or a payload. %s of an integer too long to print raises
+    # ValueError; only then are the fields read again, to name the first
+    # one that cannot be printed.
     parts = _FIELD_RE.split(template)
     if len(parts) == 1:
         return (lambda world: world.output.append(template)), False
     fmt = "%s".join(text.replace("%", "%%") for text in parts[::3])
     fields = tuple(
-        (kind, name, compile_int(CellRef(name) if kind == "cell" else ValueRef(name))[0])
+        _operand(CellRef(name) if kind == "cell" else ValueRef(name))[:2]
         for kind, name in zip(parts[1::3], parts[2::3]))
     if len(fields) == 1:
-        # No list: before Python 3.12 a comprehension runs in a frame of
-        # its own.
-        ((_, _, read),) = fields
+        ((ka, a),) = fields
 
         def run(world: World) -> None:
             try:
-                world.output.append(fmt % (read(world),))
+                world.output.append(
+                    fmt % (world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0),))
             except ValueError:
                 _raise_unprintable(world, fields)
                 raise
@@ -343,8 +394,13 @@ def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
     else:
 
         def run(world: World) -> None:
+            # A loop, not a comprehension: before Python 3.12 a
+            # comprehension runs in a frame of its own.
+            values = []
+            for kind, name in fields:
+                values.append(world.cells.get(name, 0) if kind is _CELL else world.instant_values.get(name, 0))
             try:
-                world.output.append(fmt % tuple([read(world) for _, _, read in fields]))
+                world.output.append(fmt % tuple(values))
             except ValueError:
                 _raise_unprintable(world, fields)
                 raise
@@ -356,11 +412,27 @@ def _compile_action(spec: ActionSpec) -> tuple[Callable[[World], None], bool]:
     match spec:
         case Print(template=template):
             return _compile_print(template)
+        case SetCell(name=name, value=BinOp(op=op, left=left, right=right)):
+            # The arithmetic runs in this frame, and a result too long to
+            # print raises before the cell is written.
+            fn = _arithmetic(op)
+            (ka, a, a_reads), (kb, b, b_reads) = _operand(left), _operand(right)
+
+            def set_arithmetic(world: World) -> None:
+                result = fn(
+                    world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
+                    else a if ka is _CONST else a(world),
+                    world.cells.get(b, 0) if kb is _CELL else world.instant_values.get(b, 0) if kb is _VALUE
+                    else b if kb is _CONST else b(world))
+                world.cells[name] = result if result.bit_length() <= _ALWAYS_PRINTS else _printable(result, op)
+
+            return set_arithmetic, a_reads or b_reads
         case SetCell(name=name, value=value):
-            run_value, reads = compile_int(value)
+            ka, a, reads = _operand(value)
 
             def set_cell(world: World) -> None:
-                world.cells[name] = run_value(world)
+                world.cells[name] = (world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0)
+                                     if ka is _VALUE else a if ka is _CONST else a(world))
 
             return set_cell, reads
         case Raise(tag=tag):

@@ -1,8 +1,10 @@
-"""Setup cost in exact counts: what parse_program and layout do for a
-program whose forms repeat, as big_program's do, does not grow with the
-number of repeats."""
+"""Cost in exact counts, with no clock. Setup: what parse_program and
+layout do for a program whose forms repeat, as big_program's do, does not
+grow with the number of repeats. Run time: the Python frames that a
+compiled action, and one step of a basic node, enter."""
 from __future__ import annotations
 
+import sys
 from collections import Counter
 
 import pytest
@@ -11,7 +13,21 @@ from instants import Environment, dsl, parse_program
 from instants import program as program_module
 from instants.dsl import compile_expr
 from instants.program import BasicNode
-from instants.world import Print, SetCell, build_action
+from instants.world import (
+    BinOp,
+    CellRef,
+    Compare,
+    InstantEvents,
+    IntConst,
+    Negate,
+    Print,
+    SetCell,
+    ValueRef,
+    World,
+    build_action,
+    compile_cond,
+    compile_int,
+)
 
 BRANCHES = 4
 
@@ -53,3 +69,56 @@ def test_setup_costs_what_is_distinct_not_what_repeats(monkeypatch, steps):
     assert sorted(map(id, compiled)) == sorted(key for body in specs for key in body)
     bodies = [node for node in env.nodes.values() if isinstance(node, BasicNode)]
     assert [len(node.ops) for node in bodies] == [3 * steps] * BRANCHES
+
+
+def _frames(run, *args) -> list[str]:
+    """The code names of the Python frames that run(*args) enters, its own
+    first. sys.setprofile reports a "call" event for each Python frame and
+    none for a builtin, such as a dict's get or an int's bit_length."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls.append(frame.f_code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        run(*args)
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+def test_an_action_or_comparison_over_leaves_runs_in_one_frame():
+    """A literal, cell or payload operand is read by the closure that
+    consumes it, so each of these enters its own frame and no other."""
+    world = World(cells={"c": 4, "d": -2}, instant_values={"v": 3})
+    runs = {
+        "set of (+ (cell c) (value v))": build_action(SetCell("c", BinOp("+", CellRef("c"), ValueRef("v")))).run,
+        "set of (value v)": build_action(SetCell("n", ValueRef("v"))).run,
+        "set of 5": build_action(SetCell("k", IntConst(5))).run,
+        "one-field print": build_action(Print("c={cell:c}")).run,
+        "three-field print": build_action(Print("{cell:c} {value:v} {cell:d}")).run,
+        "comparison of (cell c) and 7": compile_cond(Compare("<", CellRef("c"), IntConst(7)))[0],
+        "negation of (value v)": compile_int(Negate(ValueRef("v")))[0],
+    }
+    for label, run in runs.items():
+        frames = _frames(run, world)
+        assert len(frames) == 1, (label, frames)
+    assert world.cells == {"c": 7, "d": -2, "n": 3, "k": 5}
+    assert world.output == ["c=7", "7 3 -2"]
+
+
+def test_a_big_program_step_runs_in_three_frames():
+    """One activation of a big_program step, (set ...) (print ...) (stop):
+    the node's step, the set and the print."""
+    env = Environment()
+    compile_expr(parse_program(_big_program(2)), env)
+    node = next(node for node in env.nodes.values() if isinstance(node, BasicNode))
+    env.world.apply_instant(InstantEvents(values={"v": 5}))
+    frames = _frames(node.step, env)
+    assert len(frames) == 3, frames
+    assert node.pc == 3
+    assert env.world.output == ["c0=5"]
+    assert env.world.cells == {"c0": 5}

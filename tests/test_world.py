@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import random
 import sys
 
 import pytest
@@ -41,7 +42,19 @@ from instants.world import (
 
 from instants.dsl import ParseError
 
+from genprog import CELLS, SIGNALS, VALUES, gen_cond, gen_int, gen_template
 from helpers import can_set_print_limit, digit_bound, needs_print_limit, print_limit
+from reference import (
+    _TPL,
+    OracleError,
+    OracleWorld,
+    _action_reads,
+    _cond_reads,
+    _ev_cond,
+    _ev_int,
+    _int_reads,
+    _render,
+)
 
 
 def test_accumulator_arithmetic():
@@ -293,3 +306,94 @@ def test_a_compiled_square_raises_integer_too_large():
     with pytest.raises(IntegerTooLarge, match=r"^result of \* has too many digits to print$"):
         square.run(world)
     assert world.cells["x"] == 10 ** (digit_bound() // 2 + 1)
+
+
+# Values on both sides of 2**1920, where arithmetic stops returning a
+# result at once and asks _printable, and of 10**digit_bound(), where a
+# result, and a field, is too long to print.
+EDGES = (0, 1, -3, 7, 2**1920 - 1, 2**1920, -(2**1920), 10 ** digit_bound() - 1, 10 ** digit_bound(),
+         -(10 ** digit_bound()))
+
+
+def _worlds(rng: random.Random) -> tuple[World, OracleWorld]:
+    """An engine world and an equal reference world, whose cells and
+    payloads are drawn from EDGES."""
+    signals = {name: True for name in SIGNALS if rng.random() < 0.5}
+    cells = {name: rng.choice(EDGES) for name in CELLS if rng.random() < 0.8}
+    values = {name: rng.choice(EDGES) for name in VALUES if rng.random() < 0.8}
+    return (World(signals=dict(signals), cells=dict(cells), instant_values=dict(values)),
+            OracleWorld(signals=dict(signals), values=dict(values), cells=dict(cells)))
+
+
+def _outcome(run, too_large):
+    """run()'s result, or "too large" when it raises one of too_large."""
+    try:
+        return run()
+    except too_large:
+        return "too large"
+
+
+def _first_unprintable(template: str, oracle: OracleWorld) -> str | None:
+    """The first field of template whose value str() cannot print, named
+    as IntegerTooLarge names it, or None."""
+    for kind, name in _TPL.findall(template):
+        try:
+            str((oracle.cells if kind == "cell" else oracle.values).get(name, 0))
+        except ValueError:
+            return f"{kind} {name}"
+    return None
+
+
+def _operands(rng: random.Random) -> list:
+    """One operand of each kind: a literal, a cell, a payload, and the two
+    expressions a closure calls, arithmetic and a negation."""
+    return [IntConst(rng.choice(EDGES)), CellRef(rng.choice(CELLS)), ValueRef(rng.choice(VALUES)),
+            BinOp(rng.choice("+-*"), CellRef(rng.choice(CELLS)), IntConst(rng.choice(EDGES))),
+            Negate(ValueRef(rng.choice(VALUES)))]
+
+
+def _differential_cases(rng: random.Random):
+    """Every operand kind on each side of every operator, in arithmetic,
+    negations, comparisons and sets, and seeded generated trees."""
+    operands = _operands(rng)
+    ints = [BinOp(op, left, right) for op in "+-*" for left in operands for right in operands]
+    ints += [Negate(item) for item in operands] + operands
+    ints += [gen_int(rng, 3) for _ in range(20)]
+    conds = [Compare(op, left, right) for op in ("=", "<", "<=") for left in operands for right in operands]
+    conds += [gen_cond(rng, 3) for _ in range(20)]
+    return ints, conds
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_compiled_closures_match_the_reference(seed):
+    rng = random.Random(seed)
+    ints, conds = _differential_cases(rng)
+    world, oracle = _worlds(rng)
+    for expr in ints:
+        want = _outcome(lambda: _ev_int(expr, oracle), OracleError)
+        run, reads = compile_int(expr)
+        assert _outcome(lambda: run(world), IntegerTooLarge) == want, expr
+        assert reads == _int_reads(expr), expr
+        # A set that raises leaves its cell as it was.
+        action, world_after = build_action(SetCell("x", expr)), copy.deepcopy(world)
+        got = _outcome(lambda: action.run(world_after), IntegerTooLarge)
+        cells = oracle.cells if want == "too large" else {**oracle.cells, "x": want}
+        assert (got, world_after.cells) == (want if want == "too large" else None, cells), expr
+        assert action.reads_events == _int_reads(expr), expr
+    for cond in conds:
+        run, reads = compile_cond(cond)
+        want = _outcome(lambda: _ev_cond(cond, oracle), OracleError)
+        assert _outcome(lambda: run(world), IntegerTooLarge) == want, cond
+        assert reads == _cond_reads(cond), cond
+    templates = [gen_template(rng) for _ in range(20)] + ["{cell:x}", "{value:v}", "{cell:x}-{value:v}%{cell:y}"]
+    for template in templates:
+        action = build_action(Print(template))
+        assert action.reads_events == _action_reads(Print(template)), template
+        unprintable = _first_unprintable(template, oracle)
+        if unprintable is None:
+            assert render(template, world) == _render(template, oracle), template
+        else:
+            with pytest.raises(IntegerTooLarge) as exc:
+                action.run(world)
+            assert exc.value.name == unprintable, template
+        assert world.output == []

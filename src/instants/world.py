@@ -9,18 +9,21 @@ Conditions, integer expressions and actions are frozen trees, and each is
 compiled once, by one walk, into Python closures that take the world:
 compile_cond when rif or await_ builds the node that tests it, an action
 when build_action makes its HostAction, and the integer expressions inside
-those. _operand compiles an integer operand to a closure only when it is
-arithmetic or a negation: a literal, cell or payload is read by the
-closure that consumes it, with no call, so a set of arithmetic over such
-leaves, or a templated print, runs in one Python frame. A print template
-is split into text and fields when its action is built: the texts become
-one %-format and each field a cell or payload, and a print formats the
-fields' values in one %. Only when that raises, because a field is too
-long to print, are the fields read again, to report the first such field
-as IntegerTooLarge. Arithmetic returns a result of at most 1,920 bits at
-once, since it prints under any limit the host accepts, and asks the limit
-only above that. A host with no limit is held to CPython's default one, so
-a result too long to print under that default raises everywhere.
+those. Nothing is kept between calls: each call compiles its tree afresh,
+so equal specs give distinct, equally behaving HostActions. _operand
+compiles an integer operand to a closure only when it is arithmetic or a
+negation: a literal, cell or payload is read by the closure that consumes
+it, with no call, so a set of arithmetic over such leaves, or a templated
+print, runs in one Python frame. A print template is split into text and
+fields when its action is built: the texts become one %-format and each
+field a cell or payload, and a print formats the fields' values in one %,
+which for a template with no field formats none. Only when that raises,
+because a field is too long to print, are the fields read again, to report
+the first such field as IntegerTooLarge. Arithmetic returns a result of at
+most 1,920 bits at once, since it prints under any limit the host accepts,
+and asks the limit only above that. A host with no limit is held to
+CPython's default one, so a result too long to print under that default
+raises everywhere.
 
 Conditions and integer expressions only read the world. Actions mutate
 it, and so does one more thing: a basic expression appends the text of a
@@ -34,9 +37,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Mapping, Union
-from weakref import ref
 
 from .core import Abort, IntegerTooLarge
 
@@ -374,8 +375,6 @@ def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
     # ValueError; only then are the fields read again, to name the first
     # one that cannot be printed.
     parts = _FIELD_RE.split(template)
-    if len(parts) == 1:
-        return (lambda world: world.output.append(template)), False
     fmt = "%s".join(text.replace("%", "%%") for text in parts[::3])
     fields = tuple(
         _operand(CellRef(name) if kind == "cell" else ValueRef(name))[:2]
@@ -453,28 +452,6 @@ def _compile_action(spec: ActionSpec) -> tuple[Callable[[World], None], bool]:
     raise TypeError(f"not an action: {spec!r}")
 
 
-# Specs are frozen and compiled actions keep no state, so identical specs
-# share one HostAction for as long as some program holds it. Each spec maps
-# to a weak reference to its action, whose callback drops the entry once
-# the action is collected, unless a newer reference has taken its place.
-_compiled_actions: dict[ActionSpec, ref[HostAction]] = {}
-
-
-def _forget(spec: ActionSpec, entry: ref[HostAction]) -> None:
-    if _compiled_actions.get(spec) is entry:
-        del _compiled_actions[spec]
-
-
 def build_action(spec: ActionSpec) -> HostAction:
     """Compile a declarative action tree into an executable HostAction."""
-    try:
-        entry = _compiled_actions.get(spec)
-    except RecursionError:
-        # Hashing a spec recurses about twice as deep as compiling it, so
-        # a spec too deep to hash is compiled unshared.
-        return HostAction(*_compile_action(spec))
-    action = None if entry is None else entry()
-    if action is None:
-        action = HostAction(*_compile_action(spec))
-        _compiled_actions[spec] = ref(action, partial(_forget, spec))
-    return action
+    return HostAction(*_compile_action(spec))

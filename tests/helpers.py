@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
+from types import FunctionType
 
 import pytest
 
@@ -36,6 +38,23 @@ needs_print_limit = pytest.mark.skipif(
 can_set_print_limit = pytest.mark.skipif(
     not hasattr(sys, "set_int_max_str_digits"), reason="the host has no int-to-str limit to set"
 )
+
+
+def structure(value):
+    """value with each closure in it replaced by its code and the structure
+    of its cells' contents, and each dataclass instance by its type and the
+    structure of its compared fields. Two compiles of equal specs give
+    distinct closures, which compare unequal; their structures compare
+    equal, and those of different specs do not."""
+    if isinstance(value, FunctionType):
+        return FunctionType, value.__code__, tuple(structure(cell.cell_contents) for cell in value.__closure__ or ())
+    if is_dataclass(value) and not isinstance(value, type):
+        return type(value), tuple(structure(getattr(value, f.name)) for f in fields(value) if f.compare)
+    if isinstance(value, (tuple, list)):
+        return type(value), tuple(map(structure, value))
+    if isinstance(value, dict):
+        return {key: structure(item) for key, item in value.items()}
+    return value
 
 
 def react_once(env: Environment, root, events: InstantEvents | None = None):

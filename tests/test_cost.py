@@ -29,6 +29,8 @@ from instants.world import (
     compile_int,
 )
 
+from helpers import KEYPAD_RX
+
 BRANCHES = 4
 
 
@@ -69,6 +71,20 @@ def test_setup_costs_what_is_distinct_not_what_repeats(monkeypatch, steps):
     assert sorted(map(id, compiled)) == sorted(key for body in specs for key in body)
     bodies = [node for node in env.nodes.values() if isinstance(node, BasicNode)]
     assert [len(node.ops) for node in bodies] == [3 * steps] * BRANCHES
+
+
+def test_layout_compiles_one_action_per_distinct_spec_object_per_body(monkeypatch):
+    """The keypad's bodies hold six action specs: (print ...), (set num 0)
+    and (raise Clear) under enter, (set num 0) and (raise Clear) under
+    clear, and the digit's (set ...). The parse shares equal forms, so the
+    two (set num 0) are one object, as are the two (raise Clear); layout
+    still compiles each once per body that holds it, to an action of its
+    own, and no action is shared across bodies."""
+    actions = []
+    monkeypatch.setattr(program_module, "build_action",
+                        lambda spec: actions.append(build_action(spec)) or actions[-1])
+    compile_expr(parse_program(KEYPAD_RX.read_text(encoding="utf-8")), Environment())
+    assert len(actions) == len({id(action) for action in actions}) == 6
 
 
 def _frames(run, *args) -> list[str]:

@@ -33,7 +33,7 @@ from instants.program import ACTIVATE, ATOM, JUMP, TEXT, Activate, Atom, Handle,
 from instants.world import InstantEvents, IntConst, Print, SetCell, build_action
 
 from genprog import gen_case
-from helpers import needs_print_limit, print_limit, react_once
+from helpers import needs_print_limit, print_limit, react_once, structure
 
 MERGE_SRC = (
     '(merge (rexp (seq (print "1") (stop) (print "2")))'
@@ -116,6 +116,13 @@ def test_program_forms_parse_to_the_engine_classes():
     # A parsed body is a library program: rexp takes it as it stands.
     env = Environment()
     assert react_once(env, rexp(env, ast.program)) == (["a"], False)
+    # A field-free print inside (do ...) or as an init's action is compiled
+    # by build_action, and prints as written, % signs included.
+    ast = parse_program('(init (print "%s") (rexp (seq (do (print "100%") (print "b")) (stop) (print "{cell:}"))))')
+    env = Environment()
+    root = compile_expr(ast, env)
+    assert react_once(env, root) == (["%s", "100%", "b"], False)
+    assert react_once(env, root) == (["%s", "{cell:}"], True)
 
 
 def test_render_parse_round_trip():
@@ -435,7 +442,7 @@ def test_compile_allocates_in_program_order():
         Activate(fourth),
     ))
     assert root == rexp(by_hand, program)
-    assert env.nodes == by_hand.nodes
+    assert structure(env.nodes) == structure(by_hand.nodes)
     assert env.statuses == by_hand.statuses
     assert [op for op, _ in env.nodes[root].ops] == [TEXT, ACTIVATE, ATOM, ACTIVATE, ATOM, JUMP,
                                                     ACTIVATE, TEXT, ACTIVATE]
@@ -504,14 +511,14 @@ def _read_outcome(parse):
 
 def _layout(ast):
     """Each node that compile_expr allocates for ast, in id order: its kind,
-    its code and handle table if it is a basic node, and its children; or
-    the compile error."""
+    the structure of its code and its handle table if it is a basic node,
+    and its children; or the compile error."""
     env = Environment()
     try:
         compile_expr(ast, env)
     except CompileError as error:
         return type(error), str(error)
-    return [(type(node), getattr(node, "ops", None), getattr(node, "handles", None), node.children)
+    return [(type(node), structure(getattr(node, "ops", None)), getattr(node, "handles", None), node.children)
             for node in env.nodes.values()]
 
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import copy
-import gc
 import random
 import sys
 
@@ -34,7 +33,6 @@ from instants.world import (
     Sig,
     ValueRef,
     World,
-    _compiled_actions,
     compile_cond,
     compile_int,
     eval_cond,
@@ -43,7 +41,7 @@ from instants.world import (
 from instants.dsl import ParseError
 
 from genprog import CELLS, SIGNALS, VALUES, gen_cond, gen_int, gen_template
-from helpers import can_set_print_limit, digit_bound, needs_print_limit, print_limit
+from helpers import can_set_print_limit, digit_bound, needs_print_limit, print_limit, structure
 from reference import (
     _TPL,
     OracleError,
@@ -142,6 +140,11 @@ def test_template_interpolation():
     assert render("100% %s {cell:num}%d", world) == "100% %s -4%d"
     assert render("%{value:d}%%{cell:u}%s{cell:num}%", world) == "%9%%0%s-4%"
     assert render("", world) == ""
+    # A template with no field goes through the same %-format, which
+    # formats no value: it prints as written, % signs included.
+    for template in ("100%", "%s", "{cell:}", "{x:a}", "{cell:a", "%%d %", "{{cell:}}"):
+        assert render(template, world) == template
+        assert not build_action(Print(template)).reads_events
 
 
 def test_actions_mutate_and_raise():
@@ -154,6 +157,28 @@ def test_actions_mutate_and_raise():
     assert exc.value.tag == "Bang"
     assert world.output == ["x=0"]
     assert world.cells["x"] == 3
+
+
+# Specs that differ from one another only a little: a name, an operand,
+# an operator, a text or an item's place.
+DISTINCT_SPECS = (
+    Print("a"), Print("b"), Print("a{cell:x}"), Print("a{value:x}"), Print("a{cell:y}"),
+    Print("{cell:x}{cell:x}"), SetCell("x", IntConst(1)), SetCell("y", IntConst(1)),
+    SetCell("x", IntConst(2)), SetCell("x", BinOp("+", CellRef("x"), IntConst(1))),
+    SetCell("x", BinOp("-", CellRef("x"), IntConst(1))), SetCell("x", Negate(ValueRef("v"))),
+    Raise("T"), Raise("U"), ActionSeq((Print("a"), Raise("T"))), ActionSeq((Raise("T"), Print("a"))),
+)
+
+
+def test_equal_specs_compile_to_distinct_actions_of_one_structure():
+    """build_action keeps nothing between calls: each compile of a spec is
+    a HostAction of its own, and tests compare compiles by structure."""
+    for spec in DISTINCT_SPECS:
+        first, second = build_action(spec), build_action(copy.deepcopy(spec))
+        assert first is not second and first != second
+        assert structure(first) == structure(second), spec
+    structures = [structure(build_action(spec)) for spec in DISTINCT_SPECS]
+    assert all(structures.count(item) == 1 for item in structures)
 
 
 def test_event_read_detection():
@@ -174,19 +199,9 @@ def test_event_read_detection():
     assert build_action(ActionSeq((Print("a"), ActionSeq((Raise("T"), Print("{value:v}")))))).reads_events
 
 
-def test_a_shared_action_entry_goes_with_its_action():
-    spec = Print("only here {cell:entry}")
-    action = build_action(spec)
-    assert build_action(Print("only here {cell:entry}")) is action
-    assert _compiled_actions[spec]() is action
-    del action
-    gc.collect()
-    assert spec not in _compiled_actions
-
-
-def test_an_action_too_deep_to_hash_still_compiles():
-    # Hashing this spec for sharing can overflow the stack; compiling and
-    # running it do not.
+def test_an_action_600_levels_deep_compiles_and_runs():
+    # Compiling a spec recurses once per level, and so does running it;
+    # 600 levels stay within the default recursion limit for both.
     value = IntConst(5)
     for _ in range(600):
         value = Negate(value)

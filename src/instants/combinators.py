@@ -45,7 +45,7 @@ def rif(env: Environment, cond: Cond, then_branch: ReactiveId, else_branch: Reac
     re-evaluated every instant. When the else branch is a halt, a false
     condition stops the rif without stepping the halt."""
     node = env.nodes.get(else_branch)
-    else_halts = isinstance(node, AwaitNode) and node.test is _NEVER[0] and not node.latched
+    else_halts = isinstance(node, AwaitNode) and node.test is _NEVER[0] and not node.state
     return env.alloc(RifNode(*compile_cond(cond), (then_branch, else_branch), else_halts))
 
 
@@ -94,7 +94,7 @@ def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
     snapshot = env.snapshot(body)
     if count == 0:
         return nothing(env)
-    return env.alloc(LoopNode(*snapshot, count))
+    return env.alloc(LoopNode(*snapshot, state=count))
 
 
 def init(env: Environment, action: HostAction, child: ReactiveId) -> ReactiveId:

@@ -49,18 +49,14 @@ def star(*outcomes: Status) -> Status:
 @dataclass(slots=True)
 class Node:
     """What every node kind holds besides its own fields: the outcome of
-    its last activation, STOP until its first, and its child nodes, which
-    Environment.alloc resolves from the kind's children ids. A kind with no
-    state of its own saves and loads nothing."""
+    its last activation, STOP until its first, the state slot, and its
+    child nodes, which Environment.alloc resolves from the kind's children
+    ids. The state slot holds a basic node's pc, an await's latch and a
+    loop's remaining count, and None in a kind with no state of its own."""
 
     status: Status = field(default=STOP, kw_only=True)
+    state: object = field(default=None, kw_only=True)
     child_nodes: tuple[Node, ...] = field(default=(), kw_only=True, repr=False, compare=False)
-
-    def save(self) -> object:
-        return None
-
-    def load(self, state: object) -> None:
-        pass
 
 
 @dataclass

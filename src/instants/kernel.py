@@ -2,13 +2,14 @@
 
 An Environment owns every reactive expression it allocated: a node table
 from id to node, the event world, and the divergence limits. Each node kind
-is one class that defines its step and the save/load pair for its state.
-Every node also holds its status, the outcome of its last activation, and
-its child nodes. The ids of a node's children are in its children field:
-alloc checks them and resolves them, once, to the child nodes, dup renames
-them, snapshots walk them, and no step reads them. So dup copies every kind
-the same way: the same fields and status, with the children renamed, and
-alloc gives the copy its own child nodes. Environment.statuses is a
+is one class that defines its step. Every node also holds its status, the
+outcome of its last activation, its state slot, which holds a basic
+node's pc, an await's latch or a loop's remaining count, and its child
+nodes. The ids of a node's children are in its children field: alloc
+checks them and resolves them, once, to the child nodes, dup renames them,
+snapshots walk them, and no step reads them. So dup copies every kind the
+same way: the same fields, status and state, with the children renamed,
+and alloc gives the copy its own child nodes. Environment.statuses is a
 read-only view of every node's status, by id.
 
 Activation is a recursive walk by reference: Environment.activate(node)
@@ -36,21 +37,24 @@ and is re-imported here; the other kinds are defined below.
 
 A loop records its body's whole region when it is built: the id of every
 node reachable from the body, as its children, and the status of each and
-what its save returns, which holds no ids: the pc of each basic
-expression, and the latch or count of every await and nested loop.
-A restart sets each node of the region, which are the loop's child nodes,
-back to that status and state in place, so the region keeps its nodes and
-the node table stays the same size over a run. A body that terminated
-after reading this instant's events would see the same events again if it
-restarted now, so the restart waits for the next activation; bodies that
-read nothing restart in place, which is also where instantaneous-loop
-divergence is caught.
+its state slot, which holds no ids: the pc of each basic expression, and
+the latch or count of every await and nested loop. A restart sets the two
+fields of each node of the region, which are the loop's child nodes, back
+to that status and state in place, with no call, so the region keeps its
+nodes and the node table stays the same size over a run. A body that
+terminated after reading this instant's events would see the same events
+again if it restarted now, so the restart waits for the next activation;
+bodies that read nothing restart in place, which is also where
+instantaneous-loop divergence is caught. Every read of events counts
+itself on the environment: a rif's or an await's test, which each node's
+step makes with no call between it and the condition, and an action that
+reads events.
 """
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 from .core import (
@@ -105,7 +109,9 @@ class RifNode(Node):
             return env.activate(then_branch)
         if else_branch.status is SUSP:
             return env.activate(else_branch)
-        if env._eval_cond(self.test, self.reads_events):
+        if self.reads_events:
+            env._event_reads += 1
+        if self.test(env.world):
             return env.activate(then_branch)
         return STOP if self.else_halts else env.activate(else_branch)
 
@@ -118,22 +124,21 @@ class CloseNode(Node):
         return env._close_steps(env.activate, self.child_nodes[0])
 
 
-# One entry per node of a region: (status, state), where the state is what
-# the node's save returned.
+# One entry per node of a region: (status, state), the node's status and
+# its state slot.
 States = tuple[tuple[Status, object], ...]
 
 
 @dataclass(slots=True)
 class LoopNode(Node):
-    """Runs the body, its first child, to termination ``remaining`` more
-    times (forever when None), restoring it from the snapshot before each
-    restart."""
+    """Runs the body, its first child, to termination as many more times
+    as its state slot says (forever when None), restoring it from the
+    snapshot before each restart."""
 
     # The body's whole region, body first, and what each node of it held
     # when the loop was built, in the same order.
     children: tuple[ReactiveId, ...]
     snapshot: States
-    remaining: int | None = None
 
     def step(self, env: Environment) -> Status:
         restarts = 0
@@ -141,14 +146,14 @@ class LoopNode(Node):
         before = env._event_reads
         status = env.activate(body)
         while status is END:
-            if self.remaining is not None:
-                self.remaining -= 1
-                if self.remaining <= 0:
+            if self.state is not None:
+                self.state -= 1
+                if self.state <= 0:
                     return END
             observed = env._event_reads > before
             for node, (saved, state) in zip(self.child_nodes, self.snapshot):
                 node.status = saved
-                node.load(state)
+                node.state = state
             if observed:
                 # The finished body read this instant's events; its
                 # restart waits for the next activation.
@@ -159,12 +164,6 @@ class LoopNode(Node):
             before = env._event_reads
             status = env.activate(body)
         return status
-
-    def save(self) -> int | None:
-        return self.remaining
-
-    def load(self, state: int | None) -> None:
-        self.remaining = state
 
 
 @dataclass(slots=True)
@@ -183,20 +182,16 @@ class AwaitNode(Node):
     test: Predicate
     reads_events: bool
     children: tuple[ReactiveId]
-    latched: bool = False
+    state: bool = field(default=False, kw_only=True)  # latched
 
     def step(self, env: Environment) -> Status:
-        if not self.latched:
-            if not env._eval_cond(self.test, self.reads_events):
+        if not self.state:
+            if self.reads_events:
+                env._event_reads += 1
+            if not self.test(env.world):
                 return STOP
-            self.latched = True
+            self.state = True
         return env.activate(self.child_nodes[0])
-
-    def save(self) -> bool:
-        return self.latched
-
-    def load(self, state: bool) -> None:
-        self.latched = state
 
 
 class StatusView(Mapping[ReactiveId, Status]):
@@ -274,10 +269,10 @@ class Environment:
         return memo[r]
 
     def snapshot(self, r: ReactiveId) -> tuple[tuple[ReactiveId, ...], States]:
-        """The region of r, r first, and the status and state of each of
-        its nodes in the same order."""
+        """The region of r, r first, and the status and state slot of each
+        of its nodes in the same order."""
         region = tuple(self._region(r))
-        return region, tuple((self.nodes[rid].status, self.nodes[rid].save()) for rid in region)
+        return region, tuple((self.nodes[rid].status, self.nodes[rid].state) for rid in region)
 
     # ------------------------------------------------------------------
     # Stepping
@@ -286,11 +281,6 @@ class Environment:
         if action.reads_events:
             self._event_reads += 1
         action.run(self.world)
-
-    def _eval_cond(self, test: Predicate, reads_events: bool) -> bool:
-        if reads_events:
-            self._event_reads += 1
-        return test(self.world)
 
     def step(self, r: ReactiveId) -> Status:
         """Activate the expression r once and return the outcome: the

@@ -29,12 +29,12 @@ is the only one that knows the code's layout. Its step is the interpreter:
 it runs the code from pc, runs each ATOM's action and appends each
 TEXT's text itself, and activates an Activate's target node through
 Environment.activate. The node holds the code and handle table, which
-copies share, its children, and the expression's own state: pc alone,
-which is also what a loop saves. The children are the targets of all the
-Activate instructions in code order, and an ACTIVATE's argument indexes
-them, as ids and as the child nodes alloc resolves. They do not change as
-pc moves, so a copy also keeps the targets pc has passed, with their
-statuses, and never steps them.
+copies share, its children, and the expression's own state: pc alone, in
+the node's state slot, where a loop's snapshot reads it. The children are
+the targets of all the Activate instructions in code order, and an
+ACTIVATE's argument indexes them, as ids and as the child nodes alloc
+resolves. They do not change as pc moves, so a copy also keeps the
+targets pc has passed, with their statuses, and never steps them.
 
 Besides the instructions, a program may hold the action specs Print,
 SetCell, Raise and ActionSeq, each laid out as an ATOM of its compiled
@@ -55,7 +55,7 @@ allocates the node.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Union
 
 from .core import Abort, END, Node, ReactiveId, Status, STOP, SUSP
@@ -118,7 +118,7 @@ class BasicNode(Node):
     ops: tuple[tuple[int, object], ...]
     handles: Handles
     children: tuple[ReactiveId, ...]
-    pc: int = 0
+    state: int = field(default=0, kw_only=True)  # pc
 
     def step(self, env: Environment) -> Status:
         """Execute one activation of a basic reactive expression: this is
@@ -136,7 +136,7 @@ class BasicNode(Node):
         caller.
         """
         ops, children = self.ops, self.child_nodes
-        pc = self.pc
+        pc = self.state
         end = len(ops)
         while True:
             try:
@@ -172,13 +172,7 @@ class BasicNode(Node):
                     pc = end
                     raise
             finally:
-                self.pc = pc
-
-    def save(self) -> int:
-        return self.pc
-
-    def load(self, state: int) -> None:
-        self.pc = state
+                self.state = pc
 
 
 @dataclass(slots=True)

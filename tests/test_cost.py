@@ -135,6 +135,42 @@ def test_a_big_program_step_runs_in_three_frames():
     env.world.apply_instant(InstantEvents(values={"v": 5}))
     frames = _frames(node.step, env)
     assert len(frames) == 3, frames
-    assert node.pc == 3
+    assert node.state == 3
     assert env.world.output == ["c0=5"]
     assert env.world.cells == {"c0": 5}
+
+
+@pytest.mark.parametrize("n", [8, 32, 128])
+def test_a_loop_restart_sets_fields_and_enters_no_frame(n):
+    """The second instant of (loop (par B1 ... Bn)), Bi a print and a stop:
+    every branch ends, the loop resets the merge and the n branches in
+    place, and the body runs again. That is react, _close_steps, step, the
+    loop's activate and step, and twice the merge's activate, step and
+    activate_branches with n BasicNode steps under it: 2n + 11 frames. A
+    restart that made a call for each of the n + 1 nodes it resets would
+    enter 3n + 12."""
+    branches = " ".join(f'(rexp (seq (print "b{i}") (stop)))' for i in range(n))
+    env = Environment()
+    root = compile_expr(parse_program(f"(loop (par {branches}))"), env)
+    env.react(root)
+    env.world.drain_output()
+    frames = _frames(env.react, root)
+    assert len(frames) == 2 * n + 11, Counter(frames)
+    assert Counter(frames) == {"react": 1, "_close_steps": 1, "activate": 3,
+                               "activate_branches": 2, "step": 2 * n + 4}
+    assert env.world.output == [f"b{i}" for i in range(n)]
+
+
+@pytest.mark.parametrize("form", ["when", "await"])
+def test_a_condition_test_is_one_call_of_its_closure(form):
+    """One step of a when or an await on an absent (sig s): the node's step
+    and the condition's closure, with no frame between them. The when's
+    else branch is a halt, which a false test does not step."""
+    env = Environment()
+    root = compile_expr(parse_program(f'({form} (sig s) (rexp (seq (print "x"))))'), env)
+    node = env.nodes[root]
+    env.world.apply_instant(None)
+    frames = _frames(node.step, env)
+    assert len(frames) == 2, frames
+    assert frames[0] == "step"
+    assert env.world.output == []

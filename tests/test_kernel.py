@@ -184,7 +184,7 @@ def test_nary_merge_abort_in_a_re_step_marks_merge_end_and_spares_siblings():
     assert env.statuses[m] is END
     assert (env.statuses[stopped], env.statuses[finished], env.statuses[early]) == (STOP, END, STOP)
     assert env.statuses[late] is SUSP
-    assert env.nodes[late].pc == 2
+    assert env.nodes[late].state == 2
 
 
 def test_merge_needs_a_child():
@@ -617,12 +617,12 @@ def test_restarting_a_loop_copy_resets_only_the_copys_region():
     assert react_once(env, l, go) == (["a", "g"], False)
     copy = env.dup(l)
     region = env.nodes[l].children
-    before = [(env.statuses[rid], env.nodes[rid].save()) for rid in region]
+    before = [(env.statuses[rid], env.nodes[rid].state) for rid in region]
     # The copy's body ends and restarts in the copy's second instant; the
     # original, not stepped, keeps every status, pc and latch.
     assert react_once(env, copy) == (["b"], False)
     assert react_once(env, copy) == (["a"], False)
-    assert [(env.statuses[rid], env.nodes[rid].save()) for rid in region] == before
+    assert [(env.statuses[rid], env.nodes[rid].state) for rid in region] == before
     assert react_once(env, l) == (["b"], False)
     # The copy's await was reset with its body, so it waits for go again.
     assert react_once(env, copy, go) == (["b", "g"], False)
@@ -674,8 +674,8 @@ def test_dup_copies_every_node_kind():
     react_once(env, root)
     # Basic past its first pc, await latched, repeat on its second run,
     # loop in mid-run.
-    assert env.nodes[basic].pc > 0 and env.nodes[waiting].latched
-    assert env.nodes[counted].remaining == 3 and env.nodes[env.nodes[looped].children[0]].pc > 0
+    assert env.nodes[basic].state > 0 and env.nodes[waiting].state
+    assert env.nodes[counted].state == 3 and env.nodes[env.nodes[looped].children[0]].state > 0
 
     copy = env.dup(root)
     region, copy_region = env.snapshot(root)[0], env.snapshot(copy)[0]
@@ -705,9 +705,9 @@ def test_dup_copies_every_node_kind():
     # Running the copy leaves the original as it was, and the copy prints
     # what the original prints.
     events = [InstantEvents(frozenset({"left"}))] + [None] * 5
-    before = [(env.statuses[rid], env.nodes[rid].save()) for rid in region]
+    before = [(env.statuses[rid], env.nodes[rid].state) for rid in region]
     copied_run = [react_once(env, copy, instant) for instant in events]
-    assert [(env.statuses[rid], env.nodes[rid].save()) for rid in region] == before
+    assert [(env.statuses[rid], env.nodes[rid].state) for rid in region] == before
     assert [react_once(env, root, instant) for instant in events] == copied_run
     assert copied_run == [
         (["k2", "L1", "c5", "c6", "i", "r", "l3", "l1"], False),
@@ -843,7 +843,7 @@ def _differential_rows(env, build, trace, steps):
         except RecursionError:
             error = "RecursionError"
         rows.append((env.world.drain_output(), error, dict(steps[env]),
-                     [(node.status, node.save()) for node in env.nodes.values()]))
+                     [(node.status, node.state) for node in env.nodes.values()]))
         if error or done:
             break
     return rows
@@ -913,7 +913,7 @@ def _run_recording(env, root, events):
     rows = []
     for instant in events:
         outputs, _ = react_once(env, root, instant)
-        rows.append((outputs, {rid: (env.statuses[rid], node.save()) for rid, node in env.nodes.items()}))
+        rows.append((outputs, {rid: (env.statuses[rid], node.state) for rid, node in env.nodes.items()}))
     return rows
 
 
@@ -969,7 +969,7 @@ def test_only_an_unlatched_halt_in_the_else_branch_is_skipped():
     assert env.nodes[rif(env, Sig("s"), halt(env), nothing(env))].else_halts is False
     assert env.nodes[terminate(env, Sig("s"), halt(env))].else_halts is True
     latched = halt(env)
-    env.nodes[latched].latched = True
+    env.nodes[latched].state = True
     assert env.nodes[rif(env, Sig("s"), nothing(env), latched)].else_halts is False
 
 
@@ -980,8 +980,40 @@ def test_run_resumption_runs_one_activation_and_counts_an_event_read_once():
     node = initial_resumption(seq(reader, printer("a"), Stop(), printer("b")))
     env.world.apply_instant(S_PRESENT)
     assert run_resumption(env, node) is STOP
-    assert (reads, env.world.output, node.pc) == ([True], ["a"], 3)
+    assert (reads, env.world.output, node.state) == ([True], ["a"], 3)
     assert env._event_reads == 1
     assert run_resumption(env, node) is END
     assert env.world.output == ["a", "b"]
     assert env._event_reads == 1
+
+
+def test_a_condition_test_counts_its_event_read_and_a_resume_counts_none():
+    """A rif's or an await's test counts one event read each time it runs,
+    which loop restarts rely on to wait for the next instant. A latched
+    await and a rif that resumes a suspended branch test nothing, so they
+    count nothing."""
+    env = Environment()
+    waiting = env.nodes[await_(env, Sig("s"), rexp(env, seq(printer("w"), Stop(), Stop())))]
+    reads = []
+    for instant in (None, None, S_PRESENT, S_PRESENT, None):
+        env.world.apply_instant(instant)
+        before = env._event_reads
+        env.activate(waiting)
+        reads.append(env._event_reads - before)
+    # Unlatched for three tests, the third of which latches it.
+    assert reads == [1, 1, 1, 0, 0]
+    assert waiting.state is True
+
+    branch = env.nodes[rif(env, Sig("s"), rexp(env, seq(printer("a"), Suspend(), printer("b"), Stop())),
+                           rexp(env, seq(printer("c"), Stop(), printer("d"))))]
+    reads = []
+    for instant in (None, S_PRESENT, None):
+        env.world.apply_instant(instant)
+        before = env._event_reads
+        statuses = [env.activate(branch)]
+        if statuses[0] is SUSP:
+            statuses.append(env.activate(branch))
+        reads.append((env._event_reads - before, statuses, env.world.drain_output()))
+    # The second instant's then branch suspends, and its resume within the
+    # instant tests nothing.
+    assert reads == [(1, [STOP], ["c"]), (1, [SUSP, STOP], ["a", "b"]), (1, [END], ["d"])]

@@ -37,7 +37,7 @@ def printer(text):
 
 
 def run_once(env, program_or_res):
-    res = program_or_res if hasattr(program_or_res, "pc") else initial_resumption(program_or_res)
+    res = program_or_res if hasattr(program_or_res, "state") else initial_resumption(program_or_res)
     return run_resumption(env, res), res
 
 
@@ -45,7 +45,7 @@ def test_empty_program_terminates_with_no_effects():
     env = Environment()
     status, res = run_once(env, Seq(()))
     assert status is END
-    assert res.pc >= len(res.ops)
+    assert res.state >= len(res.ops)
     assert env.world.output == []
 
 
@@ -155,7 +155,7 @@ def test_uncaught_raise_empties_the_resumption():
     with pytest.raises(Abort) as exc:
         run_resumption(env, res)
     assert exc.value.tag == "Nope"
-    assert res.pc >= len(res.ops)
+    assert res.state >= len(res.ops)
     assert env.world.output == ["x"]
 
 
@@ -179,8 +179,8 @@ def test_a_basic_node_saves_its_pc_alone():
     r = rexp(env, Handle(seq(printer("a"), Stop(), printer("b")), "T", Seq(())))
     node = env.nodes[r]
     assert react_once(env, r) == (["a"], False)
-    assert node.save() == 2
-    node.load(0)
+    assert node.state == 2
+    node.state = 0
     assert react_once(env, r) == (["a"], False)
 
 
@@ -198,8 +198,8 @@ def test_a_failing_instruction_keeps_pc_on_it():
     with pytest.raises(IntegerTooLarge):
         env.react(parent)
     assert env.world.drain_output() == ["a"]
-    assert env.nodes[child].pc == 2
-    assert env.nodes[parent].pc == 1
+    assert env.nodes[child].state == 2
+    assert env.nodes[parent].state == 1
 
 
 @pytest.mark.parametrize("item", [("x",), ("body", 0), ("handler", 0), 3])

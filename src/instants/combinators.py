@@ -66,8 +66,9 @@ _NEVER = compile_cond(BoolConst(False))
 def halt(env: Environment) -> ReactiveId:
     """Stops at every instant, forever: an await whose condition never
     holds, so a waiting halt is one step per instant, and none as the else
-    branch of a rif (so of a when), which does not step it."""
-    return env.alloc(AwaitNode(*_NEVER, (nothing(env),)))
+    branch of a rif (so of a when), which does not step it. It is one node:
+    it never latches, so it has no child to activate."""
+    return env.alloc(AwaitNode(*_NEVER, ()))
 
 
 def loop(env: Environment, body: ReactiveId) -> ReactiveId:

@@ -688,11 +688,10 @@ def parse_trace(text: str) -> list[InstantEvents]:
     """Parse a trace file into one InstantEvents per instant.
 
     Equal lines share one InstantEvents: within one call, each distinct
-    line is read once, in order of first appearance, with one read per
-    distinct text before ``;``, and every instant it starts is that same
-    object. Nothing is kept between calls. The engine only reads an
-    InstantEvents, so sharing is safe; a caller that mutates one, say its
-    ``values``, mutates every instant that shares it."""
+    line is read once, in order of first appearance, and every instant it
+    starts is that same object. Nothing is kept between calls. The engine
+    only reads an InstantEvents, so sharing is safe; a caller that mutates
+    one, say its ``values``, mutates every instant that shares it."""
     # Only "\n" ends a line, as in parse_program's positions; str.split()
     # below takes any other line break for whitespace. A final newline
     # starts no instant.
@@ -700,16 +699,10 @@ def parse_trace(text: str) -> list[InstantEvents]:
     if lines[-1] == "":
         lines.pop()
     read: dict[str, InstantEvents | None] = dict.fromkeys(lines)  # a line -> its events
-    by_text: dict[str, InstantEvents] = {}  # a line's text before ";" -> its events
     for line in read:
         raw, semicolon, _ = line.partition(";")
         if semicolon and not raw.strip():
             continue  # comment-only lines do not count as instants, and stay None
-        # Looked up only after the check above: a comment-only line's
-        # empty text must not match a blank line's.
-        if raw in by_text:
-            read[line] = by_text[raw]
-            continue
         signals: set[str] = set()
         values: dict[str, int] = {}
         try:
@@ -734,6 +727,6 @@ def parse_trace(text: str) -> list[InstantEvents]:
             # line is the first that fails.
             col = [m.start() for m in re.finditer(r"\S+", raw)][index] + 1
             raise type(error)(str(error), lines.index(line) + 1, col) from None
-        by_text[raw] = read[line] = InstantEvents(frozenset(signals), values)
+        read[line] = InstantEvents(frozenset(signals), values)
     # InstantEvents is always true, so this drops only comment-only lines.
     return list(filter(None, map(read.__getitem__, lines)))

@@ -93,7 +93,8 @@ class RifNode(Node):
     """Steps the then branch when the test holds and the else branch
     otherwise. When the else branch is a halt (else_halts), a false test
     returns STOP without stepping it: a halt is STOP from allocation on,
-    and its step reads no events, has no effect and cannot raise."""
+    has no child, and its step reads no events, has no effect and cannot
+    raise."""
 
     # The condition as compiled once by rif; copies share it.
     test: Predicate
@@ -181,7 +182,9 @@ class AwaitNode(Node):
     # The condition as compiled once by await_; copies share it.
     test: Predicate
     reads_events: bool
-    children: tuple[ReactiveId]
+    # One child, or none for a halt: its test never holds, so it never
+    # latches and never activates a child.
+    children: tuple[ReactiveId, ...]
     state: bool = field(default=False, kw_only=True)  # latched
 
     def step(self, env: Environment) -> Status:

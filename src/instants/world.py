@@ -1,9 +1,9 @@
 """Event environment and the small expression language evaluated over it.
 
-A World carries three kinds of state: boolean signals and integer payloads
-that exist for a single instant, integer cells that persist across instants,
-and the ordered output buffer of the current instant. Unset cells and
-payloads read as 0, so evaluation is total.
+A World carries three kinds of state: the set of present signals and the
+integer payloads, which exist for a single instant, integer cells that
+persist across instants, and the ordered output buffer of the current
+instant. Unset cells and payloads read as 0, so evaluation is total.
 
 Conditions, integer expressions and actions are frozen trees, and each is
 compiled once, by one walk, into Python closures that take the world:
@@ -57,7 +57,12 @@ class InstantEvents:
 
 @dataclass
 class World:
-    signals: dict[str, bool] = field(default_factory=dict)
+    """The event world of one environment: signals holds the names present
+    this instant, instant_values their payloads, cells the integers that
+    persist, and output the buffer of the current instant, which
+    drain_output hands over."""
+
+    signals: set[str] = field(default_factory=set)
     cells: dict[str, int] = field(default_factory=dict)
     instant_values: dict[str, int] = field(default_factory=dict)
     output: list[str] = field(default_factory=list)
@@ -65,23 +70,21 @@ class World:
     def apply_instant(self, events: InstantEvents | None = None) -> None:
         """Start a new instant: clear ephemeral state, then install events.
 
-        Must be called exactly once before each react. Signals named in
-        ``events.values`` are set in addition to receiving their payload.
+        Must be called exactly once before each react. A signal named in
+        ``events.values`` is present as well as carrying its payload.
         """
         self.signals.clear()
         self.instant_values.clear()
         self.output.clear()
         if events is not None:
-            for name in events.signals:
-                self.signals[name] = True
-            for name, value in events.values.items():
-                self.signals[name] = True
-                self.instant_values[name] = value
+            self.signals.update(events.signals, events.values)
+            self.instant_values.update(events.values)
 
     def drain_output(self) -> list[str]:
-        """Hand over everything emitted this instant, in emission order."""
-        drained = list(self.output)
-        self.output.clear()
+        """Hand over the buffer of everything emitted this instant, in
+        emission order, and start an empty one: the list returned is the
+        buffer itself, not a copy, and the world no longer touches it."""
+        drained, self.output = self.output, []
         return drained
 
 
@@ -213,6 +216,24 @@ def _arithmetic(op: str) -> Callable[[int, int], int]:
     return fn
 
 
+def _binary(fn: Callable[[int, int], int], op: str, left: IntExpr,
+            right: IntExpr) -> tuple[Callable[[World], int], bool]:
+    """Compile fn over two integer operands into ``(run, reads_events)``.
+    A result longer than _ALWAYS_PRINTS bits is checked by _printable; a
+    comparison's result is a bool, of at most one bit, so it never is."""
+    (ka, a, a_reads), (kb, b, b_reads) = _operand(left), _operand(right)
+
+    def binary(world: World) -> int:
+        value = fn(
+            world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
+            else a if ka is _CONST else a(world),
+            world.cells.get(b, 0) if kb is _CELL else world.instant_values.get(b, 0) if kb is _VALUE
+            else b if kb is _CONST else b(world))
+        return value if value.bit_length() <= _ALWAYS_PRINTS else _printable(value, op)
+
+    return binary, a_reads or b_reads
+
+
 def _operand(expr: IntExpr) -> tuple[int, object, bool]:
     """Classify an integer expression as (kind, arg, reads_events): a cell
     or a payload with its name, a literal with its value, or arithmetic or
@@ -225,18 +246,7 @@ def _operand(expr: IntExpr) -> tuple[int, object, bool]:
         case IntConst(value=v):
             return _CONST, v, False
         case BinOp(op=op, left=left, right=right):
-            fn = _arithmetic(op)
-            (ka, a, a_reads), (kb, b, b_reads) = _operand(left), _operand(right)
-
-            def arithmetic(world: World) -> int:
-                value = fn(
-                    world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
-                    else a if ka is _CONST else a(world),
-                    world.cells.get(b, 0) if kb is _CELL else world.instant_values.get(b, 0) if kb is _VALUE
-                    else b if kb is _CONST else b(world))
-                return value if value.bit_length() <= _ALWAYS_PRINTS else _printable(value, op)
-
-            return _CALL, arithmetic, a_reads or b_reads
+            return (_CALL, *_binary(_arithmetic(op), op, left, right))
         case Negate(item=item):
             ka, a, reads = _operand(item)
 
@@ -268,7 +278,7 @@ def compile_cond(cond: Cond) -> tuple[Callable[[World], bool], bool]:
     does; reads_events is also true when it reads a signal."""
     match cond:
         case Sig(name=name):
-            return (lambda world: world.signals.get(name, False)), True
+            return (lambda world: name in world.signals), True
         case BoolConst(value=v):
             return (lambda world: v), False
         case Not(item=item):
@@ -284,16 +294,7 @@ def compile_cond(cond: Cond) -> tuple[Callable[[World], bool], bool]:
             fn = _COMPARISONS.get(op)
             if fn is None:
                 raise ValueError(f"unknown comparison {op!r}")
-            (ka, a, a_reads), (kb, b, b_reads) = _operand(left), _operand(right)
-
-            def compare(world: World) -> bool:
-                return fn(
-                    world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0) if ka is _VALUE
-                    else a if ka is _CONST else a(world),
-                    world.cells.get(b, 0) if kb is _CELL else world.instant_values.get(b, 0) if kb is _VALUE
-                    else b if kb is _CONST else b(world))
-
-            return compare, a_reads or b_reads
+            return _binary(fn, op, left, right)
     raise TypeError(f"not a condition: {cond!r}")
 
 

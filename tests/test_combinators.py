@@ -105,6 +105,15 @@ def test_halt_stops_forever():
         assert not done and env.statuses[h] is STOP
 
 
+def test_a_halt_is_one_node_and_a_when_its_childs_plus_two():
+    env = Environment()
+    halt(env)
+    assert len(env.nodes) == 1
+    env = Environment()
+    when(env, Sig("s"), nothing(env))
+    assert len(env.nodes) == 3
+
+
 def test_loop_emits_every_instant():
     env = Environment()
     l = loop(env, rexp(env, seq(printer("SECOND"), Stop())))

@@ -252,6 +252,8 @@ def test_trace_comment_lines_are_skipped():
     assert len(trace) == 2
     assert trace[0] == InstantEvents(frozenset({"a", "b"}), {})
     assert trace[1] == InstantEvents(frozenset(), {"c": 4})
+    # Lines that differ only after ";" are two equal instants.
+    assert parse_trace("a ; x\na ; y\n") == [InstantEvents(frozenset({"a"}), {})] * 2
 
 
 def test_trace_lines_end_only_at_newline():
@@ -264,8 +266,8 @@ def test_trace_lines_end_only_at_newline():
 
 
 def test_trace_equal_lines_share_one_instant():
-    # A comment-only line is skipped before a line is looked up, so its
-    # empty text never stands for a blank line's instant.
+    # A comment-only line starts no instant, and a blank line starts an
+    # empty one.
     assert parse_trace("\n; c\n") == [InstantEvents()]
     first, second = parse_trace("a\n;c\na\n")
     assert first is second and first == InstantEvents(frozenset({"a"}), {})

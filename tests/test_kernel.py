@@ -541,7 +541,7 @@ def test_keypad_node_count_stays_flat():
     lines = ("enter\n" if i % 5 == 4 else f"digit={i % 10}\n" for i in range(5000))
     events = parse_trace("".join(lines))
     compiled, final = _node_count_after(source, events)
-    assert compiled == final == 19
+    assert compiled == final == 15
 
 
 def test_loop_of_a_wide_par_is_one_node_per_branch_plus_two():

@@ -76,7 +76,7 @@ def test_not_of_absent_signal_is_true():
 
 def test_boolean_connectives_and_comparisons():
     world = World()
-    world.signals["a"] = True
+    world.signals.add("a")
     assert eval_cond(And(Sig("a"), Not(Sig("b"))), world)
     assert eval_cond(Or(Sig("b"), BoolConst(True)), world)
     assert eval_cond(Compare("<", IntConst(1), IntConst(2)), world)
@@ -86,7 +86,7 @@ def test_boolean_connectives_and_comparisons():
 
 def test_evaluation_is_pure():
     world = World()
-    world.signals["a"] = True
+    world.signals.add("a")
     world.cells["x"] = 7
     world.instant_values["v"] = 2
     world.output.append("kept")
@@ -100,10 +100,10 @@ def test_apply_instant_resets_ephemeral_state():
     world = World()
     world.cells["x"] = 5
     world.apply_instant(InstantEvents(frozenset({"enter"}), {"digit": 7}))
-    assert world.signals == {"digit": True, "enter": True}
+    assert world.signals == {"digit", "enter"}
     assert world.instant_values == {"digit": 7}
     world.apply_instant(None)
-    assert world.signals == {} and world.instant_values == {}
+    assert world.signals == set() and world.instant_values == {}
     assert world.cells == {"x": 5}
 
 
@@ -121,6 +121,33 @@ def test_output_drained_once():
     world.output.append("b")
     assert world.drain_output() == ["a", "b"]
     assert world.drain_output() == []
+
+
+def test_drained_output_is_not_changed_by_later_instants():
+    world = World()
+    world.apply_instant(None)
+    world.output.append("a")
+    drained = world.drain_output()
+    for text in ("b", "c"):
+        world.apply_instant(None)
+        world.output.append(text)
+        assert world.drain_output() == [text]
+    assert drained == ["a"]
+
+
+def test_a_comparison_of_long_operands_is_true_under_every_limit():
+    # A comparison's result is a bool, of one bit, so it is never held to
+    # the int-to-str limit, however long its operands are.
+    run, _ = compile_cond(Compare("<", IntConst(10**2000), IntConst(10**2000 + 1)))
+    assert run(World()) is True
+    if hasattr(sys, "set_int_max_str_digits"):
+        limit = print_limit()
+        try:
+            for setting in (640, 0):
+                sys.set_int_max_str_digits(setting)
+                assert run(World()) is True
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def render(template: str, world: World) -> str:

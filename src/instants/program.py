@@ -12,6 +12,10 @@ it. The opcodes are:
 
 - ``ATOM action``: run a host action.
 - ``TEXT text``: append text to the world's output, with no host action.
+- ``TEXT_PAUSE (text, status)``: a TEXT whose next op is a PAUSE, run as
+  one op: append text, then end the activation with status, pc past both.
+  The PAUSE stays in its place, so a JUMP or a caught abort that lands on
+  it runs it alone.
 - ``PAUSE status``: end the activation with STOP or SUSP, pc past it.
 - ``ACTIVATE k``: step child k. When the child ends, run on; otherwise
   end the activation with its status and leave pc on this instruction, so
@@ -106,7 +110,7 @@ def seq(*items: Program) -> Seq:
 
 EMPTY_PROGRAM = Seq(())
 
-ATOM, PAUSE, ACTIVATE, TEXT, JUMP = range(5)
+ATOM, PAUSE, ACTIVATE, TEXT, JUMP, TEXT_PAUSE = range(6)
 
 # Each Handle's scope, inner before outer: its body's start and end pc and
 # its tag. The handler's code starts one past the body's end.
@@ -128,6 +132,8 @@ class BasicNode(Node):
         Suspend is executed, or an activated child pauses. An ATOM counts
         an event read, when its action reads events, before it runs the
         action, and a TEXT appends its text to the output without a call.
+        A TEXT_PAUSE appends its text and pauses, and leaves pc where the
+        TEXT and PAUSE it stands for would leave it, two ops on.
         pc advances past an ATOM or ACTIVATE only once it succeeds, so
         when one fails pc names it. An abort from either jumps to the
         handler code of the innermost Handle whose body holds pc and whose
@@ -150,13 +156,20 @@ class BasicNode(Node):
                     elif op == PAUSE:
                         pc += 1
                         return arg
+                    # Tested third: a program with no field-free print
+                    # has no TEXT_PAUSE, and its ACTIVATE pays one test.
+                    elif op == TEXT_PAUSE:
+                        text, status = arg
+                        env.world.output.append(text)
+                        pc += 2
+                        return status
                     elif op == ACTIVATE:
                         status = env.activate(children[arg])
                         if status is not END:
                             return status
                         pc += 1
-                    # Tested after ATOM, PAUSE and ACTIVATE, so of the
-                    # other ops only a JUMP pays for this test.
+                    # Tested after ACTIVATE, so of the other ops only a
+                    # JUMP pays for this test.
                     elif op == TEXT:
                         env.world.output.append(arg)
                         pc += 1
@@ -197,11 +210,14 @@ def initial_resumption(program: Program) -> BasicNode:
     out once and its op kept under its id, which names it as the program
     holds it for the whole call; each repeat of it costs one lookup and
     one append. An Activate, Handle or Seq is laid out at each occurrence,
-    as its ops depend on its place."""
+    as its ops depend on its place. Last, when the body holds a TEXT, each
+    TEXT whose next op is a PAUSE becomes a TEXT_PAUSE of its own; a body
+    with no TEXT is not walked again."""
     ops: list = []
     handles: list = []
     targets: list[ReactiveId] = []
     leaves: dict[int, tuple] = {}  # id(leaf item) -> the op it lays out as
+    has_text = False
     # What is left of each Seq and Handle being laid out, innermost last: a
     # Handle's is its body, its scope, its handler and its scope again.
     walks: list = [iter((program,))]
@@ -219,6 +235,7 @@ def initial_resumption(program: Program) -> BasicNode:
             elif isinstance(item, (Print, SetCell, Raise, ActionSeq)):
                 text = print_text(item)
                 op = (ATOM, build_action(item)) if text is None else (TEXT, text)
+                has_text = has_text or text is not None
                 ops.append(leaves.setdefault(id(item), op))
             elif isinstance(item, Stop):
                 ops.append(leaves.setdefault(id(item), (PAUSE, STOP)))
@@ -243,6 +260,10 @@ def initial_resumption(program: Program) -> BasicNode:
                 ops[item.end] = (JUMP, len(ops))
         else:
             walks.pop()  # done, so the walk around it goes on
+    if has_text:
+        for pc, (op, arg) in enumerate(ops[:-1]):
+            if op == TEXT and ops[pc + 1][0] == PAUSE:
+                ops[pc] = (TEXT_PAUSE, (arg, ops[pc + 1][1]))
     return BasicNode(tuple(ops), tuple(handles), tuple(targets))
 
 

@@ -9,10 +9,10 @@ from collections import Counter
 
 import pytest
 
-from instants import Environment, dsl, parse_program
+from instants import Environment, STOP, SUSP, dsl, parse_program
 from instants import program as program_module
 from instants.dsl import compile_expr
-from instants.program import BasicNode
+from instants.program import ACTIVATE, ATOM, JUMP, PAUSE, TEXT_PAUSE, BasicNode
 from instants.world import (
     BinOp,
     CellRef,
@@ -174,3 +174,62 @@ def test_a_condition_test_is_one_call_of_its_closure(form):
     assert len(frames) == 2, frames
     assert frames[0] == "step"
     assert env.world.output == []
+
+
+def _wide_par(n: int) -> str:
+    """wide_par's shape: (loop (par B0 ... Bn-1)), odd branches a print, a
+    suspend, a print and a stop, even ones a print and a stop."""
+    branches = [f'(rexp (seq (print "l{i}") (suspend) (print "l{i}b") (stop)))' if i % 2
+                else f'(rexp (seq (print "l{i}") (stop)))' for i in range(n)]
+    return "(loop (par " + " ".join(branches) + "))"
+
+
+def test_wide_par_branches_lay_out_as_fused_prints():
+    """Each print that stands before a stop or suspend is one TEXT_PAUSE
+    op, and the PAUSE after it keeps its place."""
+    env = Environment()
+    compile_expr(parse_program(_wide_par(4)), env)
+    bodies = [node.ops for node in env.nodes.values() if isinstance(node, BasicNode)]
+    assert bodies == [
+        ((TEXT_PAUSE, ("l0", STOP)), (PAUSE, STOP)),
+        ((TEXT_PAUSE, ("l1", SUSP)), (PAUSE, SUSP), (TEXT_PAUSE, ("l1b", STOP)), (PAUSE, STOP)),
+        ((TEXT_PAUSE, ("l2", STOP)), (PAUSE, STOP)),
+        ((TEXT_PAUSE, ("l3", SUSP)), (PAUSE, SUSP), (TEXT_PAUSE, ("l3b", STOP)), (PAUSE, STOP)),
+    ]
+
+
+def test_bodies_without_a_field_free_print_lay_out_as_before():
+    """big_program's bodies and the keypad's hold no field-free print, so
+    no op is fused: each big_program body is its set, print and stop ops,
+    one object each, repeated per step, and the keypad's bodies keep their
+    op kinds and handle table."""
+    env = Environment()
+    compile_expr(parse_program(_big_program(3)), env)
+    for node in env.nodes.values():
+        if isinstance(node, BasicNode):
+            step = node.ops[:3]
+            assert [op for op, _ in step] == [ATOM, ATOM, PAUSE]
+            assert all(a is b for a, b in zip(node.ops, step * 3, strict=True))
+
+    env = Environment()
+    compile_expr(parse_program(KEYPAD_RX.read_text(encoding="utf-8")), env)
+    bodies = [([op for op, _ in node.ops], node.handles)
+              for node in env.nodes.values() if isinstance(node, BasicNode)]
+    assert bodies == [([ATOM, ATOM, ATOM], ()), ([ATOM, ATOM], ()), ([ATOM], ()),
+                      ([ACTIVATE, ACTIVATE], ()), ([ACTIVATE, JUMP], ((0, 1, "Clear"),))]
+
+
+@pytest.mark.parametrize("n", [8, 64])
+def test_a_wide_par_instant_enters_as_many_steps_as_before(n):
+    """An instant of wide_par's shape, after the first, steps 5n/2 basic
+    nodes and 7 other nodes: a fused op ends an activation where the TEXT
+    and the PAUSE it stands for did, so no node is stepped more or less
+    often."""
+    env = Environment()
+    root = compile_expr(parse_program(_wide_par(n)), env)
+    env.react(root)
+    env.world.drain_output()
+    frames = _frames(env.react, root)
+    assert Counter(frames) == {"react": 1, "_close_steps": 1, "activate": 5,
+                               "activate_branches": 3, "step": 5 * n // 2 + 7}
+    assert env.world.output == [f"l{i}" for i in range(n)] + [f"l{i}b" for i in range(1, n, 2)]

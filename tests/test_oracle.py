@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from genprog import gen_case
 from instants import Environment, compile_expr, parse_program, render
-from instants.dsl import HaltExpr, MergeExpr, RifExpr, WhenExpr
+from instants.dsl import HaltExpr, MergeExpr, RexpExpr, RifExpr, WhenExpr
+from instants.program import JUMP, PAUSE, TEXT_PAUSE, initial_resumption
 from reference import engine_run, oracle_run
 
 LIMITS = dict(max_micro=200, max_restarts=60)
@@ -74,6 +75,37 @@ def test_generated_cases_reach_a_rif_that_skips_its_halt():
     for item in found:
         env = Environment()
         assert env.nodes[compile_expr(item, env)].else_halts
+
+
+def _fused_shapes(body: RexpExpr) -> tuple[bool, bool]:
+    """Whether a rexp body's layout has a TEXT_PAUSE at a handler's first
+    pc, and whether it has a JUMP onto a PAUSE that follows a TEXT_PAUSE."""
+    node = initial_resumption(body.program)
+    ops = node.ops
+    return (any(stop + 1 < len(ops) and ops[stop + 1][0] == TEXT_PAUSE for _, stop, _ in node.handles),
+            any(ops[arg - 1][0] == TEXT_PAUSE and ops[arg][0] == PAUSE
+                for op, arg in ops if op == JUMP and arg < len(ops)))
+
+
+def test_generated_cases_reach_the_shapes_a_fused_print_must_survive():
+    # A print before a pause runs as one TEXT_PAUSE op, and the PAUSE keeps
+    # its place: a caught abort can enter a handler on a fused op, and a
+    # Handle body that ends jumps over its handler onto the kept PAUSE.
+    # The fuzzer has to generate both, and the engine must match the
+    # oracle on each case that holds one.
+    handler_entries, kept_pauses = {}, {}
+    for seed in range(2000):
+        ast, trace = gen_case(seed)
+        for item in _nodes(ast):
+            if isinstance(item, RexpExpr):
+                at_handler, onto_pause = _fused_shapes(item)
+                if at_handler:
+                    handler_entries[seed] = ast, trace
+                if onto_pause:
+                    kept_pauses[seed] = ast, trace
+    assert handler_entries and kept_pauses
+    for ast, trace in {**handler_entries, **kept_pauses}.values():
+        assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS)
 
 
 def test_engine_and_oracle_stop_a_growing_cell_at_the_same_instant():

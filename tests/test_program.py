@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+from collections import Counter
 
 import pytest
 
@@ -18,6 +19,7 @@ from instants import (
     Raise,
     Seq,
     STOP,
+    SUSP,
     Stop,
     Suspend,
     build_action,
@@ -26,7 +28,7 @@ from instants import (
     rexp,
     seq,
 )
-from instants.program import ACTIVATE, ATOM, JUMP, PAUSE, TEXT, initial_resumption, run_resumption
+from instants.program import ACTIVATE, ATOM, JUMP, PAUSE, TEXT, TEXT_PAUSE, initial_resumption, run_resumption
 from instants.world import ActionSeq, InstantEvents, IntConst, SetCell
 
 from helpers import react_once, run_instants, structure
@@ -267,11 +269,13 @@ def test_a_repeated_leaf_lays_out_as_distinct_objects_would():
     assert shared.children == distinct.children == (0,) * 7
     assert [arg for op, arg in shared.ops if op == ACTIVATE] == list(range(7))
     # The first Handle: its body, the JUMP over its handler, then the
-    # handler, each repeated leaf in its place.
+    # handler, each repeated leaf in its place. A print that stands before
+    # a stop is fused with it, and the stop keeps its place.
     text, pause, raise_u = (TEXT, "x"), (PAUSE, STOP), (ATOM, build_action(Raise("U")))
+    fused = (TEXT_PAUSE, ("x", STOP))
     assert structure(shared.ops[5:21]) == structure((
-        text, text, pause, text, (ACTIVATE, 1), pause, raise_u, text, (JUMP, 21),
-        pause, text, pause, text, (ACTIVATE, 2), pause, text))
+        text, fused, pause, text, (ACTIVATE, 1), pause, raise_u, text, (JUMP, 21),
+        pause, fused, pause, text, (ACTIVATE, 2), pause, text))
 
 
 def test_a_body_nested_ten_thousand_levels_deep_lays_out_and_runs():
@@ -314,10 +318,19 @@ def test_an_action_sequence_of_field_free_prints_stays_one_atom():
 
 
 def test_a_repeated_field_free_print_lays_out_as_one_shared_op():
+    """Each occurrence of one print that stands before no pause is the
+    same op; an equal print of its own is an equal op, not the same one.
+    A print before a pause is fused with it, each occurrence in an op of
+    its own, and the pause's op stays shared."""
     say = Print("x")
-    ops = initial_resumption(seq(say, Stop(), say, Print("x"))).ops
+    ops = initial_resumption(seq(say, Print("y"), say, Print("x"), say, Stop())).ops
     assert ops[0] == ops[3] == (TEXT, "x")
     assert ops[0] is ops[2] and ops[0] is not ops[3]
+    assert ops[4:] == ((TEXT_PAUSE, ("x", STOP)), (PAUSE, STOP))
+    stop = Stop()
+    ops = initial_resumption(seq(say, stop, say, stop, Print("x"), stop, say, Suspend())).ops
+    assert ops[0] == ops[4] == (TEXT_PAUSE, ("x", STOP)) and ops[6] == (TEXT_PAUSE, ("x", SUSP))
+    assert ops[1] is ops[3] is ops[5] and ops[0] is not ops[2]
 
 
 def _as_atoms(program):
@@ -353,6 +366,11 @@ def _loop_restarts_in_place(env, layout):
     return loop(env, rexp(env, layout(seq(Print("a"), Stop(), Print("b")))))
 
 
+def _loop_restarts_deferred(env, layout):
+    # The body ends on a payload read, so it restarts at the next instant.
+    return loop(env, rexp(env, layout(seq(Print("a"), Stop(), Print("{value:v}")))))
+
+
 def _loop_restart_waits_for_a_read(env, layout):
     return loop(env, rexp(env, layout(seq(Print("a"), Print("{value:v}"), Print("b")))))
 
@@ -368,6 +386,35 @@ def _dup_after_an_instant(env, layout):
     return env.dup(original)
 
 
+def _dup_after_a_suspend(env, layout):
+    # The original suspends and is stepped again in its first instant; the
+    # copy starts where that left it.
+    original = rexp(env, layout(seq(Print("a"), Suspend(), Print("b"), Stop(), Print("c"))))
+    env.world.apply_instant(None)
+    env.react(original)
+    return env.dup(original)
+
+
+def _handle_body_ends(env, layout):
+    # The body ends, and its JUMP over the handler lands on the stop after it.
+    body = seq(Print("a"), Stop(), Print("b"))
+    return rexp(env, layout(seq(Handle(body, "T", Print("h")), Stop(), Print("z"))))
+
+
+def _handler_starts_fused(env, layout):
+    # A caught abort enters the handler at its first op, a print before a
+    # suspend.
+    body = seq(Print("a"), Stop(), Raise("T"), Print("never"))
+    handler = seq(Print("h"), Suspend(), Print("i"))
+    return rexp(env, layout(seq(Handle(body, "T", handler), Stop(), Print("z"))))
+
+
+# The TEXT_PAUSE ops of every node each program lays out as it stands.
+_FUSED = {_prints_and_stops: 0, _handler_prints: 1, _abort_after_text: 1, _loop_restarts_in_place: 1,
+          _loop_restart_waits_for_a_read: 0, _loop_without_a_pause: 0, _dup_after_an_instant: 4,
+          _loop_restarts_deferred: 1, _dup_after_a_suspend: 4, _handle_body_ends: 2, _handler_starts_fused: 3}
+
+
 @pytest.mark.parametrize("build, rows, error", [
     (_prints_and_stops, [[*FIELD_FREE, "{5}", "0"], ["a", "5", "end"]], None),
     (_handler_prints, [["a", "h"], ["{5}"]], None),
@@ -376,11 +423,17 @@ def _dup_after_an_instant(env, layout):
     (_loop_restart_waits_for_a_read, [["a", "1", "b"], ["a", "2", "b"], ["a", "3", "b"]], None),
     (_loop_without_a_pause, [], "InstantaneousLoop"),
     (_dup_after_an_instant, [["b"], ["c"]], None),
+    (_loop_restarts_deferred, [["a"], ["2"], ["a"]], None),
+    (_dup_after_a_suspend, [["c"]], None),
+    (_handle_body_ends, [["a"], ["b"], ["z"]], None),
+    (_handler_starts_fused, [["a"], ["h", "i"], ["z"]], None),
 ], ids=lambda value: getattr(value, "__name__", None))
 def test_text_ops_run_as_their_all_atom_layout_does(build, rows, error):
     """Each program runs laid out as it stands, with its field-free prints
-    as TEXT, and laid out by hand with every print an ATOM: the outputs,
-    the statuses of every node and the error must be the same."""
+    as TEXT and each one before a pause fused with it as a TEXT_PAUSE, and
+    laid out by hand with every print an ATOM, where nothing fuses: the
+    outputs, the status and state of every node and the error must be the
+    same."""
     runs = []
     for layout in (lambda program: program, _as_atoms):
         env = Environment()
@@ -388,8 +441,12 @@ def test_text_ops_run_as_their_all_atom_layout_does(build, rows, error):
         root = build(env, layout)
         events = [InstantEvents(values={"v": i}) for i in range(1, 4)]
         trace = env.react_t(root, 3, events)
-        texts = [op for node in env.nodes.values() for op, _ in getattr(node, "ops", ()) if op == TEXT]
-        runs.append(([record.outputs for record in trace.instants], trace.error, dict(env.statuses)))
-        assert bool(texts) == (layout is not _as_atoms)
+        ops = Counter(op for node in env.nodes.values() for op, _ in getattr(node, "ops", ()))
+        states = {rid: node.state for rid, node in env.nodes.items()}
+        runs.append(([record.outputs for record in trace.instants], trace.error, dict(env.statuses), states))
+        if layout is _as_atoms:
+            assert ops[TEXT] == ops[TEXT_PAUSE] == 0
+        else:
+            assert ops[TEXT] + ops[TEXT_PAUSE] > 0 and ops[TEXT_PAUSE] == _FUSED[build]
     assert runs[0] == runs[1]
     assert runs[0][:2] == (rows, error)

@@ -99,7 +99,11 @@ def repeat(env: Environment, count: int, body: ReactiveId) -> ReactiveId:
 
 
 def init(env: Environment, action: HostAction, child: ReactiveId) -> ReactiveId:
-    """Run the action before every activation of the child."""
+    """Run the action before every activation of the child. Anything but
+    a HostAction, such as an action spec that build_action has not
+    compiled, raises TypeError here, not at the first activation."""
+    if not isinstance(action, HostAction):
+        raise TypeError(f"not a host action: {action!r}")
     return env.alloc(InitNode(action, (child,)))
 
 

@@ -8,21 +8,28 @@ double-quoted, with the escapes ``\\n``, ``\\t``, ``\\r``, ``\\"`` and
 The grammar is the table ``_FORMS``. For each kind of form (reactive
 expression, program form, action, condition, integer expression) it has
 one row per head: the AST class the form builds and the kind of each
-argument. At import the table is digested once into ``_ROWS``, rows ready
-to build from: the class, whether the head is a value, the kind of a
-``*`` or ``+`` row's arguments, how to read each leading argument, the
-kind of the last one and the arity. ``_build`` parses every form with one
-lookup of its digested row, and ``render`` prints every AST node back
-from the same rows. Program forms build the engine's own classes:
-``seq``, ``stop``, ``suspend``, ``activate``, ``raise`` and ``handle``
-build program.Seq, Stop, Suspend, Activate, Raise and Handle
+argument. The heads of the comparison and arithmetic rows are the keys of
+world's operator tables, so the operator set is written once. Reading,
+rendering and compiling all take the grammar from this table. At import
+it is digested once into ``_ROWS``, rows ready to build from: the class,
+whether the head is a value, the kind of a ``*`` or ``+`` row's
+arguments, how to read each leading argument, the kind of the last one
+and the arity; ``_build`` parses every form with one lookup of its
+digested row. It is also read into ``_CLASSES``, which gives each AST
+class its head and each of its fields in syntax order with its argument
+kind: ``render`` prints every AST node back from it, and ``compile_expr``
+calls an expression's combinator (``_COMBINATORS``) with its fields in
+that order, converted by their kinds. Program forms build the engine's
+own classes: ``seq``, ``stop``, ``suspend``, ``activate``, ``raise`` and
+``handle`` build program.Seq, Stop, Suspend, Activate, Raise and Handle
 (whose row fills its fields by name, as ``(handle TAG BODY HANDLER)``
 gives them in another order), and ``print``, ``set`` and ``do`` build the
 action specs world.Print, SetCell and ActionSeq, which a program takes as
 they are. So a parsed rexp body is a library program, with an
 expression's AST as each Activate's child. compile_expr lays it out with
 program.initial_resumption, compiles the node's children, in code order,
-to ids, and only then allocates the node.
+to ids, and only then allocates the node; a rexp, and a repeat of count
+0, are the only forms it compiles with code of their own.
 Integer literals and ``true`` and ``false`` are the only atoms that are
 forms. ``(par E ...)`` and ``(merge E E)`` both build one MergeExpr over
 their branches, which compiles to one merge node; render prints every
@@ -81,6 +88,8 @@ from .world import (
     SetCell,
     Sig,
     ValueRef,
+    _ARITHMETIC,
+    _COMPARISONS,
     _max_str_digits,
     build_action,
 )
@@ -398,16 +407,12 @@ _FORMS: dict[str, tuple[str, dict[str, tuple]]] = {
         "not": (Not, "condition"),
         "and": (And, "condition", "condition"),
         "or": (Or, "condition", "condition"),
-        "=": (Compare, "op", "integer", "integer"),
-        "<": (Compare, "op", "integer", "integer"),
-        "<=": (Compare, "op", "integer", "integer"),
+        **dict.fromkeys(_COMPARISONS, (Compare, "op", "integer", "integer")),
     }),
     "integer": ("an integer expression", {
         "cell": (CellRef, "name:cell"),
         "value": (ValueRef, "name:value"),
-        "+": (BinOp, "op", "integer", "integer"),
-        "-": (BinOp, "op", "integer", "integer"),
-        "*": (BinOp, "op", "integer", "integer"),
+        **dict.fromkeys(_ARITHMETIC, (BinOp, "op", "integer", "integer")),
         "neg": (Negate, "integer"),
     }),
 }
@@ -430,7 +435,8 @@ def _escape(text: str) -> str:
 
 # How a row reads an atom argument and prints it back: what gives the
 # atom's value, or None when the atom does not match; the error then; and
-# what prints the value. Names are read by _read_name.
+# what prints the value. Names are read by _read_name and print as they
+# are.
 _ATOMS = {
     "str": (lambda atom: _unquote(atom) if atom[0] == '"' else None, "expected a string literal", _escape),
     "count": (lambda atom: _to_int(atom) if _INT_RE.match(atom) else None, "expected an integer literal", str),
@@ -459,7 +465,7 @@ def _digest(cls, *kinds) -> tuple:
         return make, names or None, op, kinds[0][:-1], (), None, int(kinds[0][-1] == "+")
     last = kinds[-1] if kinds and kinds[-1] in _FORMS else None
     lead = tuple(
-        kind if kind in _FORMS else _ATOMS.get(kind) or (_read_name, f"expected {kind[5:]} name", str)
+        kind if kind in _FORMS else _ATOMS.get(kind) or (_read_name, f"expected {kind[5:]} name")
         for kind in kinds[:len(kinds) - (last is not None)])
     return make, names or None, op, None, lead, last, len(kinds)
 
@@ -584,50 +590,53 @@ def parse_program(text: str) -> ExprAst:
 # Rendering (inverse of parse_program, used for golden files and tests)
 
 
-def _printers(make, names, op, star, lead, last, arity) -> tuple:
-    """For each argument of a digested row, in syntax order, the field it
-    fills and how it prints: "op" for the head itself, "*" for a tuple of
-    forms, None for one form, else an atom's printer."""
-    shows = ["*"] if star else [None if k.__class__ is str else k[2] for k in lead] + [None] * (last is not None)
-    return tuple(zip(names or [f.name for f in fields(make)], ["op"] * op + shows))
+def _fields(head: str, cls, *kinds) -> tuple:
+    """A _FORMS row as render and compile_expr read it: its AST class, and
+    the row's head with each of the class's fields in syntax order, paired
+    with the kind of the argument that fills it."""
+    make, *names = cls if cls.__class__ is tuple else (cls,)
+    return make, (head, tuple(zip(names or [f.name for f in fields(make)], kinds)))
 
 
-# Each AST class with the head of its digested row and how its arguments
-# print. The classes with an "op" argument have one row per operator and
-# take their head from that field.
-_ROWS_BY_CLASS = {row[0]: (head, _printers(*row)) for _, rows in _ROWS.values() for head, row in rows.items()}
+# Each AST class with the head of its _FORMS row and its fields with their
+# kinds (_fields). The classes with an "op" field have one row per operator
+# and take their head from that field. The merge row makes its MergeExpr
+# with a function, which keys its entry, so a MergeExpr prints as par.
+_CLASSES = dict(_fields(head, *row) for _, rows in _FORMS.values() for head, row in rows.items())
 
 
 def render(ast: object) -> str:
     """Render any AST node (expression, program form, action, condition or
     integer expression) as source text that parses back to it, from the
-    digested row of its class (_ROWS_BY_CLASS). An integer literal longer
+    fields of its class (_CLASSES). An integer literal longer
     than the host's int-to-str limit raises ValueError, as str() does;
     parse_program could not read it back either."""
     out = []
     # What is left to print, last first: AST nodes, and text as a str (the
-    # argument itself is never text).
+    # argument itself is never text; a name read with its position is a
+    # str subclass).
     pending = [ast]
     while pending:
         item = pending.pop()
-        if item.__class__ is str and item is not ast:
+        if isinstance(item, str) and item is not ast:
             out.append(item)
         elif item.__class__ is IntConst:
             out.append(str(item.value))
         elif item.__class__ is BoolConst:
             out.append("true" if item.value else "false")
-        elif item.__class__ in _ROWS_BY_CLASS:
-            head, args = _ROWS_BY_CLASS[item.__class__]
+        elif item.__class__ in _CLASSES:
+            head, args = _CLASSES[item.__class__]
             pending.append(")")
-            for name, show in args[::-1]:
+            for name, kind in args[::-1]:
                 value = getattr(item, name)
-                if show == "op":
+                if kind == "op":
                     head = value
-                elif show == "*":
+                elif kind[-1] in "*+":
                     for part in value[::-1]:
                         pending += (part, " ")
                 else:
-                    pending += (value if show is None else show(value), " ")
+                    # A form is pushed as its AST node, and a name as its text.
+                    pending += (_ATOMS[kind][2](value) if kind in _ATOMS else value, " ")
             pending.append(f"({head}")
         else:
             raise TypeError(f"not a DSL form: {item!r}")
@@ -638,46 +647,50 @@ def render(ast: object) -> str:
 # Compilation to kernel nodes
 
 
+# The combinator of each expression class but RexpExpr, which compile_expr
+# calls with the class's fields in syntax order (_CLASSES).
+_COMBINATORS = {
+    MergeExpr: combinators.merge, RifExpr: combinators.rif, CloseExpr: combinators.close,
+    LoopExpr: combinators.loop, RepeatExpr: combinators.repeat, InitExpr: combinators.init,
+    AwaitExpr: combinators.await_, WhenExpr: combinators.when, TerminateExpr: combinators.terminate,
+    HaltExpr: combinators.halt, NothingExpr: combinators.nothing,
+}
+
+
 def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
-    """Allocate kernel nodes for the expression, bottom up. A rexp body is
-    laid out first; the expressions it activates, the node's children in
-    code order, are compiled next, and the node is allocated last. So a
-    nested rexp costs one Python frame."""
-    match ast:
-        case RexpExpr(program=program):
-            node = initial_resumption(program)
-            node.children = tuple(map(compile_expr, node.children, repeat(env)))
-            return env.alloc(node)
-        case MergeExpr(children=children):
-            return combinators.merge(env, *map(compile_expr, children, repeat(env)))
-        case RifExpr(cond=cond, then_expr=a, else_expr=b):
-            return combinators.rif(env, cond, compile_expr(a, env), compile_expr(b, env))
-        case CloseExpr(child=child):
-            return combinators.close(env, compile_expr(child, env))
-        case LoopExpr(body=body):
-            return combinators.loop(env, compile_expr(body, env))
-        case RepeatExpr(count=count, body=body):
-            if count < 0:
-                raise NegativeRepeatCount(f"repeat count must be non-negative, got {count}")
-            if count == 0:
-                # The body never runs: it is compiled aside only to report
-                # its errors, and leaves no node in env.
-                compile_expr(body, Environment())
-                return combinators.nothing(env)
-            return combinators.repeat(env, count, compile_expr(body, env))
-        case InitExpr(action=action, body=body):
-            return combinators.init(env, build_action(action), compile_expr(body, env))
-        case AwaitExpr(cond=cond, body=body):
-            return combinators.await_(env, cond, compile_expr(body, env))
-        case WhenExpr(cond=cond, body=body):
-            return combinators.when(env, cond, compile_expr(body, env))
-        case TerminateExpr(cond=cond, body=body):
-            return combinators.terminate(env, cond, compile_expr(body, env))
-        case HaltExpr():
-            return combinators.halt(env)
-        case NothingExpr():
-            return combinators.nothing(env)
-    raise TypeError(f"not an expression: {ast!r}")
+    """Allocate kernel nodes for the expression, bottom up. Its class's
+    combinator (_COMBINATORS) takes the fields in syntax order (_CLASSES),
+    each converted by its argument kind: an expression is compiled to its
+    id, as is each branch of an "expression+" field, an action is built by
+    build_action, and any other field is passed as it is. Only two forms
+    have code of their own. A rexp body is laid out first; the expressions
+    it activates, the node's children in code order, are compiled next,
+    and the node is allocated last. A repeat of count 0 compiles its body
+    aside, into an environment of its own, and is a nothing. Each
+    expression node costs one Python frame."""
+    cls = ast.__class__
+    if cls is RexpExpr:
+        node = initial_resumption(ast.program)
+        node.children = tuple(map(compile_expr, node.children, repeat(env)))
+        return env.alloc(node)
+    if cls is RepeatExpr and ast.count <= 0:
+        if ast.count < 0:
+            raise NegativeRepeatCount(f"repeat count must be non-negative, got {ast.count}")
+        # The body never runs: it is compiled aside only to report its
+        # errors, and leaves no node in env.
+        compile_expr(ast.body, Environment())
+        return combinators.nothing(env)
+    combinator = _COMBINATORS.get(cls)
+    if combinator is None:
+        raise TypeError(f"not an expression: {ast!r}")
+    args = []
+    for name, kind in _CLASSES[cls][1]:
+        arg = getattr(ast, name)
+        if kind == "expression+":
+            args += map(compile_expr, arg, repeat(env))
+        else:
+            args.append(compile_expr(arg, env) if kind == "expression" else build_action(arg) if kind == "action" else arg)
+    return combinator(env, *args)
 
 
 # --------------------------------------------------------------------------

@@ -73,6 +73,12 @@ if TYPE_CHECKING:  # pragma: no cover
 class Atom:
     action: HostAction
 
+    def __post_init__(self):
+        # Checked here, so a spec or a str fails as the program is built,
+        # not with an AttributeError when it first runs.
+        if not isinstance(self.action, HostAction):
+            raise TypeError(f"not a host action: {self.action!r}")
+
 
 @dataclass(frozen=True)
 class Seq:

@@ -31,6 +31,20 @@ from instants.world import BoolConst, InstantEvents, Sig
 from helpers import react_once, run_instants
 
 
+def test_a_non_action_is_rejected_where_it_is_built():
+    """init and Atom take a HostAction. A spec that build_action has not
+    compiled, or a str, raises TypeError as it is built, not an
+    AttributeError at the first react."""
+    env = Environment()
+    child = nothing(env)
+    for action in ("x", Print("x")):
+        with pytest.raises(TypeError, match="^not a host action: "):
+            init(env, action, child)
+        with pytest.raises(TypeError, match="^not a host action: "):
+            Atom(action)
+    assert len(env.nodes) == 1
+
+
 def printer(text):
     return Atom(build_action(Print(text)))
 

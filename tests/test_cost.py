@@ -87,14 +87,15 @@ def test_layout_compiles_one_action_per_distinct_spec_object_per_body(monkeypatc
     assert len(actions) == len({id(action) for action in actions}) == 6
 
 
-def _frames(run, *args) -> list[str]:
+def _frames(run, *args, module=None) -> list[str]:
     """The code names of the Python frames that run(*args) enters, its own
-    first. sys.setprofile reports a "call" event for each Python frame and
-    none for a builtin, such as a dict's get or an int's bit_length."""
+    first; only those of the module's code when a module is given.
+    sys.setprofile reports a "call" event for each Python frame and none
+    for a builtin, such as a dict's get or an int's bit_length."""
     calls = []
 
     def profile(frame, event, arg):
-        if event == "call":
+        if event == "call" and (module is None or frame.f_code.co_filename == module.__file__):
             calls.append(frame.f_code.co_name)
 
     previous = sys.getprofile()
@@ -233,3 +234,17 @@ def test_a_wide_par_instant_enters_as_many_steps_as_before(n):
     assert Counter(frames) == {"react": 1, "_close_steps": 1, "activate": 5,
                                "activate_branches": 3, "step": 5 * n // 2 + 7}
     assert env.world.output == [f"l{i}" for i in range(n)] + [f"l{i}b" for i in range(1, n, 2)]
+
+
+@pytest.mark.parametrize("source, nodes", [
+    pytest.param(KEYPAD_RX.read_text(encoding="utf-8"), 15, id="keypad"),
+    *(pytest.param(_wide_par(n), n + 2, id=f"loop-par-{n}") for n in (8, 32, 128)),
+])
+def test_compile_enters_one_dsl_frame_per_expression_node(source, nodes):
+    """compile_expr is entered once for each expression node of the AST,
+    and enters no other frame of dsl.py: the keypad has 15 expression
+    nodes, and (loop (par B1 ... Bn)) has n + 2. A rexp body's layout and
+    the combinators run in other modules."""
+    ast = parse_program(source)
+    frames = _frames(compile_expr, ast, Environment(), module=dsl)
+    assert frames == ["compile_expr"] * nodes

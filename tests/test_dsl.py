@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from instants import Environment, dsl, parse_program, parse_trace, render, rexp
+from instants import combinators as c
 from instants import program as program_module
 from instants.dsl import (
     ArityError,
@@ -30,7 +31,7 @@ from instants.dsl import (
     compile_expr,
 )
 from instants.program import ACTIVATE, ATOM, JUMP, TEXT, Activate, Atom, Handle, Raise, Seq, Stop, Suspend
-from instants.world import InstantEvents, IntConst, Print, SetCell, build_action
+from instants.world import InstantEvents, IntConst, Print, SetCell, Sig, build_action
 
 from genprog import gen_case
 from helpers import needs_print_limit, print_limit, react_once, structure
@@ -449,6 +450,54 @@ def test_compile_allocates_in_program_order():
     assert [op for op, _ in env.nodes[root].ops] == [TEXT, ACTIVATE, ATOM, ACTIVATE, ATOM, JUMP,
                                                     ACTIVATE, TEXT, ACTIVATE]
     assert env.nodes[root].children == (first, second, third, fourth)
+
+
+# Each expression form's DSL text, and the same expression built by calling
+# the combinators by hand, children in the order the text gives them.
+_FORM_CASES = {
+    "rexp": ('(rexp (seq (print "a") (stop)))', lambda env: c.rexp(env, Seq((Print("a"), Stop())))),
+    "par of 1": ("(par (nothing))", lambda env: c.merge(env, c.nothing(env))),
+    "par of 3": ("(par (halt) (nothing) (rexp (stop)))",
+                 lambda env: c.merge(env, c.halt(env), c.nothing(env), c.rexp(env, Stop()))),
+    "merge": ("(merge (nothing) (halt))", lambda env: c.merge(env, c.nothing(env), c.halt(env))),
+    "rif": ("(rif (sig a) (nothing) (halt))", lambda env: c.rif(env, Sig("a"), c.nothing(env), c.halt(env))),
+    "close": ("(close (halt))", lambda env: c.close(env, c.halt(env))),
+    "loop": ('(loop (rexp (seq (print "x") (stop))))',
+             lambda env: c.loop(env, c.rexp(env, Seq((Print("x"), Stop()))))),
+    "repeat 0": ("(repeat 0 (halt))", lambda env: c.nothing(env)),
+    "repeat 1": ("(repeat 1 (rexp (stop)))", lambda env: c.repeat(env, 1, c.rexp(env, Stop()))),
+    "repeat 3": ("(repeat 3 (halt))", lambda env: c.repeat(env, 3, c.halt(env))),
+    "init": ("(init (set n 1) (nothing))",
+             lambda env: c.init(env, build_action(SetCell("n", IntConst(1))), c.nothing(env))),
+    "await": ("(await (sig a) (nothing))", lambda env: c.await_(env, Sig("a"), c.nothing(env))),
+    "when": ("(when (sig a) (nothing))", lambda env: c.when(env, Sig("a"), c.nothing(env))),
+    "terminate": ("(terminate (sig a) (halt))", lambda env: c.terminate(env, Sig("a"), c.halt(env))),
+    "halt": ("(halt)", c.halt),
+    "nothing": ("(nothing)", c.nothing),
+}
+
+
+@pytest.mark.parametrize("text, by_hand", _FORM_CASES.values(), ids=_FORM_CASES)
+def test_each_expression_form_compiles_as_its_combinators_called_by_hand(text, by_hand):
+    """compile_expr calls a form's combinator with its fields in syntax
+    order: the same nodes, at the same ids, as calling the combinators by
+    hand in the same order."""
+    env, hand = Environment(), Environment()
+    assert compile_expr(parse_program(text), env) == by_hand(hand)
+    assert structure(env.nodes) == structure(hand.nodes)
+    assert env.statuses == hand.statuses
+
+
+def test_every_expression_head_but_rexp_has_a_combinator():
+    """The cases above cover every expression head of the grammar, and each
+    class they build but RexpExpr has a combinator. Anything else, such as
+    a condition, is not an expression."""
+    heads = {text[1:].split()[0].rstrip(")") for text, _ in _FORM_CASES.values()}
+    assert heads == set(dsl._FORMS["expression"][1])
+    classes = {type(parse_program(text)) for text, _ in _FORM_CASES.values()}
+    assert classes - {RexpExpr} == set(dsl._COMBINATORS)
+    with pytest.raises(TypeError, match=r"^not an expression: Sig\(name='a'\)$"):
+        compile_expr(Sig("a"), Environment())
 
 
 # Edits that break a program in the ways a reader can fail.

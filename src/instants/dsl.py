@@ -3,7 +3,8 @@
 Programs are parenthesized prefix forms, one expression per file; ``;``
 starts a comment running to end of line. String literals are
 double-quoted, with the escapes ``\\n``, ``\\t``, ``\\r``, ``\\"`` and
-``\\\\``.
+``\\\\``. The table ``_ESCAPES`` is that set: the reader's token pattern,
+its unquoting and render's escaping are all made from it.
 
 The grammar is the table ``_FORMS``. For each kind of form (reactive
 expression, program form, action, condition, integer expression) it has
@@ -29,7 +30,10 @@ they are. So a parsed rexp body is a library program, with an
 expression's AST as each Activate's child. compile_expr lays it out with
 program.initial_resumption, compiles the node's children, in code order,
 to ids, and only then allocates the node; a rexp, and a repeat of count
-0, are the only forms it compiles with code of their own.
+0, are the only forms it compiles with code of their own. A repeat's
+count is checked where it is read: the reader takes only a non-negative
+integer literal, and a count of 0 compiles to a nothing, so its body is
+parsed but never compiled.
 Integer literals and ``true`` and ``false`` are the only atoms that are
 forms. ``(par E ...)`` and ``(merge E E)`` both build one MergeExpr over
 their branches, which compiles to one merge node; render prints every
@@ -116,10 +120,6 @@ class DuplicateAssignment(ParseError):
 
 
 class CompileError(Exception):
-    pass
-
-
-class NegativeRepeatCount(CompileError):
     pass
 
 
@@ -229,9 +229,10 @@ _ESCAPES = {"n": "\n", "t": "\t", "r": "\r", '"': '"', "\\": "\\"}
 _ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 # A paren, a string literal, an atom, or "" for a comment; the search skips
 # every other character, which is whitespace. Only a closed string with
-# known escapes matches as a string; any other leaves a lone '"' token, a
-# fault for parse_program and the first lexical error for _tokenize.
-_TOKEN_RE = re.compile(r';[^\n]*|([()]|"(?:[^"\\\n]|\\[ntr"\\])*"|"|[^ \t\r\n();"]+)')
+# known escapes, the keys of _ESCAPES, matches as a string; any other leaves
+# a lone '"' token, a fault for parse_program and the first lexical error
+# for _tokenize.
+_TOKEN_RE = re.compile(rf';[^\n]*|([()]|"(?:[^"\\\n]|\\[{"".join(map(re.escape, _ESCAPES))}])*"|"|[^ \t\r\n();"]+)')
 # The body of a bad string, from its opening quote: it runs to a quote, a
 # newline or the end of input, and a backslash takes the next character
 # with it, whatever it is.
@@ -364,12 +365,13 @@ def _unquote(literal: str) -> str:
 # For each kind of form: the noun its errors use, and its rows. A row maps a
 # form's head to its AST class and the kind of each argument, in syntax
 # order. An argument kind is another form kind; "str", a string literal;
-# "count", an integer literal; "name:<what>", a name; "op", the head itself
-# (it takes no argument); or a form kind with "*", which takes all the
-# arguments as a tuple, or with "+", which also takes at least one. The
-# arguments fill the class's fields in order, unless the class comes in a
-# tuple with the names of the fields they fill. Integer literals and
-# true/false are the only atom forms. Program forms take every action row.
+# "count", a non-negative integer literal, so a repeat's count is checked
+# where it is read; "name:<what>", a name; "op", the head itself (it takes
+# no argument); or a form kind with "*", which takes all the arguments as a
+# tuple, or with "+", which also takes at least one. The arguments fill the
+# class's fields in order, unless the class comes in a tuple with the names
+# of the fields they fill. Integer literals and true/false are the only
+# atom forms. Program forms take every action row.
 _ACTION_ROWS = {
     "print": (Print, "str"),
     "set": (SetCell, "name:cell", "integer"),
@@ -427,10 +429,12 @@ def _to_int(literal: str) -> int:
     return int(literal)
 
 
+# Each character that has an escape -> its escape: _ESCAPES inverted.
+_ESCAPING = str.maketrans({char: f"\\{key}" for key, char in _ESCAPES.items()})
+
+
 def _escape(text: str) -> str:
-    out = text.replace("\\", "\\\\").replace('"', '\\"')
-    out = out.replace("\n", "\\n").replace("\t", "\\t").replace("\r", "\\r")
-    return f'"{out}"'
+    return f'"{text.translate(_ESCAPING)}"'
 
 
 # How a row reads an atom argument and prints it back: what gives the
@@ -439,7 +443,8 @@ def _escape(text: str) -> str:
 # are.
 _ATOMS = {
     "str": (lambda atom: _unquote(atom) if atom[0] == '"' else None, "expected a string literal", _escape),
-    "count": (lambda atom: _to_int(atom) if _INT_RE.match(atom) else None, "expected an integer literal", str),
+    "count": (lambda atom: n if _INT_RE.match(atom) and (n := _to_int(atom)) >= 0 else None,
+              "expected a non-negative integer literal", str),
 }
 
 
@@ -665,20 +670,17 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
     build_action, and any other field is passed as it is. Only two forms
     have code of their own. A rexp body is laid out first; the expressions
     it activates, the node's children in code order, are compiled next,
-    and the node is allocated last. A repeat of count 0 compiles its body
-    aside, into an environment of its own, and is a nothing. Each
-    expression node costs one Python frame."""
+    and the node is allocated last. A repeat of count 0 is a nothing, and
+    its body, which never runs, is not compiled. Each expression node
+    outside such a body costs one Python frame. A repeat's count is
+    checked by the reader; a hand-built RepeatExpr with a negative count
+    raises combinators.repeat's ValueError."""
     cls = ast.__class__
     if cls is RexpExpr:
         node = initial_resumption(ast.program)
         node.children = tuple(map(compile_expr, node.children, repeat(env)))
         return env.alloc(node)
-    if cls is RepeatExpr and ast.count <= 0:
-        if ast.count < 0:
-            raise NegativeRepeatCount(f"repeat count must be non-negative, got {ast.count}")
-        # The body never runs: it is compiled aside only to report its
-        # errors, and leaves no node in env.
-        compile_expr(ast.body, Environment())
+    if cls is RepeatExpr and ast.count == 0:
         return combinators.nothing(env)
     combinator = _COMBINATORS.get(cls)
     if combinator is None:

@@ -49,10 +49,22 @@ class InstantEvents:
     The engine only reads it, so one object may stand for many instants:
     dsl.parse_trace gives equal trace lines the same one. A caller that
     mutates one, say its ``values``, mutates every instant that shares it.
+    Each payload is checked when the object is made: one that is not an
+    int raises TypeError, and one with more digits than an integer literal
+    may have raises ValueError, each naming its signal.
     """
 
     signals: frozenset[str] = frozenset()
     values: Mapping[str, int] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name, value in self.values.items():
+            if value.__class__ is not int:
+                raise TypeError(f"payload of signal {name!r} is not an int: {value!r}")
+            # As arithmetic checks its results (_printable), and only past
+            # _ALWAYS_PRINTS bits.
+            if value.bit_length() > _ALWAYS_PRINTS and abs(value) >= 10 ** _max_str_digits():
+                raise ValueError(f"payload of signal {name!r} has more than {_max_str_digits()} digits")
 
 
 @dataclass

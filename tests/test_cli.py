@@ -223,6 +223,10 @@ def _outputs(count):
                      EXIT_ALIVE, "3" + _outputs(5000), id="loop_wide_par_5000"),
         ("deep_close", "(close " * 1000 + _branch(0) + ")" * 1000, [],
          EXIT_INPUT_ERROR, "nested too deeply"),
+        # A body that never runs is parsed, not compiled, so its depth is
+        # only the reader's, which takes no stack for it.
+        pytest.param("repeat_zero_deep_close", "(repeat 0 " + "(close " * 1200 + "(halt)" + ")" * 1201, [],
+                     EXIT_TERMINATED, "1:\nterminated\n", id="repeat_zero_deep_close"),
         # Squaring doubles the digits each instant until printing fails.
         pytest.param(
             "squared_cell",

@@ -236,15 +236,24 @@ def test_a_wide_par_instant_enters_as_many_steps_as_before(n):
     assert env.world.output == [f"l{i}" for i in range(n)] + [f"l{i}b" for i in range(1, n, 2)]
 
 
-@pytest.mark.parametrize("source, nodes", [
-    pytest.param(KEYPAD_RX.read_text(encoding="utf-8"), 15, id="keypad"),
-    *(pytest.param(_wide_par(n), n + 2, id=f"loop-par-{n}") for n in (8, 32, 128)),
+_FIELD_PRINTS = " ".join(['(rexp (seq (print "b{cell:x}") (stop)))'] * 8)
+
+
+@pytest.mark.parametrize("source, nodes, actions", [
+    pytest.param(KEYPAD_RX.read_text(encoding="utf-8"), 15, 6, id="keypad"),
+    *(pytest.param(_wide_par(n), n + 2, 0, id=f"loop-par-{n}") for n in (8, 32, 128)),
+    pytest.param(f"(repeat 0 (par {_FIELD_PRINTS}))", 1, 0, id="repeat-0-par-8"),
 ])
-def test_compile_enters_one_dsl_frame_per_expression_node(source, nodes):
-    """compile_expr is entered once for each expression node of the AST,
-    and enters no other frame of dsl.py: the keypad has 15 expression
-    nodes, and (loop (par B1 ... Bn)) has n + 2. A rexp body's layout and
-    the combinators run in other modules."""
+def test_compile_enters_one_dsl_frame_per_expression_node(monkeypatch, source, nodes, actions):
+    """compile_expr is entered once for each expression node of the AST
+    outside a (repeat 0 ...) body, which is never compiled, and enters no
+    other frame of dsl.py: the keypad has 15 expression nodes, and
+    (loop (par B1 ... Bn)) has n + 2. A rexp body's layout and the
+    combinators run in other modules; layout builds the keypad's six
+    actions, and a (repeat 0 ...) body's prints are not built."""
+    built = []
+    monkeypatch.setattr(program_module, "build_action", lambda spec: built.append(spec) or build_action(spec))
     ast = parse_program(source)
     frames = _frames(compile_expr, ast, Environment(), module=dsl)
     assert frames == ["compile_expr"] * nodes
+    assert len(built) == actions

@@ -18,9 +18,9 @@ from instants.dsl import (
     DuplicateAssignment,
     HaltExpr,
     MergeExpr,
-    NegativeRepeatCount,
     NothingExpr,
     ParseError,
+    RepeatExpr,
     RexpExpr,
     UnknownForm,
     _TOKEN_RE,
@@ -137,6 +137,19 @@ def test_render_parse_round_trip():
     assert parse_program(render(ast)) == ast
 
 
+def test_render_escapes_each_escaped_character():
+    # The exact text: a raw tab or carriage return inside a string would
+    # parse back too, so only the text shows that each is escaped.
+    ast = RexpExpr(Seq((Print('a"b\\c\nd\te\rf'),)))
+    text = render(ast)
+    assert text == '(rexp (seq (print "a\\"b\\\\c\\nd\\te\\rf")))'
+    assert parse_program(text) == ast
+    # A backslash followed by n is two characters, not a newline.
+    ast = RexpExpr(Seq((Print("a\\nb"),)))
+    assert render(ast) == '(rexp (seq (print "a\\\\nb")))'
+    assert parse_program(render(ast)) == ast
+
+
 def _ast_nodes(ast) -> list:
     """Every AST node reachable from ast, once per place that holds it."""
     nodes, pending = [], [ast]
@@ -204,22 +217,15 @@ def test_identical_actions_share_one_compiled_action():
     assert action() is None
 
 
-def test_negative_repeat_count_rejected_at_compile():
-    env = Environment()
-    ast = parse_program("(repeat -1 (halt))")
-    with pytest.raises(NegativeRepeatCount):
-        compile_expr(ast, env)
-
-
 def test_repeat_zero_leaves_only_a_nothing():
     branches = " ".join(f'(rexp (seq (print "b{i}") (stop)))' for i in range(64))
     env = Environment()
     root = compile_expr(parse_program(f"(repeat 0 (par {branches}))"), env)
     assert len(env.nodes) == 1
     assert react_once(env, root) == ([], True)
-    # The body is still compiled, so its errors are still reported.
-    with pytest.raises(NegativeRepeatCount):
-        compile_expr(parse_program("(repeat 0 (repeat -1 (halt)))"), Environment())
+    # The reader rejects a negative count; a hand-built one reaches repeat.
+    with pytest.raises(ValueError, match="repeat count must be non-negative"):
+        compile_expr(RepeatExpr(-1, HaltExpr()), Environment())
 
 
 def test_when_terminate_await_forms_compile():
@@ -332,7 +338,11 @@ def test_trace_error_class_message_and_position(text, error, message, line, col)
         # Names are ASCII identifiers only.
         ("(rexp (raise é))", ParseError, "expected tag name", 1, 14),
         ("(rif (sig 1x) (nothing) (halt))", ParseError, "expected signal name", 1, 11),
-        ("(repeat x (halt))", ParseError, "expected an integer literal", 1, 9),
+        ("(repeat x (halt))", ParseError, "expected a non-negative integer literal", 1, 9),
+        # A repeat's count is checked where it is read, inside a count-0
+        # repeat's body too.
+        ("(repeat -1 (halt))", ParseError, "expected a non-negative integer literal", 1, 9),
+        ("(repeat 0 (repeat -1 (halt)))", ParseError, "expected a non-negative integer literal", 1, 19),
         ("(rexp (print x))", ParseError, "expected a string literal", 1, 14),
         ("(rexp ())", ParseError, "empty form where a program form expected", 1, 7),
         ("((nothing))", ParseError, "form head must be a symbol", 1, 1),
@@ -467,6 +477,9 @@ _FORM_CASES = {
     "repeat 0": ("(repeat 0 (halt))", lambda env: c.nothing(env)),
     "repeat 1": ("(repeat 1 (rexp (stop)))", lambda env: c.repeat(env, 1, c.rexp(env, Stop()))),
     "repeat 3": ("(repeat 3 (halt))", lambda env: c.repeat(env, 3, c.halt(env))),
+    # A count is any integer literal whose value is 0 or more.
+    "repeat -0": ("(repeat -0 (halt))", lambda env: c.nothing(env)),
+    "repeat +003": ("(repeat +003 (halt))", lambda env: c.repeat(env, 3, c.halt(env))),
     "init": ("(init (set n 1) (nothing))",
              lambda env: c.init(env, build_action(SetCell("n", IntConst(1))), c.nothing(env))),
     "await": ("(await (sig a) (nothing))", lambda env: c.await_(env, Sig("a"), c.nothing(env))),

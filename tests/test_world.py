@@ -107,6 +107,19 @@ def test_apply_instant_resets_ephemeral_state():
     assert world.cells == {"x": 5}
 
 
+def test_payloads_are_checked_where_they_enter():
+    # Each is rejected when the events are made, naming its signal, and
+    # never reaches arithmetic or a print.
+    largest = 10 ** digit_bound() - 1
+    assert InstantEvents(values={"v": largest, "w": -largest}).values == {"v": largest, "w": -largest}
+    for value in ("3", 3.0, True, None):
+        with pytest.raises(TypeError, match="^payload of signal 'v' is not an int: "):
+            InstantEvents(values={"v": value})
+    for value in (largest + 1, -largest - 1):
+        with pytest.raises(ValueError, match=f"^payload of signal 'v' has more than {digit_bound()} digits$"):
+            InstantEvents(values={"v": value})
+
+
 def test_signal_ephemerality():
     world = World()
     world.apply_instant(InstantEvents(frozenset({"k"})))
@@ -245,6 +258,10 @@ def test_unknown_operators_raise_when_compiled():
         compile_cond(And(Sig("a"), Compare(">", IntConst(1), IntConst(2))))
     with pytest.raises(TypeError, match="not an action"):
         build_action(ActionSeq((Sig("a"),)))
+    with pytest.raises(TypeError, match=r"^not an integer expression: Sig\(name='a'\)$"):
+        compile_int(Sig("a"))
+    with pytest.raises(TypeError, match=r"^not a condition: IntConst\(value=1\)$"):
+        compile_cond(IntConst(1))
 
 
 @needs_print_limit

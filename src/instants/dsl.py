@@ -159,6 +159,12 @@ class RepeatExpr:
     count: int
     body: "ExprAst"
 
+    def __post_init__(self) -> None:
+        # The reader takes only a non-negative literal; a hand-built node
+        # is rejected here, before compile_expr lays out any of its body.
+        if self.count < 0:
+            raise ValueError("repeat count must be non-negative")
+
 
 @dataclass(frozen=True)
 class InitExpr:

@@ -369,15 +369,15 @@ class HostAction:
     reads_events: bool = False
 
 
-def _raise_unprintable(world: World, fields: tuple) -> None:
-    """Raise IntegerTooLarge naming the first (kind, name) field whose
+def _unprintable(world: World, fields: tuple) -> IntegerTooLarge:
+    """The IntegerTooLarge that names the first (kind, name) field whose
     value the host cannot print (sys.get_int_max_str_digits caps
     int-to-str conversion)."""
     for kind, name in fields:
         try:
             str(world.cells.get(name, 0) if kind is _CELL else world.instant_values.get(name, 0))
         except ValueError:
-            raise IntegerTooLarge(f"{'cell' if kind is _CELL else 'value'} {name}") from None
+            return IntegerTooLarge(f"{'cell' if kind is _CELL else 'value'} {name}")
 
 
 def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
@@ -400,8 +400,7 @@ def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
                 world.output.append(
                     fmt % (world.cells.get(a, 0) if ka is _CELL else world.instant_values.get(a, 0),))
             except ValueError:
-                _raise_unprintable(world, fields)
-                raise
+                raise _unprintable(world, fields) from None
 
     else:
 
@@ -414,8 +413,7 @@ def _compile_print(template: str) -> tuple[Callable[[World], None], bool]:
             try:
                 world.output.append(fmt % tuple(values))
             except ValueError:
-                _raise_unprintable(world, fields)
-                raise
+                raise _unprintable(world, fields) from None
 
     return run, "value" in parts[1::3]
 

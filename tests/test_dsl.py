@@ -135,6 +135,8 @@ def test_render_parse_round_trip():
     )
     ast = parse_program(src)
     assert parse_program(render(ast)) == ast
+    with pytest.raises(TypeError, match="not a DSL form: <object object"):
+        render(object())
 
 
 def test_render_escapes_each_escaped_character():
@@ -223,9 +225,13 @@ def test_repeat_zero_leaves_only_a_nothing():
     root = compile_expr(parse_program(f"(repeat 0 (par {branches}))"), env)
     assert len(env.nodes) == 1
     assert react_once(env, root) == ([], True)
-    # The reader rejects a negative count; a hand-built one reaches repeat.
+    # The reader rejects a negative count; a hand-built one is rejected
+    # before any node of its body is laid out.
+    env = Environment()
+    body = parse_program("(par (halt) (rexp (stop)))")
     with pytest.raises(ValueError, match="repeat count must be non-negative"):
-        compile_expr(RepeatExpr(-1, HaltExpr()), Environment())
+        compile_expr(RepeatExpr(-1, body), env)
+    assert len(env.nodes) == 0
 
 
 def test_when_terminate_await_forms_compile():

@@ -315,6 +315,8 @@ def test_react_t_respects_budget():
     assert not trace.terminated
     assert trace.instants_run == 5
     assert all(rec.status is STOP for rec in trace.instants)
+    with pytest.raises(ValueError, match="max_instants must be at least 1"):
+        env.react_t(halt(env), 0)
 
 
 def test_react_t_on_nothing():

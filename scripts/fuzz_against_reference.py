@@ -5,6 +5,9 @@ Generates random programs and event traces, runs both implementations, and
 reports any divergence. The engine runs each program after a round trip
 through its source text (render, then parse), so every case also exercises
 the lexer, reader, builder and renderer; the oracle runs the generated AST.
+The engine also runs what the reader's line read alone reads from two
+renderings over lines (genprog.line_reads), each of which must equal the
+generated AST.
 Every engine run also asserts that the node table ends the size it had
 after compiling, so loop restarts are checked to allocate nothing.
 The reference interpreter lives with the tests, so this script adds both
@@ -21,8 +24,8 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 sys.path.insert(0, str(REPO / "tests"))
 
-from genprog import gen_case  # noqa: E402
-from instants.dsl import parse_program, render  # noqa: E402
+from genprog import gen_case, line_reads  # noqa: E402
+from instants.dsl import ParseError, parse_program, render  # noqa: E402
 from reference import engine_run, oracle_run  # noqa: E402
 
 
@@ -39,9 +42,15 @@ def main() -> int:
     outcomes = {"terminated": 0, "alive": 0, "error": 0}
     for seed in range(args.seed_start, args.seed_start + args.count):
         ast, trace = gen_case(seed)
-        got = engine_run(parse_program(render(ast)), trace, max_micro=args.max_micro, max_restarts=args.max_restarts)
         want = oracle_run(ast, trace, max_micro=args.max_micro, max_restarts=args.max_restarts)
-        if got != want:
+        try:
+            reads = [parse_program(render(ast)), *line_reads(ast)]
+        except ParseError as error:
+            reads = [error]
+        # A read that is not the AST, or a ParseError, stands in its run's place.
+        got = [engine_run(read, trace, max_micro=args.max_micro, max_restarts=args.max_restarts)
+               if read == ast else read for read in reads]
+        if got != [want] * 3:
             mismatches += 1
             print(f"MISMATCH seed={seed}")
             print(f"  engine: {got}")

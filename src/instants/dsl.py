@@ -43,18 +43,20 @@ decimal integers. The README lists every form.
 
 The text is first read with no positions, line by line, where only
 ``\\n`` ends a line: each distinct line is scanned once by one regular
-expression, and its tokens are nested on a stack, which makes equal forms
-one shared tuple. A line that closes every form it opens, repeated inside
-a form, appends what its first repeat appended, with no scan and no
-nesting; a text in which no line repeats is read whole, as one line.
-Each distinct form is built once for each kind it is read as, and each
-further place that holds it costs one lookup by its id, in the one table
-of its kind, and one append, so equal subtrees of the AST are one object;
-that sharing, and what is kept of each line, lasts for one
-parse_program call, and two calls share no AST node. Line and column are
-worked out only when a parse fails, by scanning the whole text with the
-same token pattern again, this time with positions and no sharing; the
-same builder then raises the error with its position.
+expression, and its tokens are nested on a stack. A line that closes
+every form it opens keeps the forms its first read appends, and each
+repeat of it inside a form appends those same forms again, with no scan
+and no nesting; a text in which no line repeats is read whole, as one
+line. So the forms of a repeated line are one tuple each, and nothing
+else is shared: equal forms on distinct lines, or within one line, are
+distinct tuples. Each form is built once for each kind it is read as,
+and each further place that holds it costs one lookup by its id, in the
+one table of its kind, and one append, so the subtrees of a repeated line
+are one object in the AST; that sharing, and what is kept of each line,
+lasts for one parse_program call, and two calls share no AST node. Line
+and column are worked out only when a parse fails, by scanning the whole
+text with the same token pattern again, this time with positions and no
+sharing; the same builder then raises the error with its position.
 
 Trace files hold one instant per line: whitespace-separated ``name`` tokens
 (signal present) or ``name=int`` tokens (signal present with an integer
@@ -222,9 +224,9 @@ ExprAst = Union[
 # A reader returns a form as a tuple of forms, and an atom or a string
 # literal as a str; a string literal keeps its quotes, and no atom starts
 # with '"'. parse_program reads with no positions first: _nest reads each
-# distinct line once and makes equal forms one tuple, and _build builds
-# each distinct form once for each kind it is read as, so equal subtrees
-# of the AST are one object. Their tables live for that one read. Only a
+# distinct line once, and the forms of a repeated line are one tuple each;
+# _build builds each form once for each kind it is read as, so those forms
+# are one object in the AST too. Their tables live for that one read. Only a
 # parse that fails reads the text again with _tokenize, whose tokens, and
 # the forms _nest makes of them, are subclasses that carry their line and
 # column; those forms are never shared, so each error names the place of
@@ -277,8 +279,13 @@ def _tokenize(text: str) -> list[_Text]:
         if token == '"':
             bad = _BAD_STRING_RE.match(text, start)
             for e in _ESCAPE_RE.finditer(bad.group(1)):
-                if e.group(1) not in _ESCAPES:
-                    message = f"unknown escape \\{e.group(1)}" if e.group(1) else "unterminated escape"
+                char = e.group(1)
+                if char not in _ESCAPES:
+                    # A character that does not print, such as a newline or
+                    # a tab, is named by its code point, so the message
+                    # stays on one line.
+                    message = ("unterminated escape" if not char else f"unknown escape \\{char}" if char.isprintable()
+                               else f"unknown escape U+{ord(char):04X} after a backslash")
                     raise ParseError(message, line, col + 1 + e.start())
             raise ParseError("unterminated string", line, col)
         token = _Text(token)
@@ -290,27 +297,23 @@ def _tokenize(text: str) -> list[_Text]:
 def _nest(lines: list[str], read=_TOKEN_RE.findall):
     """Nest the tokens of lines into exactly one s-expression, keeping open
     lists on a stack; read gives a line's tokens, and "" tokens (comments)
-    are skipped. Forms of tokens with no position are shared: within one
-    call, equal forms are one tuple. Each closed form is looked up under a
-    flat key, its atoms and the ids of its subforms, which are shared
-    already, so no nested tuple is hashed.
+    are skipped.
     Each distinct line is read once, and its tokens are kept; when no line
     repeats, the lines are read as one. Read inside an open form, a line
     that closes every form it opens appends the same items wherever it is,
-    and cannot fail. So its first repeat keeps what it appends, and every
-    later repeat inside an open form appends that again with no token
-    loop. A line read once keeps nothing, and a line at top level always
-    runs the loop, for its checks.
+    and cannot fail. So such a line keeps what its first read appends, and
+    every repeat inside an open form appends those same forms again, with
+    no token loop: the forms of a repeated line are one tuple each. Nothing
+    else is shared, and a line at top level always runs the loop, for its
+    checks.
     Positioned tokens give each form its own _Form, with its line and
     column; the positioned read passes the whole text as one line. A fault
     raises a ParseError with the position of the token at fault, if tokens
     carry one."""
-    open_lists: list[tuple[list, list, str]] = []
+    open_lists: list[tuple[list, str]] = []
     items: list = []
-    keys: list = []  # items, with each form's id in its place
-    shared: dict[tuple, tuple] = {}  # a form's key -> the one tuple for it
     # A line -> None until it is read, then [its tokens], then also the
-    # items and keys it appends.
+    # items it appends, if it closes every form it opens.
     seen: dict = dict.fromkeys(lines)
     if len(seen) == len(lines):
         # No line repeats, so nothing kept of one could serve.
@@ -321,39 +324,32 @@ def _nest(lines: list[str], read=_TOKEN_RE.findall):
             entry = seen[line] = [read(line)]
             if '"' in entry[0]:
                 raise ParseError("unterminated string")
-            current = None  # a line read once keeps nothing
         elif len(entry) > 1 and open_lists:
             items += entry[1]
-            keys += entry[2]
             continue
-        else:
-            current, start = items, len(items)
+        current, start = items, len(items)
         for token in entry[0]:
             if token == ")":
                 if not open_lists:
                     raise ParseError("trailing content after expression" if items else "unexpected ')'", *_at(token))
-                form, key = tuple(items), tuple(keys)
-                items, keys, opener = open_lists.pop()
+                form = tuple(items)
+                items, opener = open_lists.pop()
                 if opener.__class__ is _Text:
                     form = _Form(form)
                     form.line, form.col = opener.line, opener.col
-                else:
-                    form = shared.setdefault(key, form)
                 items.append(form)
-                keys.append(id(form))
             elif token:
                 if not open_lists and items:
                     raise ParseError("trailing content after expression", *_at(token))
                 if token == "(":
-                    open_lists.append((items, keys, token))
-                    items, keys = [], []
+                    open_lists.append((items, token))
+                    items = []
                 else:
                     items.append(token)
-                    keys.append(token)
         if items is current and len(entry) == 1:
-            entry += items[start:], keys[start:]
+            entry.append(items[start:])
     if open_lists:
-        raise ParseError("unclosed parenthesis", *_at(open_lists[-1][2]))
+        raise ParseError("unclosed parenthesis", *_at(open_lists[-1][1]))
     if not items:
         raise ParseError("empty input")
     return items[0]
@@ -500,8 +496,8 @@ def _build(node, kind: str, built: dict):
     so a chain nested through last arguments, such as a long chain of
     closes or of right-nested pars, takes no stack. built holds one table
     per form kind, which maps a form's id to the AST built from it as that
-    kind, so a form that _nest shared is built once per kind, and every
-    place that holds it gets the same AST. Each form is looked up by its id
+    kind, so a form of a repeated line, the one thing _nest shares, is
+    built once per kind, and every place that holds it gets the same AST. Each form is looked up by its id
     in its kind's table once, before it is built: an argument in the loop,
     so a repeat costs one lookup and one append and never enters _build,
     and a last argument as the chain reaches it. A star row looks up every
@@ -583,9 +579,9 @@ def _tables() -> dict[str, dict]:
 
 def parse_program(text: str) -> ExprAst:
     """Parse one reactive expression from source text. Within one call,
-    each distinct line is read once, and equal forms are read as one tuple
-    and built once per kind, so equal subtrees of the AST are one object;
-    two calls share no AST node."""
+    each distinct line is read once, and the forms of a repeated line are
+    read as one tuple each and built once per kind, so they are one object
+    in the AST; nothing else is shared, and two calls share no AST node."""
     # Only "\n" ends a line: no token spans one, and str.splitlines would
     # also split at characters that an atom may hold.
     try:
@@ -679,8 +675,8 @@ def compile_expr(ast: ExprAst, env: Environment) -> ReactiveId:
     and the node is allocated last. A repeat of count 0 is a nothing, and
     its body, which never runs, is not compiled. Each expression node
     outside such a body costs one Python frame. A repeat's count is
-    checked by the reader; a hand-built RepeatExpr with a negative count
-    raises combinators.repeat's ValueError."""
+    checked by the reader, and a hand-built RepeatExpr with a negative
+    count is rejected by RepeatExpr itself, before it reaches here."""
     cls = ast.__class__
     if cls is RexpExpr:
         node = initial_resumption(ast.program)

@@ -154,6 +154,10 @@ def cases() -> list[Case]:
              args=("--program", "{tmp}/absent.rx")),
         Case("unknown_escape", '(rexp\n  (seq (print "a\\q")))\n', EXIT_INPUT_ERROR,
              err="instants: unknown escape \\q at line 2, column 17\n"),
+        # An escape of a character that does not print names its code point,
+        # so the message stays on one line.
+        Case("unknown_escape_before_newline", '(rexp (print "ab\\\n"))\n', EXIT_INPUT_ERROR,
+             err="instants: unknown escape U+000A after a backslash at line 1, column 17\n"),
         # A repeat's count is checked where it is read.
         Case("negative_repeat", "(repeat -1 (halt))\n", EXIT_INPUT_ERROR,
              err="instants: expected a non-negative integer literal at line 1, column 9\n"),

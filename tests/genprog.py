@@ -16,6 +16,11 @@ from instants.dsl import (
     RifExpr,
     TerminateExpr,
     WhenExpr,
+    _TOKEN_RE,
+    _build,
+    _nest,
+    _tables,
+    render,
 )
 from instants.program import Activate, Handle, Raise, Seq, Stop, Suspend
 from instants.world import (
@@ -292,3 +297,14 @@ def gen_case(seed: int, allow_raise: bool = True):
     """One differential test case: an expression tree plus an event trace."""
     rng = random.Random(seed)
     return gen_expr(rng, rng.randint(1, 5), allow_raise), gen_trace(rng)
+
+
+def line_reads(ast) -> list:
+    """ast rendered and read back by the reader's line read, from two
+    renderings over lines: every ") (" split onto a new line, and one
+    token per line. render writes one line, and parse_program falls back
+    to the positioned read on a ParseError, which would hide a spurious
+    one; so the line read is called here itself."""
+    text = render(ast)
+    return [_build(_nest(lines), "expression", _tables())
+            for lines in (text.replace(") (", ")\n(").split("\n"), _TOKEN_RE.findall(text))]

@@ -1,5 +1,5 @@
 """Cost in exact counts, with no clock. Setup: what parse_program and
-layout do for a program whose forms repeat, as big_program's do, does not
+layout do for a program whose lines repeat, as big_program's do, does not
 grow with the number of repeats. Run time: the Python frames that a
 compiled action, and one step of a basic node, enter."""
 from __future__ import annotations
@@ -48,18 +48,23 @@ def _big_program(steps: int) -> str:
 def test_setup_costs_what_is_distinct_not_what_repeats(monkeypatch, steps):
     """_build is entered once per distinct (form, kind) pair that stands in
     an argument's place, plus the root: a last argument is built by the
-    chain, with no entry. Here those pairs are each branch's (set ...),
-    (cell ci) and (print ...), the shared (stop), and the rexp of every
-    branch but the last. Layout compiles each body's distinct specs once,
-    and lays out three ops per step."""
+    chain, with no entry. A repeated line's forms are one tuple each, from
+    its first read on, so each branch's step line gives four pairs, its
+    (set ...), (cell ci), (print ...) and (stop), however often it repeats.
+    The branch's last line, which also closes its seq and rexp, is a line
+    of its own: its (set ...), (cell ci) and (print ...) give three more,
+    and its (stop) is the seq's last argument. The rexp of every branch but
+    the last adds one. Layout compiles each body's distinct specs once, two
+    from the step line and two from the last line, and lays out three ops
+    per step."""
     entered = []
     build = dsl._build
     monkeypatch.setattr(dsl, "_build", lambda node, kind, built: entered.append((id(node), kind))
                         or build(node, kind, built))
     ast = parse_program(_big_program(steps))
-    assert len(entered) == len(set(entered)) == 4 * BRANCHES + 1
+    assert len(entered) == len(set(entered)) == 7 * BRANCHES + 4
     assert Counter(kind for _, kind in entered) == {
-        "expression": BRANCHES, "program": 2 * BRANCHES + 1, "integer": BRANCHES}
+        "expression": BRANCHES, "program": 5 * BRANCHES, "integer": 2 * BRANCHES}
 
     compiled = []
     monkeypatch.setattr(program_module, "build_action", lambda spec: compiled.append(spec) or build_action(spec))
@@ -67,7 +72,7 @@ def test_setup_costs_what_is_distinct_not_what_repeats(monkeypatch, steps):
     compile_expr(ast, env)
     specs = [{id(item) for item in body.program.items if isinstance(item, (Print, SetCell))}
              for body in ast.children]
-    assert list(map(len, specs)) == [2] * BRANCHES
+    assert list(map(len, specs)) == [4] * BRANCHES
     assert sorted(map(id, compiled)) == sorted(key for body in specs for key in body)
     bodies = [node for node in env.nodes.values() if isinstance(node, BasicNode)]
     assert [len(node.ops) for node in bodies] == [3 * steps] * BRANCHES
@@ -76,10 +81,10 @@ def test_setup_costs_what_is_distinct_not_what_repeats(monkeypatch, steps):
 def test_layout_compiles_one_action_per_distinct_spec_object_per_body(monkeypatch):
     """The keypad's bodies hold six action specs: (print ...), (set num 0)
     and (raise Clear) under enter, (set num 0) and (raise Clear) under
-    clear, and the digit's (set ...). The parse shares equal forms, so the
-    two (set num 0) are one object, as are the two (raise Clear); layout
-    still compiles each once per body that holds it, to an action of its
-    own, and no action is shared across bodies."""
+    clear, and the digit's (set ...). The two (set num 0), and the two
+    (raise Clear), stand on lines of their own, so they are equal but not
+    one object; layout compiles each spec object once per body that holds
+    it, to an action of its own, and no action is shared across bodies."""
     actions = []
     monkeypatch.setattr(program_module, "build_action",
                         lambda spec: actions.append(build_action(spec)) or actions[-1])
@@ -202,15 +207,19 @@ def test_wide_par_branches_lay_out_as_fused_prints():
 def test_bodies_without_a_field_free_print_lay_out_as_before():
     """big_program's bodies and the keypad's hold no field-free print, so
     no op is fused: each big_program body is its set, print and stop ops,
-    one object each, repeated per step, and the keypad's bodies keep their
-    op kinds and handle table."""
+    one object each, repeated for each step on the repeated line, and then
+    the ops of the body's last line, and the keypad's bodies keep their op
+    kinds and handle table."""
     env = Environment()
     compile_expr(parse_program(_big_program(3)), env)
     for node in env.nodes.values():
         if isinstance(node, BasicNode):
-            step = node.ops[:3]
-            assert [op for op, _ in step] == [ATOM, ATOM, PAUSE]
-            assert all(a is b for a, b in zip(node.ops, step * 3, strict=True))
+            step, last = node.ops[:3], node.ops[6:]
+            assert [op for op, _ in step] == [op for op, _ in last] == [ATOM, ATOM, PAUSE]
+            assert all(a is b for a, b in zip(node.ops[:6], step * 2, strict=True))
+            # The last line's set and print are specs of their own, each
+            # compiled to an action of its own.
+            assert step[0] is not last[0] and step[1] is not last[1] and step[2] == last[2]
 
     env = Environment()
     compile_expr(parse_program(KEYPAD_RX.read_text(encoding="utf-8")), env)

@@ -169,18 +169,20 @@ STEP = '(set c (+ (cell c) (value v))) (print "c={cell:c}") (stop)'
 REPEATED_SRC = f"(par (rexp (seq {STEP} {STEP})) (rexp (seq {STEP} {STEP})))"
 
 
-def test_equal_subforms_of_one_parse_are_one_object():
-    ast = parse_program(REPEATED_SRC)
-    first, second = ast.children
-    assert first is second
-    items = first.program.items
-    assert len(items) == 6 and items[:3] == items[3:]
-    assert all(a is b for a, b in zip(items[:3], items[3:]))
-    # Each place that holds a shared expression compiles to its own node.
-    env = Environment()
-    root = compile_expr(ast, env)
-    assert len(env.nodes) == 3
-    assert react_once(env, root) == (["c=0", "c=0"], False)
+def test_equal_forms_not_on_a_repeated_line_are_distinct_objects():
+    """Only the forms of a repeated line are shared: equal forms within
+    one line, or on two distinct lines, are equal and not one object."""
+    for text in (REPEATED_SRC, REPEATED_SRC.replace(") (rexp", ")\n (rexp")):
+        ast = parse_program(text)
+        first, second = ast.children
+        assert first == second and first is not second
+        items = first.program.items
+        assert len(items) == 6 and items[:3] == items[3:]
+        assert not any(a is b for a, b in zip(items[:3], items[3:]))
+        env = Environment()
+        root = compile_expr(ast, env)
+        assert len(env.nodes) == 3
+        assert react_once(env, root) == (["c=0", "c=0"], False)
 
 
 def test_two_parses_share_no_ast_node():
@@ -205,8 +207,8 @@ def test_compile_nothing_reacts_true():
 def test_identical_actions_share_one_compiled_action():
     env = Environment()
     # Templated prints: a field-free one lays out as TEXT, with no action.
-    src = ('(rexp (seq (print "shared {cell:x}") (stop) (print "shared {cell:x}")'
-           ' (print "other {cell:x}")))')
+    # The shared print's line repeats, so its two places hold one spec.
+    src = '(rexp (seq\n (print "shared {cell:x}")\n (stop)\n (print "shared {cell:x}")\n (print "other {cell:x}")))'
     root = compile_expr(parse_program(src), env)
     first, second, other = [arg for op, arg in env.nodes[root].ops if op == ATOM]
     assert first is second and first is not other
@@ -327,7 +329,9 @@ def test_trace_error_class_message_and_position(text, error, message, line, col)
         ("\t(halt) (x", ParseError, "trailing content after expression", 1, 9),
         ('(rexp (seq (print "a\\q")))', ParseError, "unknown escape \\q", 1, 21),
         ('(rexp (seq (print "a\\', ParseError, "unterminated escape", 1, 21),
-        ('(rexp (seq (print "a\\\n")))', ParseError, "unknown escape \\\n", 1, 21),
+        # A character that does not print is named by its code point.
+        ('(rexp (seq (print "a\\\n")))', ParseError, "unknown escape U+000A after a backslash", 1, 21),
+        ('(rexp (seq (print "a\\\t")))', ParseError, "unknown escape U+0009 after a backslash", 1, 21),
         ("(merge (nothing)\n\t(wat))", UnknownForm, "unknown expression form 'wat'", 2, 2),
         ("(rexp (seq (stop) (zap)))", UnknownForm, "unknown program form 'zap'", 1, 19),
         ("(init (zap) (nothing))", UnknownForm, "unknown action form 'zap'", 1, 7),
@@ -630,12 +634,15 @@ def test_each_distinct_line_is_read_once_and_a_repeat_shares_its_forms():
     read = []
     form = _nest(lines, lambda text: read.append(text) or _TOKEN_RE.findall(text))
     assert sorted(read) == sorted(set(lines))
-    # The forms of each repeat are those of the first occurrence.
+    # The forms of each repeat are those of the first occurrence; the last
+    # line, with the closing paren, is another line, whose equal forms are
+    # its own.
     assert len(form) == 10
-    assert form[1] is form[3] is form[6] is form[8]
-    assert form[2] is form[4] is form[7] is form[9]
+    assert form[1] is form[3] is form[6] and form[2] is form[4] is form[7]
+    assert form[8:] == form[1:3] and form[8] is not form[1] and form[9] is not form[2]
     ast = parse_program("\n".join(lines))
     assert ast.children[0] is ast.children[2] is ast.children[5]
+    assert ast.children[7] == ast.children[0] and ast.children[7] is not ast.children[0]
     # When no line repeats, the lines are read as one.
     read.clear()
     distinct = ["(par", line, "  (nothing))"]
@@ -644,16 +651,16 @@ def test_each_distinct_line_is_read_once_and_a_repeat_shares_its_forms():
 
 
 def test_a_form_read_under_two_kinds_is_built_once_per_kind(monkeypatch):
-    """_build keeps one table per form kind. A form read as a program form
-    in a seq, and again as an action inside (do ...) and as the action of
-    two inits, is entered once per kind, and every place of one kind holds
-    that kind's one AST object."""
+    """_build keeps one table per form kind. A repeated line's form, read
+    as a program form in a seq, and again as an action inside (do ...) and
+    as the action of two inits, is entered once per kind, and every place
+    of one kind holds that kind's one AST object."""
     entered = []
     build = dsl._build
     monkeypatch.setattr(dsl, "_build", lambda node, kind, built: entered.append((node, kind))
                         or build(node, kind, built))
-    ast = parse_program('(par (rexp (seq (print "x") (do (print "x") (print "x")) (print "x") (print "x")))\n'
-                        ' (init (print "x") (halt)) (init (print "x") (nothing)))')
+    x = '\n  (print "x")\n'
+    ast = parse_program(f"(par (rexp (seq{x}(do{x}{x}){x}{x}))\n (init{x}(halt))\n (init{x}(nothing)))")
     assert sorted(kind for node, kind in entered if node == ("print", '"x"')) == ["action", "program"]
     body, first_init, last_init = ast.children
     first, actions, *rest = body.program.items
@@ -686,8 +693,10 @@ def _repeated_bodies(steps: int) -> str:
 def test_a_repeated_form_is_built_once_and_a_repeated_spec_compiled_once_per_body(monkeypatch):
     """A repeat of a form already built costs a lookup: parse_program
     enters _build at most once per distinct (form, kind) pair, plus the
-    root, however often the form repeats; and compile_expr compiles each
-    distinct spec object once per rexp body it lays out."""
+    root, however often the form's line repeats; and compile_expr compiles
+    each distinct spec object once per rexp body it lays out. The last body
+    repeats the first one's lines but its last, so the two are equal, and
+    their step lines' forms are one object."""
     entered = []
     build = dsl._build
     monkeypatch.setattr(dsl, "_build", lambda node, kind, built: entered.append((id(node), kind))
@@ -700,7 +709,9 @@ def test_a_repeated_form_is_built_once_and_a_repeated_spec_compiled_once_per_bod
         assert len(entered) == len(set(entered)) <= _distinct_forms(_nest(text.split("\n"))) + 1
         counts.append(len(entered))
     assert counts[0] == counts[1]
-    assert ast.children[0] is ast.children[3]
+    first, last = ast.children[0].program.items, ast.children[3].program.items
+    assert first == last and all(a is b for a, b in zip(first[:-3], last[:-3], strict=True))
+    assert not any(a is b for a, b in zip(first[-3:], last[-3:]))
 
     compiled = []
     monkeypatch.setattr(program_module, "build_action", lambda spec: compiled.append(spec) or build_action(spec))
@@ -708,6 +719,6 @@ def test_a_repeated_form_is_built_once_and_a_repeated_spec_compiled_once_per_bod
     root = compile_expr(ast, env)
     per_body = [{id(item): item for item in body.program.items if isinstance(item, (Print, SetCell))}
                 for body in ast.children]
-    assert [len(specs) for specs in per_body] == [2, 2, 2, 2]
+    assert [len(specs) for specs in per_body] == [4, 4, 4, 4]
     assert sorted(map(id, compiled)) == sorted(key for specs in per_body for key in specs)
     assert react_once(env, root) == (["a=0", "b=0", "c=0", "a=0"], False)

@@ -4,7 +4,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genprog import gen_case
+from genprog import gen_case, line_reads
 from instants import Environment, compile_expr, parse_program, render
 from instants.dsl import HaltExpr, MergeExpr, RexpExpr, RifExpr, WhenExpr
 from instants.program import JUMP, PAUSE, TEXT_PAUSE, initial_resumption
@@ -17,6 +17,17 @@ def test_engine_matches_oracle_over_fixed_seeds():
     for seed in range(300):
         ast, trace = gen_case(seed)
         assert engine_run(ast, trace, **LIMITS) == oracle_run(ast, trace, **LIMITS), f"seed {seed}"
+
+
+def test_the_line_read_matches_the_oracle_over_fixed_seeds():
+    # Each case spread over lines and read by the line read alone
+    # (line_reads) is the generated AST, and runs as the oracle runs it.
+    for seed in range(300):
+        ast, trace = gen_case(seed)
+        want = oracle_run(ast, trace, **LIMITS)
+        for read in line_reads(ast):
+            assert read == ast, f"seed {seed}"
+            assert engine_run(read, trace, **LIMITS) == want, f"seed {seed}"
 
 
 @given(st.integers(min_value=0, max_value=10_000_000))
